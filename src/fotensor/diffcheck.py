@@ -2,9 +2,10 @@
 
 Each case draws an alphabet, a string model kind, a word and a random
 closed formula over matching predicates, then evaluates the formula along
-both paths. Any disagreement (or evaluation failure, which includes a
-violated 0/1-closure assertion) is reported with the per-case seed so it
-can be replayed. Generation is fully deterministic in the base seed.
+every path: the compiled plan, its optimized form and the oracle. Any
+disagreement (or evaluation failure, which includes a violated 0/1-closure
+check) is reported with the per-case seed so it can be replayed. Generation
+is fully deterministic in the base seed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .formulas import (
     or_,
 )
 from .models import Alphabet, build_word_model
+from .optimize import optimize
 from .oracle import tarski_eval
 from .tensors import compile_formula, embed_model, eval_tensor
 
@@ -117,6 +119,7 @@ class CheckCase:
 class CheckFailure:
     case: CheckCase
     tensor_value: int | None
+    optimized_value: int | None
     oracle_value: int | None
     error: str | None
 
@@ -125,7 +128,8 @@ class CheckFailure:
         what = (
             f"error: {self.error}"
             if self.error
-            else f"tensor={self.tensor_value} oracle={self.oracle_value}"
+            else f"tensor={self.tensor_value} optimized={self.optimized_value} "
+            f"oracle={self.oracle_value}"
         )
         return (
             f"case {c.index} (seed {c.seed}): MISMATCH {what}\n"
@@ -168,6 +172,7 @@ class CheckReport:
                     "word": f.case.word,
                     "formula": str(f.case.formula),
                     "tensor": f.tensor_value,
+                    "optimized": f.optimized_value,
                     "oracle": f.oracle_value,
                     "error": f.error,
                 }
@@ -186,11 +191,17 @@ def case_from_seed(index: int, case_seed: int, max_word_len: int, max_depth: int
     return CheckCase(index, case_seed, kind, alphabet_text, word, formula)
 
 
-def compare_paths(formula: Formula, word: str, kind: str, alphabet: Alphabet) -> tuple[int, int]:
+def compare_paths(
+    formula: Formula, word: str, kind: str, alphabet: Alphabet
+) -> tuple[int, int, int]:
+    """Values of the compiled plan, the optimized plan and the oracle."""
     model = build_word_model(word, alphabet, kind)
-    tensor_value = eval_tensor(compile_formula(formula), embed_model(model))
+    embedded = embed_model(model)
+    plan = compile_formula(formula)
+    tensor_value = eval_tensor(plan, embedded)
+    optimized_value = eval_tensor(optimize(plan), embedded)
     oracle_value = int(tarski_eval(formula, model))
-    return tensor_value, oracle_value
+    return tensor_value, optimized_value, oracle_value
 
 
 def run_differential_check(
@@ -206,12 +217,10 @@ def run_differential_check(
         case_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
         case = case_from_seed(index, case_seed, max_word_len, max_depth)
         try:
-            tensor_value, oracle_value = compare_paths(
-                case.formula, case.word, case.kind, Alphabet(case.alphabet)
-            )
+            values = compare_paths(case.formula, case.word, case.kind, Alphabet(case.alphabet))
         except Exception as exc:  # report, never hide: a crash is a failed case
-            failures.append(CheckFailure(case, None, None, f"{type(exc).__name__}: {exc}"))
+            failures.append(CheckFailure(case, None, None, None, f"{type(exc).__name__}: {exc}"))
             continue
-        if tensor_value != oracle_value:
-            failures.append(CheckFailure(case, tensor_value, oracle_value, None))
+        if len(set(values)) > 1:
+            failures.append(CheckFailure(case, *values, None))
     return CheckReport(count, seed, tuple(failures))

@@ -37,6 +37,12 @@ class AssignmentError(SemanticError):
     """An assignment binds a variable to an index outside the domain."""
 
 
+class ClosureError(FotensorError, AssertionError):
+    """A tensor value outside {0, 1} where the semantics allows only 0 and 1,
+    or min1 applied to a negative number: a fault in the evaluator, not in
+    the input. Raised explicitly, so the check survives python -O."""
+
+
 class StructureFormatError(FotensorError):
     """A structure document that cannot be decoded at all."""
 

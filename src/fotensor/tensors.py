@@ -5,16 +5,31 @@ order-k 0/1 tensor whose contraction with basis vectors yields the atom's
 truth value (for binary relations, e_i . R e_j). Compiled formulas evaluate
 by exact integer arithmetic over these tensors:
 
-    negative literal      contraction with the complement tensor 1...1 - R
+    negative literal      the complement tensor 1...1 - R
     negation              1 - x
     conjunction           product of the conjuncts
     disjunction           min1(sum of the disjuncts)
     existential           min1(sum over the basis substitutions)
     universal             via the dual: 1 - min1(sum of 1 - body)
 
-where min1(x) = min(x, 1) componentwise. Every node value of a well-formed
-plan is exactly 0 or 1; this is asserted during evaluation. Evaluation on
-an empty domain gives 0 for existentials and 1 for universals.
+where min1(x) = min(x, 1) componentwise.
+
+Evaluation works on whole arrays. Each plan node is computed once, for all
+assignments to the quantified variables in its scope at the same time, as
+an integer array with one axis per such variable; the axis has size 1 where
+the node does not depend on the variable, and vector nodes of optimized
+plans carry one more, trailing, component axis. A literal is its relation
+tensor placed on its variables' axes (the diagonal for R(x, x), a row or
+column for a variable the assignment binds), conjunction is a broadcast
+product and disjunction a clamped sum. A quantifier sums its body over the
+variable's axis after broadcasting that axis to the domain size N, which
+makes existentials 0 and universals 1 on an empty domain. A plan with k
+nested quantifiers therefore allocates arrays of up to N^k cells, and
+evaluation refuses plans past MAX_CELLS.
+
+Every node value of a well-formed plan is exactly 0 or 1. Evaluation checks
+this on literal, product and sum nodes, and min1 rejects negative input;
+both raise ClosureError explicitly, so the checks also run under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
@@ -22,8 +37,10 @@ iteration symbolically and bind its size only at evaluation time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +48,8 @@ import numpy as np
 from .errors import (
     ArityMismatchError,
     AssignmentError,
+    ClosureError,
+    SemanticError,
     UnboundVariableError,
     UnknownPredicateError,
 )
@@ -42,17 +61,22 @@ _DT = np.int64
 
 
 def min1(x):
-    """min(x, 1), componentwise on arrays. Inputs must be nonnegative."""
-    if isinstance(x, np.ndarray):
-        assert (x >= 0).all(), "min1 requires nonnegative input"
+    """min(x, 1), componentwise on arrays and numpy scalars. Raises
+    ClosureError on negative input."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        if (x < 0).any():
+            raise ClosureError("min1 requires nonnegative input")
         return np.minimum(x, 1)
-    assert x >= 0, "min1 requires nonnegative input"
+    if x < 0:
+        raise ClosureError("min1 requires nonnegative input")
     return min(int(x), 1)
 
 
 def negate_relation(t: np.ndarray) -> np.ndarray:
-    """Complement tensor 1...1 - t, encoding the negated relation."""
-    assert np.isin(t, (0, 1)).all() if t.size else True
+    """Complement tensor 1...1 - t, encoding the negated relation. Raises
+    ClosureError unless t is a 0/1 tensor."""
+    if t.size and not np.isin(t, (0, 1)).all():
+        raise ClosureError("negate_relation requires a 0/1 tensor")
     return np.ones_like(t) - t
 
 
@@ -276,6 +300,12 @@ def _compile_matrix(f: Formula) -> TensorExpr:
 
 # --- evaluation ----------------------------------------------------------
 
+# Largest node value, in cells, that evaluation may allocate. A plan whose
+# node values carry k axes needs arrays of N^k cells (see _axes); 2^24 int64
+# cells are 128 MiB.
+MAX_CELLS = 1 << 24
+
+
 class TraceEvent(NamedTuple):
     tag: str
     variable: str
@@ -293,116 +323,183 @@ def eval_tensor(
 
     The assignment must bind every free variable of the plan (1-based
     indices). When a trace list is supplied, every quantifier node appends
-    its pre-clamp partial sum."""
-    env = normalize_assignment(a)
-    return _eval(e, m, env, trace)
+    its pre-clamp partial sum once per assignment to the quantified
+    variables around it, in the order of a nested-loop walk of the plan:
+    inner quantifiers before outer ones, outer variables counting up.
 
-
-def _eval(e, m, env, trace) -> int:
-    if isinstance(e, RelApply):
-        arity = len(e.terms)
-        t = m.complement_tensor(e.predicate, arity) if e.negated else m.tensor(e.predicate, arity)
-        vs = [m.basis(_index(env, v)) for v in e.terms]
-        if len(vs) == 1:
-            value = int(t @ vs[0])
-        else:
-            value = int(vs[0] @ t @ vs[1])
-        assert value in (0, 1)
-        return value
-    if isinstance(e, EqApply):
-        t = m.complement_tensor(None) if e.negated else m.identity
-        value = int(m.basis(_index(env, e.left)) @ t @ m.basis(_index(env, e.right)))
-        assert value in (0, 1)
-        return value
-    if isinstance(e, Complement):
-        return 1 - _eval(e.body, m, env, trace)
-    if isinstance(e, Product):
-        value = math.prod(_eval(g, m, env, trace) for g in e.factors)
-        assert value in (0, 1)
-        return value
-    if isinstance(e, Min1Sum):
-        value = min1(sum(_eval(g, m, env, trace) for g in e.terms))
-        assert value in (0, 1)
-        return value
-    if isinstance(e, Min1SumOverDomain):
-        total = sum(
-            _eval_bound(e.body, m, env, e.var.name, i, trace)
-            for i in range(1, m.basis_size + 1)
+    Raises SemanticError, before allocating anything, when the plan's
+    largest node value would exceed MAX_CELLS cells."""
+    n, depth = m.basis_size, _axes(e)
+    if n**depth > MAX_CELLS:
+        raise SemanticError(
+            f"evaluation needs arrays of N^depth = {n}^{depth} cells "
+            f"(domain size {n}, {depth} nested axes), over the limit of {MAX_CELLS}"
         )
-        _trace(trace, "exists-sum", e.var.name, env, total)
-        return min1(total)
-    if isinstance(e, DualSumOverDomain):
-        total = sum(
-            1 - _eval_bound(e.body, m, env, e.var.name, i, trace)
-            for i in range(1, m.basis_size + 1)
-        )
-        _trace(trace, "forall-dual", e.var.name, env, total)
-        return 1 - min1(total)
-    if isinstance(e, Min1Dot):
-        value = min1(int(_eval_vec(e.left, m, env, trace) @ _eval_vec(e.right, m, env, trace)))
-        assert value in (0, 1)
-        return value
-    raise TypeError(f"not a scalar plan node: {e!r}")
-
-
-def _eval_bound(body, m, env, name, i, trace):
-    saved = env.get(name)
-    env[name] = i
-    try:
-        return _eval(body, m, env, trace)
-    finally:
-        if saved is None:
-            env.pop(name, None)
-        else:
-            env[name] = saved
-
-
-def _index(env, var: Variable) -> int:
-    try:
-        return env[var.name]
-    except KeyError:
-        raise UnboundVariableError(f"variable {var.name!r} is not bound") from None
-
-
-def _trace(trace, tag, variable, env, total):
+    ev = _Evaluator(m, normalize_assignment(a), trace is not None)
+    value = int(ev.scalar(e, (), ()))
     if trace is not None:
-        trace.append(TraceEvent(tag, variable, tuple(sorted(env.items())), int(total)))
+        trace.extend(event for _, event in sorted(ev.events, key=itemgetter(0)))
+    return value
 
 
-def _eval_vec(e, m, env, trace) -> np.ndarray:
-    if isinstance(e, OnesVec):
-        return np.ones(m.basis_size, dtype=_DT)
-    if isinstance(e, BasisVec):
-        return m.basis(_index(env, e.var))
-    if isinstance(e, RelVec):
-        return m.complement_tensor(e.predicate, 1) if e.negated else m.tensor(e.predicate, 1)
-    if isinstance(e, DiagVec):
-        return np.diagonal(_eval_mat(e.mat, m)).copy()
-    if isinstance(e, MatVec):
-        return _eval_mat(e.mat, m) @ _eval_vec(e.vec, m, env, trace)
-    if isinstance(e, HadamardVec):
-        vs = [_eval_vec(g, m, env, trace) for g in e.items]
-        out = vs[0].copy()
-        for v in vs[1:]:
-            out *= v
-        return out
-    if isinstance(e, VecAdd):
-        vs = [_eval_vec(g, m, env, trace) for g in e.items]
-        return np.sum(vs, axis=0, dtype=_DT) if vs else np.zeros(m.basis_size, dtype=_DT)
-    if isinstance(e, Min1Vec):
-        return min1(_eval_vec(e.body, m, env, trace))
-    if isinstance(e, ComplementVec):
-        v = _eval_vec(e.body, m, env, trace)
-        assert np.isin(v, (0, 1)).all() if v.size else True
-        return 1 - v
-    if isinstance(e, ScaleVec):
-        return _eval(e.scalar, m, env, trace) * _eval_vec(e.body, m, env, trace)
-    raise TypeError(f"not a vector plan node: {e!r}")
+class _Evaluator:
+    """One evaluation of a plan. Each node value is an integer array with
+    one axis per quantified variable in scope (outermost first), of size 1
+    where the node does not depend on that variable; vector nodes add a
+    trailing component axis.
+
+    Trace events are recorded with a sort key that restores the nested-loop
+    order: the path from the root, where a quantifier contributes its loop
+    index and any other node the position of the child taken, followed by
+    math.inf so that a node's own event sorts after its descendants'."""
+
+    def __init__(self, m: EmbeddedModel, env: dict[str, int], tracing: bool):
+        self.m = m
+        self.n = m.basis_size
+        self.env = env
+        self.events: list | None = [] if tracing else None
+
+    def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
+        if isinstance(e, RelApply):
+            t = _relation(self.m, e.predicate, len(e.terms), e.negated)
+            return _closed(self.place(t, e.terms, scope, len(scope)))
+        if isinstance(e, EqApply):
+            t = self.m.complement_tensor(None) if e.negated else self.m.identity
+            return _closed(self.place(t, (e.left, e.right), scope, len(scope)))
+        if isinstance(e, Complement):
+            return 1 - self.scalar(e.body, scope, path + (0,))
+        if isinstance(e, Product):
+            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.factors)]
+            return _closed(functools.reduce(np.multiply, values))
+        if isinstance(e, Min1Sum):
+            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.terms)]
+            return _closed(min1(functools.reduce(np.add, values)))
+        if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
+            exists = isinstance(e, Min1SumOverDomain)
+            body = self.scalar(e.body, scope + (e.var.name,), path + (None,))
+            if not exists:
+                body = 1 - body
+            # Broadcast the variable's axis to N before summing, so that a body
+            # that ignores the variable counts N times (and 0 times when N = 0).
+            total = np.broadcast_to(body, body.shape[:-1] + (self.n,)).sum(axis=-1)
+            if self.events is not None:
+                tag = "exists-sum" if exists else "forall-dual"
+                self.record(tag, e.var.name, total, scope, path)
+            return _closed(min1(total) if exists else 1 - min1(total))
+        if isinstance(e, Min1Dot):
+            left = self.vector(e.left, scope, path + (0,))
+            right = self.vector(e.right, scope, path + (1,))
+            return _closed(min1((left * right).sum(axis=-1)))
+        raise TypeError(f"not a scalar plan node: {e!r}")
+
+    def vector(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
+        ndim = len(scope) + 1
+        if isinstance(e, OnesVec):
+            return np.ones((1,) * len(scope) + (self.n,), dtype=_DT)
+        if isinstance(e, BasisVec):
+            return self.place(self.m.identity, (e.var, None), scope, ndim)
+        if isinstance(e, RelVec):
+            return self.place(_relation(self.m, e.predicate, 1, e.negated), (None,), scope, ndim)
+        if isinstance(e, DiagVec):
+            return self.place(_eval_mat(e.mat, self.m), (None, None), scope, ndim)
+        if isinstance(e, MatVec):
+            return self.vector(e.vec, scope, path + (1,)) @ _eval_mat(e.mat, self.m).T
+        if isinstance(e, HadamardVec):
+            values = [self.vector(g, scope, path + (k,)) for k, g in enumerate(e.items)]
+            return functools.reduce(np.multiply, values)
+        if isinstance(e, VecAdd):
+            values = [self.vector(g, scope, path + (k,)) for k, g in enumerate(e.items)]
+            return functools.reduce(np.add, values)
+        if isinstance(e, Min1Vec):
+            return min1(self.vector(e.body, scope, path + (0,)))
+        if isinstance(e, ComplementVec):
+            return 1 - _closed(self.vector(e.body, scope, path + (0,)))
+        if isinstance(e, ScaleVec):
+            scalar = self.scalar(e.scalar, scope, path + (0,))
+            return scalar[..., None] * self.vector(e.body, scope, path + (1,))
+        raise TypeError(f"not a vector plan node: {e!r}")
+
+    def place(self, t: np.ndarray, terms, scope: tuple[str, ...], ndim: int) -> np.ndarray:
+        """Tensor t with its k-th index on the axis of terms[k], reshaped to
+        ndim axes. A quantified variable takes its scope axis (the innermost
+        one of that name), a variable the assignment binds fixes a row or
+        column, and None takes the trailing component axis."""
+        index, axes = [], []
+        for v in terms:
+            axis = ndim - 1 if v is None else _scope_axis(scope, v.name)
+            if axis is None:
+                index.append(self.index(v))
+            else:
+                index.append(slice(None))
+                axes.append(axis)
+        t = t[tuple(index)]
+        out = sorted(set(axes))
+        if axes != out:
+            # A repeated variable reads the diagonal (R(x, x)); the rest are
+            # permuted into axis order (R(y, x) reads the transpose).
+            t = np.einsum(t, [out.index(p) for p in axes], list(range(len(out))))
+        shape = [1] * ndim
+        for p, size in zip(out, t.shape):
+            shape[p] = size
+        return t.reshape(shape)
+
+    def index(self, var: Variable) -> int:
+        """0-based domain position the assignment gives var."""
+        try:
+            i = self.env[var.name]
+        except KeyError:
+            raise UnboundVariableError(f"variable {var.name!r} is not bound") from None
+        if not 1 <= i <= self.n:
+            raise AssignmentError(f"index {i} outside domain of size {self.n}")
+        return i - 1
+
+    def record(self, tag: str, variable: str, total: np.ndarray, scope: tuple[str, ...], path):
+        totals = np.broadcast_to(total, (self.n,) * len(scope))
+        for idx in np.ndindex(totals.shape):
+            loops = iter(idx)
+            key = tuple(next(loops) if p is None else p for p in path) + (math.inf,)
+            bindings = dict(self.env)
+            bindings.update(zip(scope, (i + 1 for i in idx)))
+            event = TraceEvent(tag, variable, tuple(sorted(bindings.items())), int(totals[idx]))
+            self.events.append((key, event))
+
+
+def _relation(m: EmbeddedModel, name: str, arity: int, negated: bool) -> np.ndarray:
+    return m.complement_tensor(name, arity) if negated else m.tensor(name, arity)
+
+
+def _scope_axis(scope: tuple[str, ...], name: str) -> int | None:
+    for p in range(len(scope) - 1, -1, -1):
+        if scope[p] == name:
+            return p
+    return None
+
+
+def _closed(v: np.ndarray) -> np.ndarray:
+    """v, once every entry is checked to be 0 or 1."""
+    # For integers, x & ~1 is nonzero exactly when x is outside {0, 1}.
+    if np.bitwise_and(v, ~1).any():
+        raise ClosureError("plan node value outside {0, 1}")
+    return v
+
+
+def _axes(e, outer: int = 0) -> int:
+    """Most axes any node value of the plan carries: the quantifiers around
+    the node, plus the component axis of a vector node; a matrix node has
+    two."""
+    if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
+        outer += 1
+    most = 2 if isinstance(e, MatExpr) else outer + isinstance(e, VecExpr)
+    for value in vars(e).values():
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (TensorExpr, VecExpr, MatExpr)):
+                most = max(most, _axes(child, outer))
+    return most
 
 
 def _eval_mat(e, m) -> np.ndarray:
     if isinstance(e, RelMat):
-        t = m.complement_tensor(e.predicate, 2) if e.negated else m.tensor(e.predicate, 2)
+        t = _relation(m, e.predicate, 2, e.negated)
         return transpose_encode(t) if e.transposed else t
     if isinstance(e, IdentityMat):
         return m.complement_tensor(None) if e.negated else m.identity

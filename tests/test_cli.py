@@ -80,6 +80,21 @@ def test_eval_unknown_predicate_exits_2(capsys):
     assert run(["eval", "--expr", "exists x. zz(x)", "--word", "ab"]) == 2
 
 
+def test_eval_plan_too_large_exits_2(capsys):
+    expr = "exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"
+    assert run(["eval", "--expr", expr, "--word", "a" * 400]) == 2
+    err = capsys.readouterr().err
+    assert "domain size 400" in err and "400^4" in err
+
+
+def test_eval_corrupted_build_exits_2(monkeypatch, capsys):
+    # Without the clamp, two true disjuncts leave {0, 1}: a closure error,
+    # reported like any other error rather than as a traceback.
+    monkeypatch.setattr(tensors, "min1", lambda x: x)
+    assert run(["eval", "--expr", "exists x. (b(x) | b(x))", "--word", "b"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_unknown_word_symbol_exits_2(capsys):
     assert run(["eval", "--expr", "exists x. b(x)", "--word", "abq", "--alphabet", "ab"]) == 2
 

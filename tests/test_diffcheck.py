@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
 from fotensor import compile_formula, embed_model, eval_tensor, free_variables, parse_formula
 from fotensor.diffcheck import (
@@ -12,6 +13,7 @@ from fotensor.diffcheck import (
     run_differential_check,
 )
 from fotensor.models import Alphabet, build_successor_model
+from fotensor.tensors import Complement
 
 
 def test_random_formulas_are_closed_and_bounded():
@@ -49,10 +51,10 @@ def test_small_run_agrees():
 def test_case_reproducible_from_seed():
     report = run_differential_check(10, seed=77)
     case = case_from_seed(3, (77 * 1_000_003 + 3) & 0x7FFFFFFF, 5, 3)
-    tensor_value, oracle_value = compare_paths(
+    tensor_value, optimized_value, oracle_value = compare_paths(
         case.formula, case.word, case.kind, Alphabet(case.alphabet)
     )
-    assert tensor_value == oracle_value
+    assert tensor_value == optimized_value == oracle_value
     assert report.total == 10
 
 
@@ -75,6 +77,17 @@ def test_corrupted_build_fails_the_check(monkeypatch):
     broken = run_differential_check(40, seed=6)
     assert not broken.ok
     assert any(f.error or f.tensor_value != f.oracle_value for f in broken.failures)
+
+
+def test_optimized_plan_disagreement_fails_the_check(monkeypatch):
+    # A rewriter that negates every plan breaks only the optimized path.
+    monkeypatch.setattr(diffcheck, "optimize", lambda plan: Complement(plan))
+    report = run_differential_check(20, seed=0)
+    assert len(report.failures) == 20
+    for f in report.failures:
+        assert f.tensor_value == f.oracle_value != f.optimized_value
+    assert "optimized=" in report.to_text()
+    assert '"optimized": ' in report.to_json()
 
 
 def test_count_must_be_positive():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import all_words, word_model
@@ -15,6 +17,7 @@ from fotensor import (
     formula_one_b,
     iter_words,
     membership,
+    optimize,
     parse_formula,
     succ_from_prec_formula,
     tarski_eval,
@@ -70,6 +73,56 @@ def test_paths_agree():
     for spec, symbols in [(formula_one_b(), "ab"), (formula_diss(), "lra")]:
         for word in all_words(symbols, 4):
             assert membership(spec, word, "tensor") == membership(spec, word, "oracle"), word
+
+
+def _long_words(rng, spec, n):
+    """Two accepted and two rejected words of length n."""
+    if spec.model_kind == "succ":
+        i, j = rng.sample(range(n), 2)
+        one = ["a"] * n
+        one[i] = "b"
+        two = list(one)
+        two[j] = "b"
+        return ["".join(one), "".join(one[::-1]), "".join(two), "a" * n]
+    accepted = []
+    while len(accepted) < 2:
+        # An l is written only when an r came after the previous l.
+        word, open_l = [], False
+        for _ in range(n):
+            c = rng.choice("lra")
+            if c == "l" and open_l:
+                c = "r"
+            open_l = (open_l or c == "l") and c != "r"
+            word.append(c)
+        accepted.append("".join(word))
+    rejected = []
+    while len(rejected) < 2:
+        word = "".join(rng.choice("lra") for _ in range(n))
+        if not _diss_truth(word):
+            rejected.append(word)
+    return accepted + rejected
+
+
+@pytest.mark.parametrize(
+    "spec, truth, sizes",
+    [(formula_one_b(), _one_b_truth, (32, 64, 128)), (formula_diss(), _diss_truth, (16, 32, 64))],
+    ids=["one-b", "dissimilation"],
+)
+def test_long_words_all_paths_agree(spec, truth, sizes):
+    rng = random.Random(2024)
+    plan = compile_formula(spec.formula)
+    optimized = optimize(plan)
+    assert optimized != plan
+    for n in sizes:
+        words = _long_words(rng, spec, n)
+        assert [truth(w) for w in words] == [True, True, False, False], words
+        for word in words:
+            m = word_model(word, "".join(spec.alphabet), spec.model_kind)
+            em = embed_model(m)
+            expected = int(truth(word))
+            assert eval_tensor(plan, em) == expected, word
+            assert eval_tensor(optimized, em) == expected, word
+            assert int(tarski_eval(spec.formula, m)) == expected, word
 
 
 def test_enumerate_one_b():

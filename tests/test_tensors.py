@@ -1,21 +1,34 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fotensor
 from conftest import all_words, word_model
 from fotensor import (
+    ClosureError,
+    SemanticError,
     UnboundVariableError,
     UnknownPredicateError,
     compile_formula,
     dump_expr,
     embed_model,
     eval_tensor,
+    formula_diss,
+    formula_one_b,
     min1,
     negate_relation,
+    optimize,
     parse_formula,
     tarski_eval,
     transpose_encode,
 )
 from fotensor.tensors import (
+    MAX_CELLS,
     DualSumOverDomain,
     Min1SumOverDomain,
     Product,
@@ -78,6 +91,11 @@ def test_negate_relation_examples():
     assert negate_relation(zero).tolist() == [[1, 1], [1, 1]]
 
 
+def test_negate_relation_rejects_non_binary_tensor():
+    with pytest.raises(ClosureError):
+        negate_relation(np.array([0, 2]))
+
+
 def test_negate_relation_involution():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -111,6 +129,24 @@ def test_min1():
     assert min1(np.array([0, 1, 5])).tolist() == [0, 1, 1]
     with pytest.raises(AssertionError):
         min1(-1)
+
+
+def test_min1_check_survives_python_O():
+    # An assert would be stripped under -O and min1(-1) would return -1.
+    code = (
+        "from fotensor import ClosureError, min1\n"
+        "try:\n"
+        "    print(min1(-1))\n"
+        "except ClosureError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(fotensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
 
 
 def test_compile_one_b_plan_structure():
@@ -173,10 +209,62 @@ def test_empty_domain_quantifiers():
     assert eval_tensor(compile_formula(parse_formula("forall x. a(x)")), em) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exists x. a(x)",
+        "forall x. a(x)",
+        "exists x. forall y. (a(x) | succ(x, y))",
+        "forall x. exists y. (a(x) & succ(x, y))",
+        "exists x. forall y. b(y)",
+        "forall x. exists y. b(y)",
+    ],
+)
+def test_empty_domain_prefix_shapes_match_oracle(text):
+    formula = parse_formula(text)
+    m = word_model("", "ab", "succ")
+    plan = compile_formula(formula)
+    expected = int(tarski_eval(formula, m))
+    assert eval_tensor(plan, embed_model(m)) == expected
+    assert eval_tensor(optimize(plan), embed_model(m)) == expected
+
+
+def test_empty_word_language_specs_match_oracle():
+    for spec in (formula_one_b(), formula_diss()):
+        m = word_model("", "".join(spec.alphabet), spec.model_kind)
+        expected = int(tarski_eval(spec.formula, m))
+        assert eval_tensor(compile_formula(spec.formula), embed_model(m)) == expected
+
+
+def test_unknown_predicate_raises_on_every_word_length():
+    # A signature error does not depend on the word: prec is not a relation
+    # of the successor model, on the empty word as on any other.
+    plan = compile_formula(parse_formula("exists x. exists y. prec(x, y)"))
+    for word in ("", "ab"):
+        with pytest.raises(UnknownPredicateError):
+            eval_tensor(plan, _embedded(word, "ab", "succ"))
+
+
 def test_eval_requires_bindings():
     plan = compile_formula(parse_formula("b(x)"))
     with pytest.raises(UnboundVariableError):
         eval_tensor(plan, _embedded("ab", "ab", "succ"))
+
+
+def test_plan_too_large_is_refused_before_allocating():
+    plan = compile_formula(
+        parse_formula("exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))")
+    )
+    em = _embedded("a" * 400, "ab", "succ")
+    assert 400**4 > MAX_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(SemanticError, match=r"400\^4"):
+            eval_tensor(plan, em)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_eval_unknown_predicate():
@@ -250,6 +338,36 @@ def test_dump_format_and_determinism():
     assert "(rel b x)" in text
     assert "(compl" in text
     assert "(eq x y)" in text
+
+
+def test_trace_dissimilation_is_unchanged():
+    # Nested-loop order: for each x, the z-sum of every y, then the y-dual;
+    # the x-dual last.
+    em = _embedded("lral", "lra", "prec")
+    trace: list[TraceEvent] = []
+    assert eval_tensor(compile_formula(DISS), em, trace=trace) == 1
+    expected = []
+    for x in range(1, 5):
+        for y in range(1, 5):
+            total = 1 if (x, y) == (1, 4) else 4
+            expected.append(TraceEvent("exists-sum", "z", (("x", x), ("y", y)), total))
+        expected.append(TraceEvent("forall-dual", "y", (("x", x),), 0))
+    expected.append(TraceEvent("forall-dual", "x", (), 0))
+    assert trace == expected
+
+
+def test_trace_open_formula_under_assignment_is_unchanged():
+    f = parse_formula("exists z. (prec(x, z) & (forall w. (prec(z, w) -> (r(w) | w = y))))")
+    em = _embedded("lral", "lra", "prec")
+    trace: list[TraceEvent] = []
+    assert eval_tensor(compile_formula(f), em, {"x": 1, "y": 4}, trace=trace) == 1
+    assert trace == [
+        TraceEvent("forall-dual", "w", (("x", 1), ("y", 4), ("z", 1)), 4),
+        TraceEvent("forall-dual", "w", (("x", 1), ("y", 4), ("z", 2)), 1),
+        TraceEvent("forall-dual", "w", (("x", 1), ("y", 4), ("z", 3)), 0),
+        TraceEvent("forall-dual", "w", (("x", 1), ("y", 4), ("z", 4)), 0),
+        TraceEvent("exists-sum", "z", (("x", 1), ("y", 4)), 2),
+    ]
 
 
 def test_trace_reports_partial_sums():
