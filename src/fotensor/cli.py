@@ -29,15 +29,18 @@ EXIT_SEMANTIC = 2
 EXIT_MISMATCH = 3
 
 
+def _usage_error(prog: str, message: str) -> SystemExit:
+    """Print an argparse-style error for prog; the returned exit carries the
+    usage exit code."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; the CLI contract wants 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _usage_error(self.prog, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,10 +112,8 @@ def _cmd_eval(args) -> int:
         )
     if args.word is not None:
         if args.model == "tree":
-            raise SystemExit(
-                _ArgumentParser(prog="fotensor eval")._usage_exit(
-                    "tree models cannot be built from --word; pass --structure"
-                )
+            raise _usage_error(
+                "fotensor eval", "tree models cannot be built from --word; pass --structure"
             )
         model = build_word_model(args.word, _word_alphabet(args, formula), args.model)
     else:
@@ -142,14 +143,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.max_len < 0:
-        raise SystemExit(
-            _ArgumentParser(prog="fotensor enumerate")._usage_exit("--max-len must be >= 0")
-        )
+        raise _usage_error("fotensor enumerate", "--max-len must be >= 0")
     if args.model == "tree":
-        raise SystemExit(
-            _ArgumentParser(prog="fotensor enumerate")._usage_exit(
-                "enumeration is defined over word models only (--model succ|prec)"
-            )
+        raise _usage_error(
+            "fotensor enumerate", "enumeration is defined over word models only (--model succ|prec)"
         )
     formula = _read_formula(args)
     try:
@@ -188,9 +185,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.random < 1:
-        raise SystemExit(
-            _ArgumentParser(prog="fotensor check")._usage_exit("--random must be at least 1")
-        )
+        raise _usage_error("fotensor check", "--random must be at least 1")
     report = run_differential_check(args.random, seed=args.seed)
     print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.ok else EXIT_MISMATCH

@@ -2,7 +2,9 @@
 
 Each case draws an alphabet, a string model kind, a word and a random
 closed formula over matching predicates, then evaluates the formula along
-every path: the compiled plan, its optimized form and the oracle. Any
+every path: the compiled plan, its optimized form, the compiled plan on a
+batch of every word of the case word's length (read at the case word) and
+the oracle. Any
 disagreement (or evaluation failure, which includes a violated 0/1-closure
 check) is reported with the per-case seed so it can be replayed. Generation
 is fully deterministic in the base seed.
@@ -29,7 +31,7 @@ from .formulas import (
 from .models import Alphabet, build_word_model
 from .optimize import optimize
 from .oracle import tarski_eval
-from .tensors import compile_formula, embed_model, eval_tensor
+from .tensors import batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
 
 _VAR_POOL = ("x", "y", "z")
 
@@ -120,6 +122,7 @@ class CheckFailure:
     case: CheckCase
     tensor_value: int | None
     optimized_value: int | None
+    batched_value: int | None
     oracle_value: int | None
     error: str | None
 
@@ -129,7 +132,7 @@ class CheckFailure:
             f"error: {self.error}"
             if self.error
             else f"tensor={self.tensor_value} optimized={self.optimized_value} "
-            f"oracle={self.oracle_value}"
+            f"batched={self.batched_value} oracle={self.oracle_value}"
         )
         return (
             f"case {c.index} (seed {c.seed}): MISMATCH {what}\n"
@@ -173,6 +176,7 @@ class CheckReport:
                     "formula": str(f.case.formula),
                     "tensor": f.tensor_value,
                     "optimized": f.optimized_value,
+                    "batched": f.batched_value,
                     "oracle": f.oracle_value,
                     "error": f.error,
                 }
@@ -204,6 +208,21 @@ def compare_paths(
     return tensor_value, optimized_value, oracle_value
 
 
+def batched_value(formula: Formula, word: str, kind: str, alphabet: Alphabet) -> int:
+    """Value of the compiled plan at the word, read from one eval_batch over
+    every word of its length (over the chunk that holds the word, when they
+    do not fit in one batch)."""
+    code = 0
+    for ch in word:
+        code = code * len(alphabet) + alphabet.symbols.index(ch)
+    plan = compile_formula(formula)
+    step = batch_limit(plan, len(word))
+    start = code - code % step
+    stop = min(start + step, len(alphabet) ** len(word))
+    values = eval_batch(plan, embed_words(alphabet, len(word), kind, start, stop))
+    return int(values[code - start])
+
+
 def run_differential_check(
     count: int,
     seed: int = 0,
@@ -216,11 +235,14 @@ def run_differential_check(
     for index in range(count):
         case_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
         case = case_from_seed(index, case_seed, max_word_len, max_depth)
+        alphabet = Alphabet(case.alphabet)
         try:
-            values = compare_paths(case.formula, case.word, case.kind, Alphabet(case.alphabet))
+            tensor, optimized, oracle = compare_paths(case.formula, case.word, case.kind, alphabet)
+            batched = batched_value(case.formula, case.word, case.kind, alphabet)
         except Exception as exc:  # report, never hide: a crash is a failed case
-            failures.append(CheckFailure(case, None, None, None, f"{type(exc).__name__}: {exc}"))
+            error = f"{type(exc).__name__}: {exc}"
+            failures.append(CheckFailure(case, None, None, None, None, error))
             continue
-        if len(set(values)) > 1:
-            failures.append(CheckFailure(case, *values, None))
+        if len({tensor, optimized, batched, oracle}) > 1:
+            failures.append(CheckFailure(case, tensor, optimized, batched, oracle, None))
     return CheckReport(count, seed, tuple(failures))

@@ -100,7 +100,7 @@ class StructureModel:
         arr = np.asarray(data, dtype=_DT)
         if arr.shape != shape:
             raise ValueError(f"relation {name!r} has shape {arr.shape}, expected {shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
+        if not is_zero_one(arr):
             raise ValueError(f"relation {name!r} has entries outside {{0, 1}}")
         arr.flags.writeable = False
         return arr
@@ -165,6 +165,12 @@ class StructureModel:
         )
 
 
+def is_zero_one(arr: np.ndarray) -> bool:
+    """Whether every entry of an integer array is 0 or 1."""
+    # For integers, x & ~1 is nonzero exactly when x is outside {0, 1}.
+    return not np.bitwise_and(arr, ~1).any()
+
+
 def _check_index(i, domain_size, name):
     if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
         raise SemanticError(f"relation {name!r}: index {i!r} is not an integer")
@@ -186,19 +192,13 @@ def _label_vectors(word: str, alphabet: Alphabet) -> dict[str, np.ndarray]:
 def build_successor_model(word: str, alphabet: Alphabet) -> StructureModel:
     """Word positions 1..|w| with label relations and the successor order
     succ = {(i, i+1)}."""
-    n = len(word)
-    succ = np.zeros((n, n), dtype=_DT)
-    for i in range(n - 1):
-        succ[i, i + 1] = 1
-    return StructureModel(n, _label_vectors(word, alphabet), {SUCC: succ})
+    return build_word_model(word, alphabet, SUCC)
 
 
 def build_precedence_model(word: str, alphabet: Alphabet) -> StructureModel:
     """Same labels as the successor model, but with the general order
     prec = {(i, j) | i < j}."""
-    n = len(word)
-    prec = np.triu(np.ones((n, n), dtype=_DT), k=1)
-    return StructureModel(n, _label_vectors(word, alphabet), {PREC: prec})
+    return build_word_model(word, alphabet, PREC)
 
 
 MODEL_KINDS = ("succ", "prec", "tree")
@@ -213,13 +213,21 @@ def normalize_kind(kind: str) -> str:
     return kind
 
 
-def build_word_model(word: str, alphabet: Alphabet, kind: str) -> StructureModel:
+def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
+    """Name and matrix of the order relation of every word model of the given
+    length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does not depend
+    on the word's labels."""
     kind = normalize_kind(kind)
     if kind == "succ":
-        return build_successor_model(word, alphabet)
+        return SUCC, np.eye(length, k=1, dtype=_DT)
     if kind == "prec":
-        return build_precedence_model(word, alphabet)
+        return PREC, np.triu(np.ones((length, length), dtype=_DT), k=1)
     raise ValueError("tree models are not built from words; use build_tree_model")
+
+
+def build_word_model(word: str, alphabet: Alphabet, kind: str) -> StructureModel:
+    name, order = order_relation(len(word), kind)
+    return StructureModel(len(word), _label_vectors(word, alphabet), {name: order})
 
 
 def dump_structure(m: StructureModel) -> str:

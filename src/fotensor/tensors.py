@@ -27,6 +27,13 @@ makes existentials 0 and universals 1 on an empty domain. A plan with k
 nested quantifiers therefore allocates arrays of up to N^k cells, and
 evaluation refuses plans past MAX_CELLS.
 
+All words of one length share their order relation and differ only in
+their labels. A batched model (embed_words) stacks the label vectors of B
+such words as (B, N) tensors next to the one shared order tensor, and
+eval_batch evaluates a closed plan on all of them at once: the batch is one
+more axis in front of the quantified variables', carried by every literal
+over a batched relation, so arrays grow to B * N^k cells.
+
 Every node value of a well-formed plan is exactly 0 or 1. Evaluation checks
 this on literal, product and sum nodes, and min1 rejects negative input;
 both raise ClosureError explicitly, so the checks also run under python -O.
@@ -41,7 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +61,14 @@ from .errors import (
     UnknownPredicateError,
 )
 from .formulas import And, Atom, Equal, Formula, Not, Or, Variable
-from .models import Assignment, StructureModel, normalize_assignment
+from .models import (
+    Alphabet,
+    Assignment,
+    StructureModel,
+    is_zero_one,
+    normalize_assignment,
+    order_relation,
+)
 from .prenex import EXISTS, to_prenex
 
 _DT = np.int64
@@ -75,7 +89,7 @@ def min1(x):
 def negate_relation(t: np.ndarray) -> np.ndarray:
     """Complement tensor 1...1 - t, encoding the negated relation. Raises
     ClosureError unless t is a 0/1 tensor."""
-    if t.size and not np.isin(t, (0, 1)).all():
+    if not is_zero_one(t):
         raise ClosureError("negate_relation requires a 0/1 tensor")
     return np.ones_like(t) - t
 
@@ -87,11 +101,22 @@ def transpose_encode(r: np.ndarray) -> np.ndarray:
 
 
 class EmbeddedModel:
-    """A structure mapped into R^N: one-hot basis plus relation tensors."""
+    """A structure mapped into R^N: one-hot basis plus relation tensors.
 
-    def __init__(self, basis_size: int, relation_tensors: dict[str, np.ndarray]):
+    A batched model stands for B structures over the same domain: each
+    relation named in `batched` carries a leading axis of size B, one entry
+    per structure, and the other relations are shared by all of them."""
+
+    def __init__(
+        self,
+        basis_size: int,
+        relation_tensors: dict[str, np.ndarray],
+        batched: Iterable[str] = (),
+    ):
         self.basis_size = basis_size
         self.relation_tensors = dict(relation_tensors)
+        self.batched = frozenset(batched)
+        self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
         self.identity = np.eye(basis_size, dtype=_DT)
         self.identity.flags.writeable = False
         self._complements: dict[str | None, np.ndarray] = {}
@@ -111,10 +136,9 @@ class EmbeddedModel:
             t = self.relation_tensors[name]
         except KeyError:
             raise UnknownPredicateError(f"no relation tensor {name!r} in the model") from None
-        if t.ndim != arity:
-            raise ArityMismatchError(
-                f"relation {name!r} has arity {t.ndim}, atom uses {arity}"
-            )
+        own = t.ndim - (name in self.batched)
+        if own != arity:
+            raise ArityMismatchError(f"relation {name!r} has arity {own}, atom uses {arity}")
         return t
 
     def complement_tensor(self, name: str | None, arity: int = 2) -> np.ndarray:
@@ -130,6 +154,27 @@ class EmbeddedModel:
 def embed_model(m: StructureModel) -> EmbeddedModel:
     """Isomorphic image of a structure in R^N (N = domain size)."""
     return EmbeddedModel(m.domain_size, {**m.unary, **m.binary})
+
+
+def embed_words(
+    alphabet: Alphabet, length: int, kind: str, start: int = 0, stop: int | None = None
+) -> EmbeddedModel:
+    """Batched model of the words of one length over the alphabet, in
+    iter_words order: the words whose codes, read as base-|alphabet| numerals
+    of `length` digits in alphabet order, run from start to stop - 1 (by
+    default all |alphabet|^length of them). Each label is a (B, length)
+    tensor, built from the digits without a per-word model; the order
+    relation is one shared (length, length) matrix."""
+    base = len(alphabet)
+    stop = base**length if stop is None else stop
+    if not 0 <= start <= stop <= base**length:
+        raise ValueError(f"word codes {start}..{stop} outside 0..{base**length}")
+    name, order = order_relation(length, kind)
+    codes, digits = np.arange(start, stop, dtype=_DT), np.empty((stop - start, length), _DT)
+    for i in reversed(range(length)):
+        codes, digits[:, i] = np.divmod(codes, base)
+    labels = {sym: (digits == k).astype(_DT) for k, sym in enumerate(alphabet)}
+    return EmbeddedModel(length, {**labels, name: order}, batched=labels)
 
 
 # --- evaluation plans ---------------------------------------------------
@@ -301,9 +346,12 @@ def _compile_matrix(f: Formula) -> TensorExpr:
 # --- evaluation ----------------------------------------------------------
 
 # Largest node value, in cells, that evaluation may allocate. A plan whose
-# node values carry k axes needs arrays of N^k cells (see _axes); 2^24 int64
-# cells are 128 MiB.
+# node values carry k axes needs arrays of N^k cells (see _axes), B * N^k on
+# a batch of B structures; 2^24 int64 cells are 128 MiB.
 MAX_CELLS = 1 << 24
+
+# The batch axis's pseudo-variable. The parser cannot produce this name.
+_BATCH = Variable("#batch")
 
 
 class TraceEvent(NamedTuple):
@@ -329,12 +377,9 @@ def eval_tensor(
 
     Raises SemanticError, before allocating anything, when the plan's
     largest node value would exceed MAX_CELLS cells."""
-    n, depth = m.basis_size, _axes(e)
-    if n**depth > MAX_CELLS:
-        raise SemanticError(
-            f"evaluation needs arrays of N^depth = {n}^{depth} cells "
-            f"(domain size {n}, {depth} nested axes), over the limit of {MAX_CELLS}"
-        )
+    if m.batched:
+        raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
+    batch_limit(e, m.basis_size)
     ev = _Evaluator(m, normalize_assignment(a), trace is not None)
     value = int(ev.scalar(e, (), ()))
     if trace is not None:
@@ -342,11 +387,43 @@ def eval_tensor(
     return value
 
 
+def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
+    """Evaluate a closed plan on each structure of a batched model (see
+    embed_words) at once; returns their values, each exactly 0 or 1, as an
+    array of shape (B,). A model without batched relations is a batch of one.
+
+    Raises SemanticError, before allocating anything, when B * N^depth
+    exceeds MAX_CELLS cells."""
+    b, n = m.batch_size, m.basis_size
+    if b > batch_limit(e, n):
+        raise SemanticError(
+            f"evaluation of {b} structures needs arrays of B * N^depth = "
+            f"{b} * {n}^{_axes(e)} cells, over the limit of {MAX_CELLS}"
+        )
+    value = _Evaluator(m, {}, False).scalar(e, (_BATCH.name,), ())
+    return np.broadcast_to(value, (b,)).copy()
+
+
+def batch_limit(e: TensorExpr, n: int) -> int:
+    """Most structures of domain size n that one eval_batch call may take
+    for plan e: MAX_CELLS // N^depth. Raises SemanticError when a single
+    structure is already past MAX_CELLS."""
+    depth = _axes(e)
+    cells = n**depth
+    if cells > MAX_CELLS:
+        raise SemanticError(
+            f"evaluation needs arrays of N^depth = {n}^{depth} cells "
+            f"(domain size {n}, {depth} nested axes), over the limit of {MAX_CELLS}"
+        )
+    return MAX_CELLS // max(cells, 1)
+
+
 class _Evaluator:
     """One evaluation of a plan. Each node value is an integer array with
     one axis per quantified variable in scope (outermost first), of size 1
     where the node does not depend on that variable; vector nodes add a
-    trailing component axis.
+    trailing component axis. A batched evaluation opens the scope with the
+    batch pseudo-variable.
 
     Trace events are recorded with a sort key that restores the nested-loop
     order: the path from the root, where a quantifier contributes its loop
@@ -361,8 +438,7 @@ class _Evaluator:
 
     def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
-            t = _relation(self.m, e.predicate, len(e.terms), e.negated)
-            return _closed(self.place(t, e.terms, scope, len(scope)))
+            return _closed(self.relation(e.predicate, e.negated, e.terms, scope, len(scope)))
         if isinstance(e, EqApply):
             t = self.m.complement_tensor(None) if e.negated else self.m.identity
             return _closed(self.place(t, (e.left, e.right), scope, len(scope)))
@@ -399,7 +475,7 @@ class _Evaluator:
         if isinstance(e, BasisVec):
             return self.place(self.m.identity, (e.var, None), scope, ndim)
         if isinstance(e, RelVec):
-            return self.place(_relation(self.m, e.predicate, 1, e.negated), (None,), scope, ndim)
+            return self.relation(e.predicate, e.negated, (None,), scope, ndim)
         if isinstance(e, DiagVec):
             return self.place(_eval_mat(e.mat, self.m), (None, None), scope, ndim)
         if isinstance(e, MatVec):
@@ -418,6 +494,14 @@ class _Evaluator:
             scalar = self.scalar(e.scalar, scope, path + (0,))
             return scalar[..., None] * self.vector(e.body, scope, path + (1,))
         raise TypeError(f"not a vector plan node: {e!r}")
+
+    def relation(self, name: str, negated: bool, terms, scope: tuple[str, ...], ndim: int):
+        """The relation's (or its complement's) tensor placed on terms; the
+        leading axis of a batched relation goes on the batch axis."""
+        t = _relation(self.m, name, len(terms), negated)
+        if name in self.m.batched:
+            terms = (_BATCH, *terms)
+        return self.place(t, terms, scope, ndim)
 
     def place(self, t: np.ndarray, terms, scope: tuple[str, ...], ndim: int) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
@@ -477,8 +561,7 @@ def _scope_axis(scope: tuple[str, ...], name: str) -> int | None:
 
 def _closed(v: np.ndarray) -> np.ndarray:
     """v, once every entry is checked to be 0 or 1."""
-    # For integers, x & ~1 is nonzero exactly when x is outside {0, 1}.
-    if np.bitwise_and(v, ~1).any():
+    if not is_zero_one(v):
         raise ClosureError("plan node value outside {0, 1}")
     return v
 

@@ -153,6 +153,13 @@ def test_enumerate_rejects_tree_model(capsys):
     assert code == 1
 
 
+def test_enumerate_word_over_the_limit_exits_2(capsys):
+    expr = "exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"
+    assert run(["enumerate", "--expr", expr, "--alphabet", "ab", "--max-len", "400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "400^4" in captured.err
+
+
 def test_compile_one_b_plan(capsys):
     code = run(["compile", "--expr", ONE_B])
     assert code == 0

@@ -6,6 +6,7 @@ import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
 from fotensor import compile_formula, embed_model, eval_tensor, free_variables, parse_formula
 from fotensor.diffcheck import (
+    batched_value,
     case_from_seed,
     compare_paths,
     random_formula,
@@ -88,6 +89,27 @@ def test_optimized_plan_disagreement_fails_the_check(monkeypatch):
         assert f.tensor_value == f.oracle_value != f.optimized_value
     assert "optimized=" in report.to_text()
     assert '"optimized": ' in report.to_json()
+
+
+def test_batched_path_disagreement_fails_the_check(monkeypatch):
+    # Negating every batched value breaks only the batched path.
+    real = diffcheck.eval_batch
+    monkeypatch.setattr(diffcheck, "eval_batch", lambda plan, model: 1 - real(plan, model))
+    report = run_differential_check(20, seed=0)
+    assert len(report.failures) == 20
+    for f in report.failures:
+        assert f.tensor_value == f.optimized_value == f.oracle_value != f.batched_value
+    assert "batched=" in report.to_text()
+    assert '"batched": ' in report.to_json()
+
+
+def test_batched_value_reads_the_case_word_from_its_chunk(monkeypatch):
+    formula = parse_formula("forall x. (b(x) -> exists y. (a(y) & succ(y, x)))")
+    alphabet = Alphabet("ab")
+    monkeypatch.setattr(tensors, "MAX_CELLS", 5 * 4**2)  # chunks of 5 of the 16 words
+    for word in ("aaaa", "abab", "aabb", "baaa", "abba", "bbbb"):
+        em = embed_model(build_successor_model(word, alphabet))
+        assert batched_value(formula, word, "succ", alphabet) == eval_tensor(compile_formula(formula), em)
 
 
 def test_count_must_be_positive():

@@ -1,11 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
 
+import fotensor.languages as languages
+import fotensor.tensors as tensors
 from conftest import all_words, word_model
 from fotensor import (
     Alphabet,
     LanguageSpec,
+    SemanticError,
     Variable,
     build_successor_model,
     compile_formula,
@@ -22,6 +26,7 @@ from fotensor import (
     succ_from_prec_formula,
     tarski_eval,
 )
+from fotensor.diffcheck import random_formula
 
 
 def _one_b_truth(word):
@@ -222,3 +227,56 @@ def test_tree_kind_has_no_word_membership():
     )
     with pytest.raises(ValueError):
         membership(spec, "st")
+
+
+def test_enumerate_reaches_roadmap_targets():
+    one_b = enumerate_language(formula_one_b(), 12)
+    assert len(one_b) == 78
+    assert one_b == [w for w in all_words("ab", 12) if _one_b_truth(w)]
+    diss = enumerate_language(formula_diss(), 7)
+    assert len(diss) == 1596
+    assert diss == [w for w in all_words("lra", 7) if _diss_truth(w)]
+
+
+def test_enumerate_in_chunks_equals_one_batch(monkeypatch):
+    spec = formula_diss()  # depth 3
+    whole = enumerate_language(spec, 5)
+    batches = []
+    real = languages.eval_batch
+
+    def spy(plan, model):
+        batches.append((model.basis_size, model.batch_size))
+        return real(plan, model)
+
+    monkeypatch.setattr(languages, "eval_batch", spy)
+    monkeypatch.setattr(tensors, "MAX_CELLS", 7 * 5**3)
+    assert enumerate_language(spec, 5) == whole
+    assert all(b * n**3 <= 7 * 5**3 for n, b in batches)
+    assert [b for n, b in batches if n == 5] == [7] * 34 + [5]
+    assert sum(b for _, b in batches) == sum(3**n for n in range(6))
+
+
+def test_enumerate_refuses_a_word_over_the_limit_before_allocating():
+    spec = LanguageSpec(
+        parse_formula("exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"),
+        "succ",
+        Alphabet("ab"),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(SemanticError, match=r"400\^4"):
+            enumerate_language(spec, 400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_enumerate_tensor_path_matches_oracle_on_random_formulas():
+    rng = random.Random(31)
+    for i in range(102):
+        symbols = ("ab", "abc", "lra")[i % 3]
+        kind = ("succ", "prec")[i // 3 % 2]
+        spec = LanguageSpec(random_formula(rng, tuple(symbols), kind), kind, Alphabet(symbols))
+        tensor = enumerate_language(spec, 4)
+        assert tensor == enumerate_language(spec, 4, "oracle"), spec.formula

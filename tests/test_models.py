@@ -10,9 +10,11 @@ from fotensor import (
     UnknownSymbolError,
     build_precedence_model,
     build_successor_model,
+    build_word_model,
     dump_structure,
     load_structure,
 )
+from fotensor.models import is_zero_one, order_relation
 
 ABC = Alphabet("abc")
 
@@ -157,3 +159,22 @@ def test_load_rejects_malformed_documents():
 def test_load_rejects_non_integer_entries():
     with pytest.raises(SemanticError):
         load_structure('{"domain": 2, "unary": {"a": [1.5]}, "binary": {}}')
+
+
+def test_relations_must_be_zero_one():
+    for bad in ([0, 2], [-1, 1], [1, 3]):
+        with pytest.raises(ValueError, match=r"entries outside \{0, 1\}"):
+            StructureModel(2, {"a": bad})
+    assert StructureModel(2, {"a": [1, 0]}, {"r": [[0, 1], [1, 1]]}).unary["a"].tolist() == [1, 0]
+    assert is_zero_one(np.zeros((0, 3), dtype=np.int64))
+    assert not is_zero_one(np.array([[0, 1], [1, -2]]))
+
+
+def test_order_relation_shared_by_word_models():
+    for kind in ("succ", "prec"):
+        for word in all_words("ab", 4):
+            name, order = order_relation(len(word), kind)
+            m = build_word_model(word, Alphabet("ab"), kind)
+            assert list(m.binary) == [name] and np.array_equal(m.binary[name], order)
+    with pytest.raises(ValueError):
+        order_relation(3, "tree")

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import fotensor
-from conftest import all_words, word_model
+from conftest import all_words, corpus_formulas, word_model
 from fotensor import (
+    Alphabet,
+    ArityMismatchError,
     ClosureError,
     SemanticError,
     UnboundVariableError,
@@ -17,6 +19,8 @@ from fotensor import (
     compile_formula,
     dump_expr,
     embed_model,
+    embed_words,
+    eval_batch,
     eval_tensor,
     formula_diss,
     formula_one_b,
@@ -29,6 +33,7 @@ from fotensor import (
 )
 from fotensor.tensors import (
     MAX_CELLS,
+    batch_limit,
     DualSumOverDomain,
     Min1SumOverDomain,
     Product,
@@ -379,3 +384,90 @@ def test_trace_reports_partial_sums():
     assert tags.count("forall-dual") == 4
     assert tags[-1] == "exists-sum"
     assert trace[-1].partial_sum == 0
+
+
+# --- batched evaluation ----------------------------------------------------
+
+def _same_length(symbols, n):
+    return [w for w in all_words(symbols, n) if len(w) == n]
+
+
+def test_embed_words_stacks_per_word_labels():
+    for kind in ("succ", "prec"):
+        for n in range(4):
+            words = _same_length("lra", n)
+            em = embed_words(Alphabet("lra"), n, kind)
+            assert em.batch_size == 3**n and em.basis_size == n
+            assert em.batched == {"l", "r", "a"}
+            for b, word in enumerate(words):
+                single = _embedded(word, "lra", kind)
+                for sym in "lra":
+                    assert np.array_equal(em.relation_tensors[sym][b], single.relation_tensors[sym])
+                assert np.array_equal(em.relation_tensors[kind], single.relation_tensors[kind])
+
+
+def test_embed_words_slices_by_code():
+    full = embed_words(Alphabet("ab"), 4, "succ")
+    part = embed_words(Alphabet("ab"), 4, "succ", 5, 9)
+    assert part.batch_size == 4
+    assert np.array_equal(part.relation_tensors["b"], full.relation_tensors["b"][5:9])
+    for start, stop in ((-1, 2), (3, 2), (0, 17)):
+        with pytest.raises(ValueError):
+            embed_words(Alphabet("ab"), 4, "succ", start, stop)
+    with pytest.raises(ValueError):
+        embed_words(Alphabet("ab"), 2, "tree")
+
+
+def test_eval_batch_matches_eval_tensor_per_word():
+    for formula, symbols, kinds in corpus_formulas():
+        plan = compile_formula(formula)
+        optimized = optimize(plan)
+        for kind in kinds:
+            for n in range(5):
+                expected = [eval_tensor(plan, _embedded(w, symbols, kind)) for w in _same_length(symbols, n)]
+                em = embed_words(Alphabet(symbols), n, kind)
+                got = eval_batch(plan, em)
+                assert got.shape == (len(expected),) and got.tolist() == expected, (formula, kind, n)
+                assert eval_batch(optimized, em).tolist() == expected, (formula, kind, n)
+
+
+def test_eval_batch_of_a_single_structure():
+    em = _embedded("abba", "ab", "succ")
+    plan = compile_formula(ONE_B)
+    assert eval_batch(plan, em).tolist() == [eval_tensor(plan, em)] == [0]
+
+
+def test_eval_batch_keeps_signature_errors():
+    for n in (0, 2):
+        em = embed_words(Alphabet("ab"), n, "succ")
+        with pytest.raises(UnknownPredicateError):
+            eval_batch(compile_formula(parse_formula("exists x. exists y. prec(x, y)")), em)
+        with pytest.raises(ArityMismatchError):
+            eval_batch(compile_formula(parse_formula("exists x. exists y. b(x, y)")), em)
+        with pytest.raises(UnboundVariableError):
+            eval_batch(compile_formula(parse_formula("b(x)")), em)
+
+
+def test_eval_tensor_refuses_a_batched_model():
+    with pytest.raises(ValueError, match="eval_batch"):
+        eval_tensor(compile_formula(ONE_B), embed_words(Alphabet("ab"), 2, "succ"))
+
+
+def test_batch_too_large_is_refused(monkeypatch):
+    plan = compile_formula(ONE_B)  # depth 2
+    monkeypatch.setattr(fotensor.tensors, "MAX_CELLS", 100)
+    assert batch_limit(plan, 3) == 11 and batch_limit(plan, 10) == 1
+    assert eval_batch(plan, embed_words(Alphabet("ab"), 3, "succ")).tolist() == [0, 1, 1, 0, 1, 0, 0, 0]
+    with pytest.raises(SemanticError, match=r"16 \* 4\^2"):
+        eval_batch(plan, embed_words(Alphabet("ab"), 4, "succ"))
+    with pytest.raises(SemanticError, match=r"11\^2"):
+        batch_limit(plan, 11)
+
+
+def test_corrupted_clamp_breaks_the_batched_path(monkeypatch):
+    plan = compile_formula(parse_formula("exists x. (b(x) | b(x))"))
+    em = embed_words(Alphabet("ab"), 2, "succ")
+    assert eval_batch(plan, em).tolist() == [0, 1, 1, 1]
+    monkeypatch.setattr(fotensor.tensors, "min1", lambda x: x)
+    with pytest.raises(ClosureError):
+        eval_batch(plan, em)
