@@ -10,6 +10,7 @@ arguments and formats output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +44,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _usage_error(self.prog, message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first main() call and reused after:
+    parse_args returns a fresh namespace each time, and argparse looks up
+    sys.stdout/sys.stderr only when it prints."""
     parser = _ArgumentParser(prog="fotensor")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 

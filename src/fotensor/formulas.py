@@ -51,41 +51,26 @@ class Atom(Formula):
                 f"arguments, got {len(self.terms)}"
             )
 
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True)
 class Equal(Formula):
     left: Variable
     right: Variable
 
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     body: Formula
-
-    def __str__(self):
-        return to_text(self)
 
 
 @dataclass(frozen=True)
 class And(Formula):
     items: tuple[Formula, ...]
 
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     items: tuple[Formula, ...]
-
-    def __str__(self):
-        return to_text(self)
 
 
 @dataclass(frozen=True)
@@ -93,26 +78,17 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: Variable
     body: Formula
 
-    def __str__(self):
-        return to_text(self)
-
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: Variable
     body: Formula
-
-    def __str__(self):
-        return to_text(self)
 
 
 def atom(name: str, *vars: str | Variable) -> Atom:

@@ -80,8 +80,8 @@ def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
     existential.
     """
     g = desugar(f)
-    closed = not free_variables(g)
     used = {v.name for v in free_variables(g)}
+    closed = not used
     g = _standardize(g, used)
     g = _nnf(g)
     prefix, matrix = _pull(g)

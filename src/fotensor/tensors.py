@@ -182,6 +182,13 @@ def embed_words(
 class TensorExpr:
     """Scalar-valued node of a compiled evaluation plan."""
 
+    @functools.cached_property
+    def _depth(self) -> int:
+        """_axes of the plan rooted here, walked once per root node: plans
+        are immutable, and the cache lives outside the dataclass fields, so
+        equality and hashing ignore it."""
+        return _axes(self)
+
 
 class VecExpr:
     """Length-N vector-valued node (used by optimized plans)."""
@@ -398,7 +405,7 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     if b > batch_limit(e, n):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^depth = "
-            f"{b} * {n}^{_axes(e)} cells, over the limit of {MAX_CELLS}"
+            f"{b} * {n}^{e._depth} cells, over the limit of {MAX_CELLS}"
         )
     value = _Evaluator(m, {}, False).scalar(e, (_BATCH.name,), ())
     return np.broadcast_to(value, (b,)).copy()
@@ -408,7 +415,7 @@ def batch_limit(e: TensorExpr, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
     for plan e: MAX_CELLS // N^depth. Raises SemanticError when a single
     structure is already past MAX_CELLS."""
-    depth = _axes(e)
+    depth = e._depth
     cells = n**depth
     if cells > MAX_CELLS:
         raise SemanticError(

@@ -1,5 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import fotensor
+import fotensor.cli as cli
 import fotensor.tensors as tensors
 from fotensor import Alphabet, build_successor_model, dump_structure
 from fotensor.cli import main
@@ -256,3 +264,74 @@ def test_structure_with_bad_index_exits_2(tmp_path, capsys):
     path = tmp_path / "range.json"
     path.write_text('{"domain": 2, "unary": {"b": [5]}, "binary": {}}')
     assert run(["eval", "--expr", "exists x. b(x)", "--structure", str(path)]) == 2
+
+
+# --- one parser per process ----------------------------------------------
+
+# Help text wraps at the terminal width; pin it for both interpreters.
+_FIXED_TERMINAL = {"COLUMNS": "80", "LINES": "24"}
+
+
+def _fresh_interpreter(args):
+    """Run python with the package on its path in a new process; returns
+    (exit code, stdout, stderr)."""
+    env = {**os.environ, **_FIXED_TERMINAL}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(fotensor.__file__).parent.parent), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_matches_fresh_interpreters(monkeypatch):
+    for name, value in _FIXED_TERMINAL.items():
+        monkeypatch.setenv(name, value)
+    requests = [
+        ["enumerate", "--expr", ONE_B, "--alphabet", "ab", "--max-len", "-1"],
+        ["eval", "--word", "ab"],
+        ["eval", "--expr", DISS, "--word", "laral", "--model", "prec"],
+        ["compile", "--expr", ONE_B, "--format", "json"],
+        ["--help"],
+        ["enumerate", "--help"],
+    ]
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert (code, out.getvalue(), err.getvalue()) == _fresh_interpreter(
+            ["-m", "fotensor", *argv]
+        ), argv
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", init)
+    assert run(["eval", "--expr", ONE_B, "--word", "ab"]) == 0
+    parsers_per_build = len(built)
+    assert parsers_per_build > 0
+    assert run(["enumerate", "--expr", ONE_B, "--alphabet", "ab", "--max-len", "2"]) == 0
+    assert len(built) == parsers_per_build
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "def init(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    real(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = init\n"
+        "import fotensor.cli\n"
+        "print(len(built))\n"
+    )
+    assert _fresh_interpreter(["-c", probe]) == (0, "0\n", "")
