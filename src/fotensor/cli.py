@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list words of a formula's language")
     add_formula_source(p_enum)
-    p_enum.add_argument("--model", choices=("succ", "prec", "tree"), default="succ")
+    p_enum.add_argument("--model", choices=("succ", "prec"), default="succ")
     p_enum.add_argument("--alphabet", required=True)
     p_enum.add_argument("--max-len", type=int, required=True)
     p_enum.add_argument("--count", action="store_true", help="print only the number of words")
@@ -149,10 +149,6 @@ def _cmd_eval(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.max_len < 0:
         raise _usage_error("fotensor enumerate", "--max-len must be >= 0")
-    if args.model == "tree":
-        raise _usage_error(
-            "fotensor enumerate", "enumeration is defined over word models only (--model succ|prec)"
-        )
     formula = _read_formula(args)
     try:
         spec = LanguageSpec(formula, args.model, Alphabet(args.alphabet))
@@ -172,7 +168,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_compile(args) -> int:
     formula = _read_formula(args)
     pf = to_prenex(formula)
-    plan = compile_formula(formula)
+    plan = compile_formula(pf)
     sections = {"prenex": str(pf), "plan": dump_expr(plan)}
     if args.optimized:
         sections["optimized"] = dump_expr(optimize(plan))

@@ -31,7 +31,7 @@ from .formulas import (
 from .models import Alphabet, build_word_model
 from .optimize import optimize
 from .oracle import tarski_eval
-from .tensors import batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
+from .tensors import TensorExpr, batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
 
 _VAR_POOL = ("x", "y", "z")
 
@@ -196,26 +196,24 @@ def case_from_seed(index: int, case_seed: int, max_word_len: int, max_depth: int
 
 
 def compare_paths(
-    formula: Formula, word: str, kind: str, alphabet: Alphabet
+    formula: Formula, plan: TensorExpr, word: str, kind: str, alphabet: Alphabet
 ) -> tuple[int, int, int]:
     """Values of the compiled plan, the optimized plan and the oracle."""
     model = build_word_model(word, alphabet, kind)
     embedded = embed_model(model)
-    plan = compile_formula(formula)
     tensor_value = eval_tensor(plan, embedded)
     optimized_value = eval_tensor(optimize(plan), embedded)
     oracle_value = int(tarski_eval(formula, model))
     return tensor_value, optimized_value, oracle_value
 
 
-def batched_value(formula: Formula, word: str, kind: str, alphabet: Alphabet) -> int:
+def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) -> int:
     """Value of the compiled plan at the word, read from one eval_batch over
     every word of its length (over the chunk that holds the word, when they
     do not fit in one batch)."""
     code = 0
     for ch in word:
         code = code * len(alphabet) + alphabet.symbols.index(ch)
-    plan = compile_formula(formula)
     step = batch_limit(plan, len(word))
     start = code - code % step
     stop = min(start + step, len(alphabet) ** len(word))
@@ -237,8 +235,9 @@ def run_differential_check(
         case = case_from_seed(index, case_seed, max_word_len, max_depth)
         alphabet = Alphabet(case.alphabet)
         try:
-            tensor, optimized, oracle = compare_paths(case.formula, case.word, case.kind, alphabet)
-            batched = batched_value(case.formula, case.word, case.kind, alphabet)
+            plan = compile_formula(case.formula)
+            tensor, optimized, oracle = compare_paths(case.formula, plan, case.word, case.kind, alphabet)
+            batched = batched_value(plan, case.word, case.kind, alphabet)
         except Exception as exc:  # report, never hide: a crash is a failed case
             error = f"{type(exc).__name__}: {exc}"
             failures.append(CheckFailure(case, None, None, None, None, error))

@@ -7,6 +7,10 @@ removed by :func:`desugar` before any downstream processing).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import operator
+import typing
 from dataclasses import dataclass
 
 
@@ -32,7 +36,70 @@ class PredicateSymbol:
             raise ValueError(f"predicate arity must be 1 or 2, got {self.arity}")
 
 
-class Formula:
+class Node:
+    """Base class of tree nodes. A node class is a frozen dataclass; its
+    subnodes are the fields annotated with a Node type, or else the one
+    field annotated with a tuple of one."""
+
+
+@functools.cache
+def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
+    """(name, holds a tuple) for each subnode field of a node class, read
+    once per class from its field annotations."""
+    if not issubclass(cls, Node):
+        raise TypeError(f"not a tree node: {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    out = []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        many = typing.get_origin(hint) is tuple
+        kind = typing.get_args(hint)[0] if many else hint
+        if isinstance(kind, type) and issubclass(kind, Node):
+            out.append((field.name, many))
+    return tuple(out)
+
+
+# The children() getter of each node class, made on first use.
+_GETTERS: dict[type, typing.Callable[[Node], tuple[Node, ...]]] = {}
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    """The subnodes of node, in field order."""
+    try:
+        get = _GETTERS[type(node)]
+    except KeyError:
+        get = _GETTERS[type(node)] = _child_getter(type(node))
+    return get(node)
+
+
+def _child_getter(cls: type) -> typing.Callable[[Node], tuple[Node, ...]]:
+    """children() for one class: an attrgetter, which runs in C, wherever it
+    yields the tuple, since every pass calls children() once per node."""
+    fields = _child_fields(cls)
+    names = [name for name, _ in fields]
+    if fields and fields[0][1]:
+        return operator.attrgetter(names[0])
+    if len(names) > 1:
+        return operator.attrgetter(*names)
+    if names:
+        get = operator.attrgetter(names[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+def rebuild(node: Node, fn: typing.Callable[[Node], Node]) -> Node:
+    """node with fn applied to each of its subnodes; node itself when fn
+    returns every subnode unchanged."""
+    changes = {}
+    for name, many in _child_fields(type(node)):
+        old = getattr(node, name)
+        new = tuple(map(fn, old)) if many else fn(old)
+        if any(map(operator.is_not, new, old)) if many else new is not old:
+            changes[name] = new
+    return dataclasses.replace(node, **changes) if changes else node
+
+
+class Formula(Node):
     """Base class for formula nodes. Instances are immutable values."""
 
     def __str__(self):
@@ -100,32 +167,24 @@ def atom(name: str, *vars: str | Variable) -> Atom:
 def and_(items) -> Formula:
     """N-ary conjunction; flattens nested conjunctions and drops the wrapper
     around a single item."""
-    flat: list[Formula] = []
-    for f in items:
-        if isinstance(f, And):
-            flat.extend(f.items)
-        else:
-            flat.append(f)
-    if not flat:
-        raise ValueError("empty conjunction")
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _flatten(And, items, "conjunction")
 
 
 def or_(items) -> Formula:
     """N-ary disjunction; flattens like :func:`and_`."""
+    return _flatten(Or, items, "disjunction")
+
+
+def _flatten(cls: type[And] | type[Or], items, what: str) -> Formula:
     flat: list[Formula] = []
     for f in items:
-        if isinstance(f, Or):
+        if isinstance(f, cls):
             flat.extend(f.items)
         else:
             flat.append(f)
     if not flat:
-        raise ValueError("empty disjunction")
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+        raise ValueError(f"empty {what}")
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
 
 
 def free_variables(f: Formula) -> set[Variable]:
@@ -133,18 +192,12 @@ def free_variables(f: Formula) -> set[Variable]:
         return set(f.terms)
     if isinstance(f, Equal):
         return {f.left, f.right}
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out: set[Variable] = set()
-        for g in f.items:
-            out |= free_variables(g)
-        return out
-    if isinstance(f, Implies):
-        return free_variables(f.left) | free_variables(f.right)
+    out: set[Variable] = set()
+    for g in children(f):
+        out |= free_variables(g)
     if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+        out.discard(f.var)
+    return out
 
 
 def is_closed(f: Formula) -> bool:
@@ -154,74 +207,41 @@ def is_closed(f: Formula) -> bool:
 def desugar(f: Formula) -> Formula:
     """Rewrite every implication p -> q into !p | q. Idempotent; free
     variables are unchanged."""
-    if isinstance(f, (Atom, Equal)):
-        return f
-    if isinstance(f, Not):
-        return Not(desugar(f.body))
-    if isinstance(f, And):
-        return and_(desugar(g) for g in f.items)
-    if isinstance(f, Or):
-        return or_(desugar(g) for g in f.items)
-    if isinstance(f, Implies):
-        return or_([Not(desugar(f.left)), desugar(f.right)])
-    if isinstance(f, Exists):
-        return Exists(f.var, desugar(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.var, desugar(f.body))
-    raise TypeError(f"not a formula: {f!r}")
+    return desugar_step(rebuild(f, desugar))
 
 
-def contains_implies(f: Formula) -> bool:
+def desugar_step(f: Formula) -> Formula:
+    """f with its own implication rewritten and its conjunction or
+    disjunction flattened (as and_/or_ do), given implication-free
+    subformulas."""
     if isinstance(f, Implies):
+        return or_([Not(f.left), f.right])
+    if isinstance(f, (And, Or)) and type(f) in map(type, f.items):
+        return (and_ if isinstance(f, And) else or_)(f.items)
+    return f
+
+
+def contains(f: Node, types: type | tuple[type, ...]) -> bool:
+    """Whether f or a node below it is an instance of types."""
+    if isinstance(f, types):
         return True
-    if isinstance(f, (Atom, Equal)):
-        return False
-    if isinstance(f, Not):
-        return contains_implies(f.body)
-    if isinstance(f, (And, Or)):
-        return any(contains_implies(g) for g in f.items)
-    if isinstance(f, (Exists, Forall)):
-        return contains_implies(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    for g in children(f):
+        if contains(g, types):
+            return True
+    return False
 
 
 def contains_quantifier(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return True
-    if isinstance(f, (Atom, Equal)):
-        return False
-    if isinstance(f, Not):
-        return contains_quantifier(f.body)
-    if isinstance(f, (And, Or)):
-        return any(contains_quantifier(g) for g in f.items)
-    if isinstance(f, Implies):
-        return contains_quantifier(f.left) or contains_quantifier(f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    return contains(f, (Exists, Forall))
 
 
 def predicates(f: Formula) -> dict[str, int]:
     """Map every predicate name used in f to its arity."""
+    if isinstance(f, Atom):
+        return {f.predicate.name: f.predicate.arity}
     out: dict[str, int] = {}
-
-    def walk(g: Formula):
-        if isinstance(g, Atom):
-            out[g.predicate.name] = g.predicate.arity
-        elif isinstance(g, Equal):
-            pass
-        elif isinstance(g, Not):
-            walk(g.body)
-        elif isinstance(g, (And, Or)):
-            for h in g.items:
-                walk(h)
-        elif isinstance(g, Implies):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body)
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-
-    walk(f)
+    for g in children(f):
+        out.update(predicates(g))
     return out
 
 

@@ -21,7 +21,7 @@ suite checks this per pattern and on random plans.
 
 from __future__ import annotations
 
-from .formulas import Variable
+from .formulas import Variable, rebuild
 from .tensors import (
     BasisVec,
     Complement,
@@ -47,15 +47,16 @@ from .tensors import (
     TensorExpr,
     VecAdd,
     VecExpr,
-    expr_variables,
 )
 
 
 def optimize(e: TensorExpr) -> TensorExpr:
+    if not isinstance(e, TensorExpr):
+        return e  # a vector or matrix node is a closed form already
     pair = _fold_pair(e)
     if pair is not None:
         return pair
-    e = _rebuild(e)
+    e = rebuild(e, optimize)
     if isinstance(e, Min1SumOverDomain):
         vec = _body_vector(e.body, e.var)
         if vec is not None:
@@ -67,24 +68,10 @@ def optimize(e: TensorExpr) -> TensorExpr:
     return e
 
 
-def _rebuild(e):
-    if isinstance(e, Complement):
-        return Complement(optimize(e.body))
-    if isinstance(e, Product):
-        return Product(tuple(optimize(g) for g in e.factors))
-    if isinstance(e, Min1Sum):
-        return Min1Sum(tuple(optimize(g) for g in e.terms))
-    if isinstance(e, Min1SumOverDomain):
-        return Min1SumOverDomain(e.var, optimize(e.body))
-    if isinstance(e, DualSumOverDomain):
-        return DualSumOverDomain(e.var, optimize(e.body))
-    return e
-
-
 def _body_vector(body, var: Variable) -> VecExpr | None:
     """Express the body as a vector whose i-th component is the body's value
     with var bound to i, or None when no pattern applies."""
-    if var not in expr_variables(body):
+    if var not in body.variables:
         return ScaleVec(body, OnesVec())
     return _vectorize(body, var)
 
@@ -109,8 +96,8 @@ def _vectorize(e, v: Variable) -> VecExpr | None:
         inner = _body_vector(e.body, v)
         return None if inner is None else ComplementVec(inner)
     if isinstance(e, Product):
-        scalars = [f for f in e.factors if v not in expr_variables(f)]
-        pointwise = [_vectorize(f, v) for f in e.factors if v in expr_variables(f)]
+        scalars = [f for f in e.factors if v not in f.variables]
+        pointwise = [_vectorize(f, v) for f in e.factors if v in f.variables]
         if any(p is None for p in pointwise):
             return None
         vec = pointwise[0] if len(pointwise) == 1 else HadamardVec(tuple(pointwise))
@@ -142,7 +129,7 @@ def _fold_pair(e) -> TensorExpr | None:
     y_vecs: list[VecExpr] = []
     cross: list[MatExpr] = []
     for f in factors:
-        involved = expr_variables(f) & {x, y}
+        involved = f.variables & {x, y}
         if not involved:
             scalars.append(f)
         elif involved == {x}:

@@ -1,12 +1,12 @@
 """Prenex normal form conversion.
 
-The pipeline is: remove implications, standardize bound variables apart
-(fresh-name suffixing x, x1, x2, ...), normalize negations downward
-(through quantifiers: !exists x G => forall x !G and dually; a negation
-over a quantifier-free subtree is left in place as a whole-subformula
-complement), then float the quantifiers out left-to-right. The matrix can
-optionally be reshaped into CNF or DNF, which first pushes the remaining
-negations onto literals.
+The pipeline is: remove implications and standardize bound variables
+apart (fresh-name suffixing x, x1, x2, ...) in one rebuild of the tree,
+normalize negations downward (through quantifiers: !exists x G => forall x
+!G and dually; a negation over a quantifier-free subtree is left in place
+as a whole-subformula complement), then float the quantifiers out
+left-to-right. The matrix can optionally be reshaped into CNF, which also
+pushes the remaining negations onto literals.
 """
 
 from __future__ import annotations
@@ -21,15 +21,17 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
+    Implies,
     Not,
     Or,
     Variable,
     and_,
-    contains_implies,
+    contains,
     contains_quantifier,
-    desugar,
+    desugar_step,
     free_variables,
     or_,
+    rebuild,
     to_text,
 )
 
@@ -51,10 +53,9 @@ class PrenexFormula:
         names = [v.name for _, v in self.prefix]
         if len(names) != len(set(names)):
             raise ValueError(f"prefix variables not distinct: {names}")
-        if contains_quantifier(self.matrix):
-            raise ValueError("matrix contains a quantifier")
-        if contains_implies(self.matrix):
-            raise ValueError("matrix contains an implication")
+        if contains(self.matrix, (Exists, Forall, Implies)):
+            what = "a quantifier" if contains_quantifier(self.matrix) else "an implication"
+            raise ValueError(f"matrix contains {what}")
 
     def to_formula(self) -> Formula:
         f = self.matrix
@@ -75,23 +76,22 @@ def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
     empty-domain value wrong, a vacuous quantifier over a fresh dummy
     variable is prepended (a no-op whenever the domain is inhabited).
 
-    shape: None leaves the matrix in NNF; "cnf"/"dnf" force a clause shape;
-    "auto" picks CNF under an innermost universal and DNF under an innermost
-    existential.
+    shape: None leaves the matrix in NNF; "cnf" makes it a conjunction of
+    disjunctions of literals.
     """
-    g = desugar(f)
-    used = {v.name for v in free_variables(g)}
+    if shape not in (None, "cnf"):
+        raise ValueError(f"unknown matrix shape {shape!r}")
+    used = {v.name for v in free_variables(f)}
     closed = not used
-    g = _standardize(g, used)
-    g = _nnf(g)
-    prefix, matrix = _pull(g)
+    g = _standardize(f, used)
+    prefix, matrix = _pull(_nnf(g))
     if closed and prefix:
         want = _empty_domain_value(g)
         if want != (prefix[0][0] == FORALL):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
             prefix = [(FORALL if want else EXISTS, dummy)] + prefix
-    if shape is not None:
-        matrix = _shape_matrix(matrix, prefix, shape)
+    if shape == "cnf":
+        matrix = and_(or_(clause) for clause in _cnf_clauses(matrix))
     return PrenexFormula(tuple(prefix), matrix)
 
 
@@ -123,43 +123,32 @@ def _fresh(name: str, used: set[str]) -> str:
 
 
 def _standardize(f: Formula, used: set[str]) -> Formula:
-    if isinstance(f, (Atom, Equal)):
-        return f
-    if isinstance(f, Not):
-        return Not(_standardize(f.body, used))
-    if isinstance(f, And):
-        return And(tuple(_standardize(g, used) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(_standardize(g, used) for g in f.items))
-    if isinstance(f, (Exists, Forall)):
-        var, body = f.var, f.body
-        if var.name in used:
-            renamed = Variable(_fresh(var.name, used))
-            body = _rename_free(body, var, renamed)
-            var = renamed
-        used.add(var.name)
-        ctor = Exists if isinstance(f, Exists) else Forall
-        return ctor(var, _standardize(body, used))
-    raise TypeError(f"not a desugared formula: {f!r}")
+    """f with implications removed and every bound variable renamed apart
+    from the names in used, which collects them; one rebuild of the tree."""
+
+    def visit(g: Formula) -> Formula:
+        if isinstance(g, (Exists, Forall)):
+            if g.var.name in used:
+                renamed = Variable(_fresh(g.var.name, used))
+                g = type(g)(renamed, _rename_free(g.body, g.var, renamed))
+            used.add(g.var.name)
+            return rebuild(g, visit)
+        return desugar_step(rebuild(g, visit))
+
+    return visit(f)
 
 
 def _rename_free(f: Formula, old: Variable, new: Variable) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(new if t == old else t for t in f.terms))
-    if isinstance(f, Equal):
-        return Equal(new if f.left == old else f.left, new if f.right == old else f.right)
-    if isinstance(f, Not):
-        return Not(_rename_free(f.body, old, new))
-    if isinstance(f, And):
-        return And(tuple(_rename_free(g, old, new) for g in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(_rename_free(g, old, new) for g in f.items))
-    if isinstance(f, (Exists, Forall)):
-        if f.var == old:
-            return f
-        ctor = Exists if isinstance(f, Exists) else Forall
-        return ctor(f.var, _rename_free(f.body, old, new))
-    raise TypeError(f"not a desugared formula: {f!r}")
+    def visit(g: Formula) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.predicate, tuple(new if t == old else t for t in g.terms))
+        if isinstance(g, Equal):
+            return Equal(new if g.left == old else g.left, new if g.right == old else g.right)
+        if isinstance(g, (Exists, Forall)) and g.var == old:
+            return g
+        return rebuild(g, visit)
+
+    return visit(f)
 
 
 def _nnf(f: Formula) -> Formula:
@@ -201,28 +190,6 @@ def _nnf_negated(f: Formula) -> Formula:
     raise TypeError(f"not a desugared formula: {f!r}")
 
 
-def _literal_nnf(f: Formula) -> Formula:
-    """Full negation normal form of a quantifier-free matrix (negations on
-    literals only); the clause-shaping passes need this."""
-    if isinstance(f, (Atom, Equal)):
-        return f
-    if isinstance(f, And):
-        return and_(_literal_nnf(g) for g in f.items)
-    if isinstance(f, Or):
-        return or_(_literal_nnf(g) for g in f.items)
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, (Atom, Equal)):
-            return f
-        if isinstance(g, Not):
-            return _literal_nnf(g.body)
-        if isinstance(g, And):
-            return or_(_literal_nnf(Not(h)) for h in g.items)
-        if isinstance(g, Or):
-            return and_(_literal_nnf(Not(h)) for h in g.items)
-    raise TypeError(f"not a quantifier-free matrix: {f!r}")
-
-
 def _pull(f: Formula) -> tuple[list[tuple[str, Variable]], Formula]:
     if isinstance(f, (Atom, Equal, Not)):
         return [], f
@@ -242,34 +209,17 @@ def _pull(f: Formula) -> tuple[list[tuple[str, Variable]], Formula]:
     raise TypeError(f"not an NNF formula: {f!r}")
 
 
-def _shape_matrix(matrix: Formula, prefix, shape: str) -> Formula:
-    if shape == "auto":
-        if not prefix:
-            return matrix
-        shape = "cnf" if prefix[-1][0] == FORALL else "dnf"
-    matrix = _literal_nnf(matrix)
-    if shape == "cnf":
-        return and_(or_(clause) for clause in _clauses(matrix, inner=Or))
-    if shape == "dnf":
-        return or_(and_(clause) for clause in _clauses(matrix, inner=And))
-    raise ValueError(f"unknown matrix shape {shape!r}")
-
-
-def _clauses(f: Formula, inner) -> list[list[Formula]]:
-    """Clause lists for CNF (inner=Or) or DNF (inner=And) of an NNF matrix."""
-    outer = And if inner is Or else Or
-    if isinstance(f, outer):
-        out: list[list[Formula]] = []
-        for g in f.items:
-            out.extend(_clauses(g, inner))
-        return out
-    if isinstance(f, inner):
-        parts = [_clauses(g, inner) for g in f.items]
-        out = []
-        for combo in itertools.product(*parts):
-            merged: list[Formula] = []
-            for clause in combo:
-                merged.extend(clause)
-            out.append(merged)
-        return out
+def _cnf_clauses(f: Formula) -> list[list[Formula]]:
+    """Clauses (lists of literals) of a CNF of the quantifier-free matrix f,
+    pushing each negation over a compound subformula down to the literals."""
+    if isinstance(f, Not) and isinstance(f.body, Not):
+        return _cnf_clauses(f.body.body)
+    if isinstance(f, Not) and isinstance(f.body, (And, Or)):
+        dual = or_ if isinstance(f.body, And) else and_
+        return _cnf_clauses(dual(Not(g) for g in f.body.items))
+    if isinstance(f, And):
+        return [clause for g in f.items for clause in _cnf_clauses(g)]
+    if isinstance(f, Or):
+        combos = itertools.product(*(_cnf_clauses(g) for g in f.items))
+        return [[lit for clause in combo for lit in clause] for combo in combos]
     return [[f]]

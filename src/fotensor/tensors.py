@@ -60,7 +60,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Formula, Not, Or, Variable
+from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children
 from .models import (
     Alphabet,
     Assignment,
@@ -69,7 +69,7 @@ from .models import (
     normalize_assignment,
     order_relation,
 )
-from .prenex import EXISTS, to_prenex
+from .prenex import EXISTS, PrenexFormula, to_prenex
 
 _DT = np.int64
 
@@ -179,7 +179,27 @@ def embed_words(
 
 # --- evaluation plans ---------------------------------------------------
 
-class TensorExpr:
+class PlanNode(Node):
+    """Node of a compiled evaluation plan."""
+
+    @functools.cached_property
+    def variables(self) -> frozenset[Variable]:
+        """Free variables of the plan rooted here (bound sum variables
+        excluded), computed once per node from its children's."""
+        if isinstance(self, RelApply):
+            return frozenset(self.terms)
+        if isinstance(self, EqApply):
+            return frozenset((self.left, self.right))
+        if isinstance(self, BasisVec):
+            return frozenset((self.var,))
+        kids = children(self)
+        out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
+        if isinstance(self, (Min1SumOverDomain, DualSumOverDomain)):
+            out = out - {self.var}
+        return out
+
+
+class TensorExpr(PlanNode):
     """Scalar-valued node of a compiled evaluation plan."""
 
     @functools.cached_property
@@ -190,11 +210,11 @@ class TensorExpr:
         return _axes(self)
 
 
-class VecExpr:
+class VecExpr(PlanNode):
     """Length-N vector-valued node (used by optimized plans)."""
 
 
-class MatExpr:
+class MatExpr(PlanNode):
     """NxN matrix-valued node (used by optimized plans)."""
 
 
@@ -317,13 +337,14 @@ class OnesMat(MatExpr):
 
 # --- compilation --------------------------------------------------------
 
-def compile_formula(f: Formula) -> TensorExpr:
+def compile_formula(f: Formula | PrenexFormula) -> TensorExpr:
     """Compile a formula (sugared input is fine) into an evaluation plan.
 
-    The formula is first brought into prenex normal form; the prefix becomes
-    nested sum-over-domain nodes and the NNF matrix maps literal-for-literal
-    onto tensor operations. Compilation never consults a model."""
-    pf = to_prenex(f)
+    The formula is first brought into prenex normal form, unless it is a
+    PrenexFormula; the prefix becomes nested sum-over-domain nodes and the
+    NNF matrix maps literal-for-literal onto tensor operations. Compilation
+    never consults a model."""
+    pf = f if isinstance(f, PrenexFormula) else to_prenex(f)
     expr = _compile_matrix(pf.matrix)
     for quant, var in reversed(pf.prefix):
         node = Min1SumOverDomain if quant == EXISTS else DualSumOverDomain
@@ -580,10 +601,8 @@ def _axes(e, outer: int = 0) -> int:
     if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
         outer += 1
     most = 2 if isinstance(e, MatExpr) else outer + isinstance(e, VecExpr)
-    for value in vars(e).values():
-        for child in value if isinstance(value, tuple) else (value,):
-            if isinstance(child, (TensorExpr, VecExpr, MatExpr)):
-                most = max(most, _axes(child, outer))
+    for child in children(e):
+        most = max(most, _axes(child, outer))
     return most
 
 
@@ -609,100 +628,47 @@ def dump_expr(e) -> str:
     hadamard, vecadd, min1vec, complvec, scalevec, relmat, idmat, onesmat);
     a relation tensor prefixed with ! is complemented and a relmat suffixed
     with ^T is transposed."""
-    return "\n".join(_dump(e))
+    lines: list[str] = []
+    _dump(e, "", lines)
+    return "\n".join(lines)
 
 
-def _dump(e) -> list[str]:
-    if isinstance(e, RelApply):
-        line = f"(rel {e.predicate} {' '.join(v.name for v in e.terms)})"
-        return ["(compl", f"  {line})"] if e.negated else [line]
-    if isinstance(e, EqApply):
-        line = f"(eq {e.left.name} {e.right.name})"
-        return ["(compl", f"  {line})"] if e.negated else [line]
-    if isinstance(e, Complement):
-        return _node("compl", [e.body])
-    if isinstance(e, Product):
-        return _node("prod", e.factors)
-    if isinstance(e, Min1Sum):
-        return _node("min1sum", e.terms)
-    if isinstance(e, Min1SumOverDomain):
-        return _node(f"exists-sum {e.var.name}", [e.body])
-    if isinstance(e, DualSumOverDomain):
-        return _node(f"forall-dual {e.var.name}", [e.body])
-    if isinstance(e, Min1Dot):
-        return _node("min1dot", [e.left, e.right])
-    if isinstance(e, OnesVec):
-        return ["(ones)"]
-    if isinstance(e, BasisVec):
-        return [f"(basis {e.var.name})"]
-    if isinstance(e, RelVec):
-        return [f"(relvec {'!' if e.negated else ''}{e.predicate})"]
-    if isinstance(e, DiagVec):
-        return _node("diagvec", [e.mat])
-    if isinstance(e, MatVec):
-        return _node("matvec", [e.mat, e.vec])
-    if isinstance(e, HadamardVec):
-        return _node("hadamard", e.items)
-    if isinstance(e, VecAdd):
-        return _node("vecadd", e.items)
-    if isinstance(e, Min1Vec):
-        return _node("min1vec", [e.body])
-    if isinstance(e, ComplementVec):
-        return _node("complvec", [e.body])
-    if isinstance(e, ScaleVec):
-        return _node("scalevec", [e.scalar, e.body])
-    if isinstance(e, RelMat):
-        name = f"{'!' if e.negated else ''}{e.predicate}{'^T' if e.transposed else ''}"
-        return [f"(relmat {name})"]
-    if isinstance(e, IdentityMat):
-        return ["(idmat !)" if e.negated else "(idmat)"]
-    if isinstance(e, OnesMat):
-        return ["(onesmat)"]
-    raise TypeError(f"not a plan node: {e!r}")
+# The dump line of each plan node class, without its children.
+_HEADS = {
+    RelApply: lambda e: f"rel {e.predicate} {' '.join(v.name for v in e.terms)}",
+    EqApply: lambda e: f"eq {e.left.name} {e.right.name}",
+    Complement: lambda e: "compl",
+    Product: lambda e: "prod",
+    Min1Sum: lambda e: "min1sum",
+    Min1SumOverDomain: lambda e: f"exists-sum {e.var.name}",
+    DualSumOverDomain: lambda e: f"forall-dual {e.var.name}",
+    Min1Dot: lambda e: "min1dot",
+    OnesVec: lambda e: "ones",
+    BasisVec: lambda e: f"basis {e.var.name}",
+    RelVec: lambda e: f"relvec {'!' if e.negated else ''}{e.predicate}",
+    DiagVec: lambda e: "diagvec",
+    MatVec: lambda e: "matvec",
+    HadamardVec: lambda e: "hadamard",
+    VecAdd: lambda e: "vecadd",
+    Min1Vec: lambda e: "min1vec",
+    ComplementVec: lambda e: "complvec",
+    ScaleVec: lambda e: "scalevec",
+    RelMat: lambda e: f"relmat {'!' if e.negated else ''}{e.predicate}{'^T' if e.transposed else ''}",
+    IdentityMat: lambda e: "idmat !" if e.negated else "idmat",
+    OnesMat: lambda e: "onesmat",
+}
 
 
-def _node(head: str, children) -> list[str]:
-    lines = [f"({head}"]
-    flat = []
-    for child in children:
-        flat.extend(f"  {line}" for line in _dump(child))
-    lines.extend(flat)
-    lines[-1] += ")"
-    return lines
-
-
-def expr_variables(e) -> set[Variable]:
-    """Free variables of a plan (bound sum variables excluded)."""
-    if isinstance(e, RelApply):
-        return set(e.terms)
-    if isinstance(e, EqApply):
-        return {e.left, e.right}
-    if isinstance(e, Complement):
-        return expr_variables(e.body)
-    if isinstance(e, (Product, Min1Sum)):
-        out: set[Variable] = set()
-        for g in e.factors if isinstance(e, Product) else e.terms:
-            out |= expr_variables(g)
-        return out
-    if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-        return expr_variables(e.body) - {e.var}
-    if isinstance(e, Min1Dot):
-        return expr_variables(e.left) | expr_variables(e.right)
-    if isinstance(e, (OnesVec, RelVec, OnesMat, IdentityMat, RelMat)):
-        return set()
-    if isinstance(e, BasisVec):
-        return {e.var}
-    if isinstance(e, DiagVec):
-        return set()
-    if isinstance(e, MatVec):
-        return expr_variables(e.vec)
-    if isinstance(e, (HadamardVec, VecAdd)):
-        out = set()
-        for g in e.items:
-            out |= expr_variables(g)
-        return out
-    if isinstance(e, (Min1Vec, ComplementVec)):
-        return expr_variables(e.body)
-    if isinstance(e, ScaleVec):
-        return expr_variables(e.scalar) | expr_variables(e.body)
-    raise TypeError(f"not a plan node: {e!r}")
+def _dump(e, pad: str, out: list[str]) -> None:
+    """Append e's lines, indented by pad, to out."""
+    try:
+        head = _HEADS[type(e)](e)
+    except KeyError:
+        raise TypeError(f"not a plan node: {e!r}") from None
+    if isinstance(e, (RelApply, EqApply)) and e.negated:
+        out += [f"{pad}(compl", f"{pad}  ({head}))"]
+        return
+    out.append(f"{pad}({head}")
+    for child in children(e):
+        _dump(child, pad + "  ", out)
+    out[-1] += ")"

@@ -199,6 +199,16 @@ def test_compile_optimized_section(capsys):
     assert "(min1dot" in out
 
 
+def test_compile_converts_to_prenex_once(capsys, monkeypatch):
+    calls = []
+    real = cli.to_prenex
+    counting = lambda f: calls.append(f) or real(f)  # noqa: E731
+    monkeypatch.setattr(cli, "to_prenex", counting)
+    monkeypatch.setattr(tensors, "to_prenex", counting)
+    assert run(["compile", "--expr", DISS, "--optimized"]) == 0
+    assert len(calls) == 1
+
+
 def test_compile_json(capsys):
     code = run(["compile", "--expr", "exists x. b(x)", "--format", "json"])
     assert code == 0

@@ -53,7 +53,7 @@ def test_case_reproducible_from_seed():
     report = run_differential_check(10, seed=77)
     case = case_from_seed(3, (77 * 1_000_003 + 3) & 0x7FFFFFFF, 5, 3)
     tensor_value, optimized_value, oracle_value = compare_paths(
-        case.formula, case.word, case.kind, Alphabet(case.alphabet)
+        case.formula, compile_formula(case.formula), case.word, case.kind, Alphabet(case.alphabet)
     )
     assert tensor_value == optimized_value == oracle_value
     assert report.total == 10
@@ -109,7 +109,16 @@ def test_batched_value_reads_the_case_word_from_its_chunk(monkeypatch):
     monkeypatch.setattr(tensors, "MAX_CELLS", 5 * 4**2)  # chunks of 5 of the 16 words
     for word in ("aaaa", "abab", "aabb", "baaa", "abba", "bbbb"):
         em = embed_model(build_successor_model(word, alphabet))
-        assert batched_value(formula, word, "succ", alphabet) == eval_tensor(compile_formula(formula), em)
+        plan = compile_formula(formula)
+        assert batched_value(plan, word, "succ", alphabet) == eval_tensor(plan, em)
+
+
+def test_each_case_is_compiled_once(monkeypatch):
+    calls = []
+    real = diffcheck.compile_formula
+    monkeypatch.setattr(diffcheck, "compile_formula", lambda f: calls.append(f) or real(f))
+    assert run_differential_check(100, seed=42).ok
+    assert len(calls) == 100
 
 
 def test_count_must_be_positive():

@@ -1,0 +1,131 @@
+import copy
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from fotensor import Equal, Exists, Forall, Implies, Not, Variable, and_, atom, or_
+from fotensor.diffcheck import random_formula
+from fotensor.formulas import Node, children, rebuild
+from fotensor.optimize import optimize
+from fotensor.prenex import to_prenex
+from fotensor.tensors import (
+    BasisVec,
+    Complement,
+    ComplementVec,
+    DiagVec,
+    DualSumOverDomain,
+    EqApply,
+    HadamardVec,
+    IdentityMat,
+    MatVec,
+    Min1Dot,
+    Min1Sum,
+    Min1SumOverDomain,
+    Min1Vec,
+    OnesMat,
+    OnesVec,
+    Product,
+    RelApply,
+    RelMat,
+    RelVec,
+    ScaleVec,
+    VecAdd,
+    compile_formula,
+    dump_expr,
+)
+
+X, Y = Variable("x"), Variable("y")
+A, SUCC = atom("a", "x"), atom("succ", "x", "y")
+REL, NEQ = RelApply("a", (X,)), EqApply(X, Y, negated=True)
+
+# One node of every formula and plan node class.
+EXAMPLES = [
+    A,
+    Equal(X, Y),
+    Not(A),
+    and_([A, SUCC]),
+    or_([A, Equal(X, Y)]),
+    Implies(A, SUCC),
+    Exists(X, A),
+    Forall(Y, SUCC),
+    REL,
+    NEQ,
+    Complement(REL),
+    Product((REL, NEQ)),
+    Min1Sum((REL, NEQ)),
+    Min1SumOverDomain(X, REL),
+    DualSumOverDomain(Y, NEQ),
+    Min1Dot(OnesVec(), RelVec("a")),
+    OnesVec(),
+    BasisVec(X),
+    RelVec("a", negated=True),
+    DiagVec(RelMat("succ")),
+    MatVec(RelMat("succ", transposed=True), BasisVec(Y)),
+    HadamardVec((OnesVec(), RelVec("a"))),
+    VecAdd((RelVec("a"), BasisVec(X))),
+    Min1Vec(VecAdd((RelVec("a"), OnesVec()))),
+    ComplementVec(RelVec("a")),
+    ScaleVec(REL, OnesVec()),
+    RelMat("succ", negated=True),
+    IdentityMat(negated=True),
+    OnesMat(),
+]
+
+
+def _node_classes(cls=Node):
+    out = set()
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub):
+            out.add(sub)
+        out |= _node_classes(sub)
+    return out
+
+
+def test_examples_cover_every_node_class():
+    assert sorted(type(n).__name__ for n in EXAMPLES) == sorted(c.__name__ for c in _node_classes())
+
+
+@pytest.mark.parametrize("node", EXAMPLES, ids=lambda n: type(n).__name__)
+def test_rebuild_with_own_children_keeps_the_node(node):
+    # The subnodes are exactly the Node values among the fields, in order.
+    values = []
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        values.extend(value if isinstance(value, tuple) else (value,))
+    kids = children(node)
+    assert [id(k) for k in kids] == [id(v) for v in values if isinstance(v, Node)]
+
+    assert rebuild(node, lambda child: child) is node
+    copies = {id(k): copy.copy(k) for k in kids}
+    rebuilt = rebuild(node, lambda child: copies[id(child)])
+    assert rebuilt == node
+    assert [id(k) for k in children(rebuilt)] == [id(copies[id(k)]) for k in kids]
+    assert (rebuilt is node) == (not kids)
+
+
+def test_plan_variables():
+    assert Min1SumOverDomain(X, RelApply("succ", (X, Y))).variables == {Y}
+    assert DualSumOverDomain(X, Min1SumOverDomain(Y, NEQ)).variables == frozenset()
+    assert MatVec(RelMat("succ"), BasisVec(Y)).variables == {Y}
+    assert DiagVec(RelMat("succ")).variables == frozenset()
+    assert ScaleVec(REL, BasisVec(Y)).variables == {X, Y}
+    assert Min1Dot(OnesVec(), ComplementVec(RelVec("a"))).variables == frozenset()
+
+
+def test_front_end_output_is_pinned():
+    # The prenex text, the plan and the optimized plan of 3,000 random
+    # formulas. The digest was taken from the per-node isinstance passes that
+    # the shared traversal replaced; a deliberate change of the printed forms
+    # has to update it.
+    rng = random.Random(20191)
+    digest = hashlib.sha256()
+    for i in range(3000):
+        alphabet = ("ab", "abc")[i % 2]
+        kind = ("succ", "prec")[i // 2 % 2]
+        f = random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)
+        plan = compile_formula(f)
+        for text in (str(to_prenex(f)), dump_expr(plan), dump_expr(optimize(plan))):
+            digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == "cce456b00408d77201a98d315c9b418106a077a3f7278e8c436cfbcbaa6c694c"
