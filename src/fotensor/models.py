@@ -26,6 +26,12 @@ PREC = "prec"
 
 _DT = np.int64
 
+# Largest array, in cells, that building or evaluating a model may allocate:
+# a structure of N elements has N x N binary relations (and an N x N
+# identity once embedded), and evaluation refuses plans whose node values
+# need more (see tensors.batch_limit). 2^24 int64 cells are 128 MiB.
+MAX_CELLS = 1 << 24
+
 # Variable assignments map variable names to 1-based domain indices.
 Assignment = Mapping[str, int]
 
@@ -242,7 +248,9 @@ def dump_structure(m: StructureModel) -> str:
 
 def load_structure(text: str) -> StructureModel:
     """Parse a structure document. Raises StructureFormatError for documents
-    that do not decode, SemanticError for out-of-range or duplicate entries."""
+    that do not decode, SemanticError for out-of-range or duplicate entries
+    and, before allocating any relation, for a domain whose N x N tensors
+    would exceed MAX_CELLS."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -255,6 +263,11 @@ def load_structure(text: str) -> StructureModel:
     domain = doc.get("domain")
     if not isinstance(domain, int) or isinstance(domain, bool) or domain < 0:
         raise StructureFormatError("'domain' must be a nonnegative integer")
+    if domain * domain > MAX_CELLS:
+        raise SemanticError(
+            f"a structure of domain size {domain} needs N x N tensors of "
+            f"{domain * domain} cells, over the limit of {MAX_CELLS}"
+        )
 
     unary_sets: dict[str, list[int]] = {}
     for name, positions in _mapping(doc, "unary").items():

@@ -16,6 +16,10 @@ Grammar (quantifier scope extends maximally to the right; precedence
 `succ`, `prec`, `dom` and `leftof` are reserved binary relation names; any
 other predicate takes its arity from first use, which must stay consistent
 within one parse.
+
+Each "(", "!", quantifier and "->" opens one level of nesting until what it
+scopes over ends; a formula nested deeper than MAX_NESTING levels is
+rejected with a ParseError, so that no later pass runs out of stack.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .formulas import (
 )
 
 RESERVED_BINARY = ("succ", "prec", "dom", "leftof")
+
+MAX_NESTING = 100
 
 _KEYWORDS = ("exists", "forall")
 _PUNCT = {
@@ -96,6 +102,7 @@ class FormulaParser:
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._pos = 0
+        self._depth = 0
         self._arities: dict[str, int] = {name: 2 for name in RESERVED_BINARY}
 
     def parse(self) -> Formula:
@@ -113,6 +120,13 @@ class FormulaParser:
         self._pos += 1
         return tok
 
+    def _open(self) -> None:
+        """Enter one more level of nesting at the current token."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            message = f"formula nested more than {MAX_NESTING} levels deep"
+            raise ParseError(message, self._peek().pos)
+
     def _expect(self, kind: str, what: str) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
@@ -123,10 +137,12 @@ class FormulaParser:
     def _formula(self) -> Formula:
         tok = self._peek()
         if tok.kind == "KEYWORD":
+            self._open()
             self._advance()
             var = self._expect("IDENT", "a variable after the quantifier")
             self._expect("DOT", "'.'")
             body = self._formula()
+            self._depth -= 1
             ctor = Exists if tok.text == "exists" else Forall
             return ctor(Variable(var.text), body)
         return self._implication()
@@ -134,10 +150,13 @@ class FormulaParser:
     def _implication(self) -> Formula:
         left = self._disjunction()
         if self._peek().kind == "ARROW":
+            self._open()
             self._advance()
             # Right-associative; the consequent may open a quantifier whose
             # scope then extends maximally right.
-            return Implies(left, self._formula())
+            right = self._formula()
+            self._depth -= 1
+            return Implies(left, right)
         return left
 
     def _disjunction(self) -> Formula:
@@ -156,16 +175,21 @@ class FormulaParser:
 
     def _negation(self) -> Formula:
         if self._peek().kind == "BANG":
+            self._open()
             self._advance()
-            return Not(self._negation())
+            body = self._negation()
+            self._depth -= 1
+            return Not(body)
         return self._atom()
 
     def _atom(self) -> Formula:
         tok = self._peek()
         if tok.kind == "LPAREN":
+            self._open()
             self._advance()
             inner = self._formula()
             self._expect("RPAREN", "')'")
+            self._depth -= 1
             return inner
         name = self._expect("IDENT", "a predicate or variable name")
         nxt = self._peek()

@@ -84,7 +84,7 @@ def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
     used = {v.name for v in free_variables(f)}
     closed = not used
     g = _standardize(f, used)
-    prefix, matrix = _pull(_nnf(g))
+    prefix, matrix = _pull(_nnf(g)[0])
     if closed and prefix:
         want = _empty_domain_value(g)
         if want != (prefix[0][0] == FORALL):
@@ -151,43 +151,38 @@ def _rename_free(f: Formula, old: Variable, new: Variable) -> Formula:
     return visit(f)
 
 
-def _nnf(f: Formula) -> Formula:
-    """Normalize negations just far enough to expose every quantifier.
+def _nnf(f: Formula, negated: bool = False) -> tuple[Formula, bool]:
+    """Normalize negations (of f, or of !f when negated) just far enough to
+    expose every quantifier; also returns whether the result has one.
 
     Double negations cancel and negations flip quantifiers on the way down,
     but a negation over a quantifier-free subtree stays put: it compiles to
     a whole-subformula complement, mirroring the complement-of-a-product
-    form the dissimilation study is presented in."""
+    form the dissimilation study is presented in. Each node is visited once:
+    the subtree's normal form is rebuilt from its negated children's."""
     if isinstance(f, (Atom, Equal)):
-        return f
+        return (Not(f) if negated else f), False
     if isinstance(f, Not):
-        return _nnf_negated(f.body)
-    if isinstance(f, And):
-        return and_(_nnf(g) for g in f.items)
-    if isinstance(f, Or):
-        return or_(_nnf(g) for g in f.items)
-    if isinstance(f, Exists):
-        return Exists(f.var, _nnf(f.body))
-    if isinstance(f, Forall):
-        return Forall(f.var, _nnf(f.body))
-    raise TypeError(f"not a desugared formula: {f!r}")
-
-
-def _nnf_negated(f: Formula) -> Formula:
-    if isinstance(f, (Atom, Equal)):
-        return Not(f)
-    if isinstance(f, Not):
-        return _nnf(f.body)
+        return _nnf(f.body, not negated)
+    if isinstance(f, (Exists, Forall)):
+        body, _ = _nnf(f.body, negated)
+        exists = isinstance(f, Exists) != negated
+        return (Exists if exists else Forall)(f.var, body), True
     if isinstance(f, (And, Or)):
-        if not contains_quantifier(f):
-            return Not(_nnf(f))
-        flipped = (_nnf_negated(g) for g in f.items)
-        return or_(flipped) if isinstance(f, And) else and_(flipped)
-    if isinstance(f, Exists):
-        return Forall(f.var, _nnf_negated(f.body))
-    if isinstance(f, Forall):
-        return Exists(f.var, _nnf_negated(f.body))
+        parts = [_nnf(g, negated) for g in f.items]
+        quantified = any(q for _, q in parts)
+        if negated and not quantified:
+            combine = and_ if isinstance(f, And) else or_
+            return Not(combine(_unnegated(g) for g, _ in parts)), False
+        combine = and_ if isinstance(f, And) != negated else or_
+        return combine(g for g, _ in parts), quantified
     raise TypeError(f"not a desugared formula: {f!r}")
+
+
+def _unnegated(f: Formula) -> Formula:
+    """The normal form of a quantifier-free g, given f, the normal form of
+    !g: the two differ by one negation at the top."""
+    return f.body if isinstance(f, Not) else Not(f)
 
 
 def _pull(f: Formula) -> tuple[list[tuple[str, Variable]], Formula]:

@@ -11,20 +11,23 @@ by exact integer arithmetic over these tensors:
     disjunction           min1(sum of the disjuncts)
     existential           min1(sum over the basis substitutions)
     universal             via the dual: 1 - min1(sum of 1 - body)
+    contraction           min1(sum over the bound variables of a product)
 
-where min1(x) = min(x, 1) componentwise.
+where min1(x) = min(x, 1) componentwise. A contraction is one block of
+existentials over a conjunction, a multilinear map; optimize (optimize.py)
+turns each run of like quantifiers of a compiled plan into one.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
 an integer array with one axis per such variable; the axis has size 1 where
-the node does not depend on the variable, and vector nodes of optimized
-plans carry one more, trailing, component axis. A literal is its relation
+the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
 column for a variable the assignment binds), conjunction is a broadcast
 product and disjunction a clamped sum. A quantifier sums its body over the
 variable's axis after broadcasting that axis to the domain size N, which
-makes existentials 0 and universals 1 on an empty domain. A plan with k
-nested quantifiers therefore allocates arrays of up to N^k cells, and
+makes existentials 0 and universals 1 on an empty domain; a contraction
+does the same over one axis per bound variable. A plan with k nested
+quantified variables therefore allocates arrays of up to N^k cells, and
 evaluation refuses plans past MAX_CELLS.
 
 All words of one length share their order relation and differ only in
@@ -62,6 +65,7 @@ from .errors import (
 )
 from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children
 from .models import (
+    MAX_CELLS,
     Alphabet,
     Assignment,
     StructureModel,
@@ -92,12 +96,6 @@ def negate_relation(t: np.ndarray) -> np.ndarray:
     if not is_zero_one(t):
         raise ClosureError("negate_relation requires a 0/1 tensor")
     return np.ones_like(t) - t
-
-
-def transpose_encode(r: np.ndarray) -> np.ndarray:
-    """Encode the argument-swapped relation: r(y, x) is computed by the
-    transpose, since e_j . R e_i = e_i . R^T e_j."""
-    return r.T
 
 
 class EmbeddedModel:
@@ -179,8 +177,9 @@ def embed_words(
 
 # --- evaluation plans ---------------------------------------------------
 
-class PlanNode(Node):
-    """Node of a compiled evaluation plan."""
+class TensorExpr(Node):
+    """Node of a compiled evaluation plan; its value is a scalar for each
+    assignment to its free variables."""
 
     @functools.cached_property
     def variables(self) -> frozenset[Variable]:
@@ -190,17 +189,13 @@ class PlanNode(Node):
             return frozenset(self.terms)
         if isinstance(self, EqApply):
             return frozenset((self.left, self.right))
-        if isinstance(self, BasisVec):
-            return frozenset((self.var,))
         kids = children(self)
         out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
         if isinstance(self, (Min1SumOverDomain, DualSumOverDomain)):
             out = out - {self.var}
+        elif isinstance(self, Contract):
+            out = out - set(self.bound)
         return out
-
-
-class TensorExpr(PlanNode):
-    """Scalar-valued node of a compiled evaluation plan."""
 
     @functools.cached_property
     def _depth(self) -> int:
@@ -208,14 +203,6 @@ class TensorExpr(PlanNode):
         are immutable, and the cache lives outside the dataclass fields, so
         equality and hashing ignore it."""
         return _axes(self)
-
-
-class VecExpr(PlanNode):
-    """Length-N vector-valued node (used by optimized plans)."""
-
-
-class MatExpr(PlanNode):
-    """NxN matrix-valued node (used by optimized plans)."""
 
 
 @dataclass(frozen=True)
@@ -260,79 +247,12 @@ class DualSumOverDomain(TensorExpr):
 
 
 @dataclass(frozen=True)
-class Min1Dot(TensorExpr):
-    left: VecExpr
-    right: VecExpr
+class Contract(TensorExpr):
+    """min1 of the sum, over every assignment to the bound variables, of the
+    product of the factors: a block of existentials over a conjunction."""
 
-
-@dataclass(frozen=True)
-class OnesVec(VecExpr):
-    pass
-
-
-@dataclass(frozen=True)
-class BasisVec(VecExpr):
-    var: Variable
-
-
-@dataclass(frozen=True)
-class RelVec(VecExpr):
-    predicate: str
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class DiagVec(VecExpr):
-    mat: MatExpr
-
-
-@dataclass(frozen=True)
-class MatVec(VecExpr):
-    mat: MatExpr
-    vec: VecExpr
-
-
-@dataclass(frozen=True)
-class HadamardVec(VecExpr):
-    items: tuple[VecExpr, ...]
-
-
-@dataclass(frozen=True)
-class VecAdd(VecExpr):
-    items: tuple[VecExpr, ...]
-
-
-@dataclass(frozen=True)
-class Min1Vec(VecExpr):
-    body: VecExpr
-
-
-@dataclass(frozen=True)
-class ComplementVec(VecExpr):
-    body: VecExpr
-
-
-@dataclass(frozen=True)
-class ScaleVec(VecExpr):
-    scalar: TensorExpr
-    body: VecExpr
-
-
-@dataclass(frozen=True)
-class RelMat(MatExpr):
-    predicate: str
-    negated: bool = False
-    transposed: bool = False
-
-
-@dataclass(frozen=True)
-class IdentityMat(MatExpr):
-    negated: bool = False
-
-
-@dataclass(frozen=True)
-class OnesMat(MatExpr):
-    pass
+    bound: tuple[Variable, ...]
+    factors: tuple[TensorExpr, ...]
 
 
 # --- compilation --------------------------------------------------------
@@ -372,11 +292,6 @@ def _compile_matrix(f: Formula) -> TensorExpr:
 
 
 # --- evaluation ----------------------------------------------------------
-
-# Largest node value, in cells, that evaluation may allocate. A plan whose
-# node values carry k axes needs arrays of N^k cells (see _axes), B * N^k on
-# a batch of B structures; 2^24 int64 cells are 128 MiB.
-MAX_CELLS = 1 << 24
 
 # The batch axis's pseudo-variable. The parser cannot produce this name.
 _BATCH = Variable("#batch")
@@ -449,14 +364,14 @@ def batch_limit(e: TensorExpr, n: int) -> int:
 class _Evaluator:
     """One evaluation of a plan. Each node value is an integer array with
     one axis per quantified variable in scope (outermost first), of size 1
-    where the node does not depend on that variable; vector nodes add a
-    trailing component axis. A batched evaluation opens the scope with the
-    batch pseudo-variable.
+    where the node does not depend on that variable. A batched evaluation
+    opens the scope with the batch pseudo-variable.
 
     Trace events are recorded with a sort key that restores the nested-loop
     order: the path from the root, where a quantifier contributes its loop
-    index and any other node the position of the child taken, followed by
-    math.inf so that a node's own event sorts after its descendants'."""
+    index (a contraction one per bound variable) and any other node the
+    position of the child taken, followed by math.inf so that a node's own
+    event sorts after its descendants'."""
 
     def __init__(self, m: EmbeddedModel, env: dict[str, int], tracing: bool):
         self.m = m
@@ -466,10 +381,10 @@ class _Evaluator:
 
     def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
-            return _closed(self.relation(e.predicate, e.negated, e.terms, scope, len(scope)))
+            return _closed(self.relation(e.predicate, e.negated, e.terms, scope))
         if isinstance(e, EqApply):
             t = self.m.complement_tensor(None) if e.negated else self.m.identity
-            return _closed(self.place(t, (e.left, e.right), scope, len(scope)))
+            return _closed(self.place(t, (e.left, e.right), scope))
         if isinstance(e, Complement):
             return 1 - self.scalar(e.body, scope, path + (0,))
         if isinstance(e, Product):
@@ -481,64 +396,43 @@ class _Evaluator:
         if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
             exists = isinstance(e, Min1SumOverDomain)
             body = self.scalar(e.body, scope + (e.var.name,), path + (None,))
-            if not exists:
-                body = 1 - body
-            # Broadcast the variable's axis to N before summing, so that a body
-            # that ignores the variable counts N times (and 0 times when N = 0).
-            total = np.broadcast_to(body, body.shape[:-1] + (self.n,)).sum(axis=-1)
+            total = self.sum_out(body if exists else 1 - body, 1)
             if self.events is not None:
                 tag = "exists-sum" if exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
             return _closed(min1(total) if exists else 1 - min1(total))
-        if isinstance(e, Min1Dot):
-            left = self.vector(e.left, scope, path + (0,))
-            right = self.vector(e.right, scope, path + (1,))
-            return _closed(min1((left * right).sum(axis=-1)))
-        raise TypeError(f"not a scalar plan node: {e!r}")
+        if isinstance(e, Contract):
+            inner = scope + tuple(v.name for v in e.bound)
+            # The factors sit inside one loop per bound variable.
+            path += (None,) * len(e.bound)
+            values = [self.scalar(g, inner, path + (k,)) for k, g in enumerate(e.factors)]
+            total = self.sum_out(functools.reduce(np.multiply, values), len(e.bound))
+            return _closed(min1(total))
+        raise TypeError(f"not a plan node: {e!r}")
 
-    def vector(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
-        ndim = len(scope) + 1
-        if isinstance(e, OnesVec):
-            return np.ones((1,) * len(scope) + (self.n,), dtype=_DT)
-        if isinstance(e, BasisVec):
-            return self.place(self.m.identity, (e.var, None), scope, ndim)
-        if isinstance(e, RelVec):
-            return self.relation(e.predicate, e.negated, (None,), scope, ndim)
-        if isinstance(e, DiagVec):
-            return self.place(_eval_mat(e.mat, self.m), (None, None), scope, ndim)
-        if isinstance(e, MatVec):
-            return self.vector(e.vec, scope, path + (1,)) @ _eval_mat(e.mat, self.m).T
-        if isinstance(e, HadamardVec):
-            values = [self.vector(g, scope, path + (k,)) for k, g in enumerate(e.items)]
-            return functools.reduce(np.multiply, values)
-        if isinstance(e, VecAdd):
-            values = [self.vector(g, scope, path + (k,)) for k, g in enumerate(e.items)]
-            return functools.reduce(np.add, values)
-        if isinstance(e, Min1Vec):
-            return min1(self.vector(e.body, scope, path + (0,)))
-        if isinstance(e, ComplementVec):
-            return 1 - _closed(self.vector(e.body, scope, path + (0,)))
-        if isinstance(e, ScaleVec):
-            scalar = self.scalar(e.scalar, scope, path + (0,))
-            return scalar[..., None] * self.vector(e.body, scope, path + (1,))
-        raise TypeError(f"not a vector plan node: {e!r}")
+    def sum_out(self, body: np.ndarray, k: int) -> np.ndarray:
+        """body summed over its last k axes. Each is broadcast to N first, so
+        that a body that ignores a variable counts N times (and 0 times when
+        N = 0)."""
+        shape = body.shape[: body.ndim - k] + (self.n,) * k
+        return np.broadcast_to(body, shape).sum(axis=tuple(range(-k, 0)))
 
-    def relation(self, name: str, negated: bool, terms, scope: tuple[str, ...], ndim: int):
+    def relation(self, name: str, negated: bool, terms, scope: tuple[str, ...]):
         """The relation's (or its complement's) tensor placed on terms; the
         leading axis of a batched relation goes on the batch axis."""
         t = _relation(self.m, name, len(terms), negated)
         if name in self.m.batched:
             terms = (_BATCH, *terms)
-        return self.place(t, terms, scope, ndim)
+        return self.place(t, terms, scope)
 
-    def place(self, t: np.ndarray, terms, scope: tuple[str, ...], ndim: int) -> np.ndarray:
+    def place(self, t: np.ndarray, terms, scope: tuple[str, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
-        ndim axes. A quantified variable takes its scope axis (the innermost
-        one of that name), a variable the assignment binds fixes a row or
-        column, and None takes the trailing component axis."""
+        one axis per scope variable. A quantified variable takes its scope
+        axis (the innermost one of that name), and a variable the assignment
+        binds fixes a row or column."""
         index, axes = [], []
         for v in terms:
-            axis = ndim - 1 if v is None else _scope_axis(scope, v.name)
+            axis = _scope_axis(scope, v.name)
             if axis is None:
                 index.append(self.index(v))
             else:
@@ -550,7 +444,7 @@ class _Evaluator:
             # A repeated variable reads the diagonal (R(x, x)); the rest are
             # permuted into axis order (R(y, x) reads the transpose).
             t = np.einsum(t, [out.index(p) for p in axes], list(range(len(out))))
-        shape = [1] * ndim
+        shape = [1] * len(scope)
         for p, size in zip(out, t.shape):
             shape[p] = size
         return t.reshape(shape)
@@ -595,26 +489,16 @@ def _closed(v: np.ndarray) -> np.ndarray:
 
 
 def _axes(e, outer: int = 0) -> int:
-    """Most axes any node value of the plan carries: the quantifiers around
-    the node, plus the component axis of a vector node; a matrix node has
-    two."""
+    """Most axes any node value of the plan carries: one per quantified or
+    contracted variable around the node."""
     if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
         outer += 1
-    most = 2 if isinstance(e, MatExpr) else outer + isinstance(e, VecExpr)
+    elif isinstance(e, Contract):
+        outer += len(e.bound)
+    most = outer
     for child in children(e):
         most = max(most, _axes(child, outer))
     return most
-
-
-def _eval_mat(e, m) -> np.ndarray:
-    if isinstance(e, RelMat):
-        t = _relation(m, e.predicate, 2, e.negated)
-        return transpose_encode(t) if e.transposed else t
-    if isinstance(e, IdentityMat):
-        return m.complement_tensor(None) if e.negated else m.identity
-    if isinstance(e, OnesMat):
-        return np.ones((m.basis_size, m.basis_size), dtype=_DT)
-    raise TypeError(f"not a matrix plan node: {e!r}")
 
 
 # --- plan text format -----------------------------------------------------
@@ -622,12 +506,9 @@ def _eval_mat(e, m) -> np.ndarray:
 def dump_expr(e) -> str:
     """Indented s-expression rendering, one node per line.
 
-    Core tags: rel, eq, compl, prod, min1sum, exists-sum, forall-dual.
-    Negative literals render as compl over the literal. Optimized plans add
-    the closed-form tags (min1dot, ones, basis, relvec, diagvec, matvec,
-    hadamard, vecadd, min1vec, complvec, scalevec, relmat, idmat, onesmat);
-    a relation tensor prefixed with ! is complemented and a relmat suffixed
-    with ^T is transposed."""
+    Tags: rel, eq, compl, prod, min1sum, exists-sum, forall-dual, and in
+    optimized plans contract, followed by the bound variables. Negative
+    literals render as compl over the literal."""
     lines: list[str] = []
     _dump(e, "", lines)
     return "\n".join(lines)
@@ -642,20 +523,7 @@ _HEADS = {
     Min1Sum: lambda e: "min1sum",
     Min1SumOverDomain: lambda e: f"exists-sum {e.var.name}",
     DualSumOverDomain: lambda e: f"forall-dual {e.var.name}",
-    Min1Dot: lambda e: "min1dot",
-    OnesVec: lambda e: "ones",
-    BasisVec: lambda e: f"basis {e.var.name}",
-    RelVec: lambda e: f"relvec {'!' if e.negated else ''}{e.predicate}",
-    DiagVec: lambda e: "diagvec",
-    MatVec: lambda e: "matvec",
-    HadamardVec: lambda e: "hadamard",
-    VecAdd: lambda e: "vecadd",
-    Min1Vec: lambda e: "min1vec",
-    ComplementVec: lambda e: "complvec",
-    ScaleVec: lambda e: "scalevec",
-    RelMat: lambda e: f"relmat {'!' if e.negated else ''}{e.predicate}{'^T' if e.transposed else ''}",
-    IdentityMat: lambda e: "idmat !" if e.negated else "idmat",
-    OnesMat: lambda e: "onesmat",
+    Contract: lambda e: f"contract {' '.join(v.name for v in e.bound)}",
 }
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import fotensor
@@ -196,7 +197,7 @@ def test_compile_optimized_section(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "optimized:" in out
-    assert "(min1dot" in out
+    assert "(contract x" in out
 
 
 def test_compile_converts_to_prenex_once(capsys, monkeypatch):
@@ -274,6 +275,59 @@ def test_structure_with_bad_index_exits_2(tmp_path, capsys):
     path = tmp_path / "range.json"
     path.write_text('{"domain": 2, "unary": {"b": [5]}, "binary": {}}')
     assert run(["eval", "--expr", "exists x. b(x)", "--structure", str(path)]) == 2
+
+
+def test_huge_structure_domain_exits_2_before_allocating(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"domain": 3000000, "unary": {"a": [1]}, "binary": {"r": [[1, 2]]}}')
+    argv = ["eval", "--expr", "exists x. a(x)", "--structure", str(path)]
+    run(argv)  # the first call builds the argument parser
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a structure of domain size 3000000 needs N x N tensors of "
+        "9000000000000 cells, over the limit of 16777216\n"
+    )
+
+
+# --- deep nesting ---------------------------------------------------------
+
+# Formulas at the parser's nesting limit of 100 levels; each holds on "a".
+AT_NESTING_LIMIT = [
+    "exists x. " + "(" * 99 + "a(x)" + ")" * 99,
+    "exists x. " + "!" * 98 + "(a(x))",
+    "exists x. " + "a(x) -> " * 99 + "a(x)",
+    "exists x. " + "!(a(x) & " * 49 + "!a(x))" + ")" * 48,
+    "".join(f"exists x{i}. (" for i in range(50)) + "a(x0)" + ")" * 50,
+]
+
+
+def test_nesting_past_the_limit_exits_1(capsys):
+    for expr in ("exists x. " + "(" * 300 + "a(x)" + ")" * 300, "exists x. " + "!" * 1000 + "a(x)"):
+        assert run(["eval", "--expr", expr, "--word", "a"]) == 1
+        assert run(["compile", "--expr", expr]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "error: formula nested more than 100 levels deep (at position 109)\n"
+        assert captured.err == message * 2
+
+
+def test_nesting_at_the_limit_runs(capsys):
+    model = build_successor_model("a", Alphabet("a"))
+    for expr in AT_NESTING_LIMIT:
+        assert run(["eval", "--expr", expr, "--word", "a"]) == 0
+        assert capsys.readouterr().out == "1\n", expr
+        assert run(["compile", "--expr", expr, "--optimized"]) == 0
+        assert "optimized:" in capsys.readouterr().out
+        assert fotensor.tarski_eval(fotensor.parse_formula(expr), model)
 
 
 # --- one parser per process ----------------------------------------------

@@ -14,7 +14,8 @@ from fotensor import (
     dump_structure,
     load_structure,
 )
-from fotensor.models import is_zero_one, order_relation
+from fotensor import models
+from fotensor.models import MAX_CELLS, is_zero_one, order_relation
 
 ABC = Alphabet("abc")
 
@@ -141,6 +142,18 @@ def test_load_rejects_duplicates():
         load_structure('{"domain": 3, "unary": {"a": [1, 1]}, "binary": {}}')
     with pytest.raises(SemanticError):
         load_structure('{"domain": 3, "unary": {}, "binary": {"r": [[1, 2], [1, 2]]}}')
+
+
+def test_load_refuses_a_domain_past_the_cell_limit(monkeypatch):
+    assert 4096**2 == MAX_CELLS
+    monkeypatch.setattr(models, "MAX_CELLS", 16)
+    doc = '{"domain": %d, "unary": {"a": [1]}, "binary": {"r": [[1, 2]]}}'
+    assert load_structure(doc % 4).domain_size == 4
+    with pytest.raises(SemanticError) as err:
+        load_structure(doc % 5)
+    assert str(err.value) == (
+        "a structure of domain size 5 needs N x N tensors of 25 cells, over the limit of 16"
+    )
 
 
 def test_load_rejects_malformed_documents():

@@ -1,21 +1,35 @@
+import itertools
 import random
 
+import pytest
+
 from conftest import all_words, word_model
-from fotensor import compile_formula, embed_model, eval_tensor, optimize, parse_formula
+from fotensor import (
+    Alphabet,
+    compile_formula,
+    embed_model,
+    embed_words,
+    eval_batch,
+    eval_tensor,
+    optimize,
+    parse_formula,
+    tarski_eval,
+)
 from fotensor.diffcheck import random_formula
 from fotensor.tensors import (
-    BasisVec,
     Complement,
-    ComplementVec,
-    HadamardVec,
-    MatVec,
-    Min1Dot,
-    OnesVec,
+    Contract,
+    EqApply,
+    Min1Sum,
     RelApply,
-    RelMat,
-    RelVec,
     Variable,
 )
+
+X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+
+def _rel(name, *terms, negated=False):
+    return RelApply(name, terms, negated)
 
 
 def _assert_equivalent(plan, optimized, words, symbols, kind, assignment=None):
@@ -29,7 +43,7 @@ def _assert_equivalent(plan, optimized, words, symbols, kind, assignment=None):
 def test_exists_unary_becomes_inner_product():
     plan = compile_formula(parse_formula("exists x. b(x)"))
     optimized = optimize(plan)
-    assert optimized == Min1Dot(OnesVec(), RelVec("b"))
+    assert optimized == Contract((X,), (_rel("b", X),))
     _assert_equivalent(plan, optimized, all_words("ab", 6), "ab", "succ")
 
 
@@ -42,7 +56,7 @@ def test_unmatched_expression_unchanged():
 def test_exists_pair_becomes_bilinear_form():
     plan = compile_formula(parse_formula("exists x. exists y. (b(x) & succ(x, y))"))
     optimized = optimize(plan)
-    assert optimized == Min1Dot(RelVec("b"), MatVec(RelMat("succ"), OnesVec()))
+    assert optimized == Contract((X, Y), (_rel("b", X), _rel("succ", X, Y)))
     rng = random.Random(11)
     words = ["".join(rng.choice("ab") for _ in range(rng.randint(0, 5))) for _ in range(100)]
     _assert_equivalent(plan, optimized, words, "ab", "succ")
@@ -51,22 +65,22 @@ def test_exists_pair_becomes_bilinear_form():
 def test_negated_unary_literal():
     plan = compile_formula(parse_formula("exists x. !b(x)"))
     optimized = optimize(plan)
-    assert optimized == Min1Dot(OnesVec(), RelVec("b", negated=True))
+    assert optimized == Contract((X,), (_rel("b", X, negated=True),))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_disjunctive_body_vectorizes():
     plan = compile_formula(parse_formula("exists x. (a(x) | b(x))"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Min1Dot)
+    assert optimized == Contract((X,), (Min1Sum((_rel("a", X), _rel("b", X))),))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_open_body_uses_basis_vector():
     plan = compile_formula(parse_formula("exists x. (succ(y, x) & b(x))"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Min1Dot)
-    assert Variable("y") in _collect_basis_vars(optimized)
+    assert optimized == Contract((X,), (_rel("succ", Y, X), _rel("b", X)))
+    assert optimized.variables == {Y}
     for word in all_words("ab", 5):
         if not word:
             continue
@@ -76,59 +90,37 @@ def test_open_body_uses_basis_vector():
             assert eval_tensor(optimized, em, a) == eval_tensor(plan, em, a), (word, y)
 
 
-def _collect_basis_vars(e):
-    out = set()
-
-    def walk(node):
-        if isinstance(node, BasisVec):
-            out.add(node.var)
-        for attr in ("left", "right", "body", "vec", "mat", "scalar"):
-            child = getattr(node, attr, None)
-            if child is not None and not isinstance(child, (str, Variable)):
-                walk(child)
-        for attr in ("items", "factors", "terms"):
-            children = getattr(node, attr, None)
-            if isinstance(children, tuple):
-                for child in children:
-                    if not isinstance(child, (str, Variable)):
-                        walk(child)
-
-    walk(e)
-    return out
-
-
 def test_transposed_argument_order():
     plan = compile_formula(parse_formula("exists x. exists y. succ(y, x)"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Min1Dot)
+    assert optimized == Contract((X, Y), (_rel("succ", Y, X),))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_equality_cross_literal_uses_identity():
     plan = compile_formula(parse_formula("exists x. exists y. (b(x) & x = y & a(y))"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Min1Dot)
+    assert optimized == Contract((X, Y), (_rel("b", X), EqApply(X, Y), _rel("a", Y)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_reflexive_binary_atom_uses_diagonal():
     plan = compile_formula(parse_formula("exists x. prec(x, x)"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Min1Dot)
+    assert optimized == Contract((X,), (_rel("prec", X, X),))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "prec")
 
 
 def test_forall_folds_through_dual():
     plan = compile_formula(parse_formula("forall x. b(x)"))
     optimized = optimize(plan)
-    assert isinstance(optimized, Complement)
-    assert isinstance(optimized.body, Min1Dot)
-    assert isinstance(optimized.body.right, ComplementVec)
+    assert optimized == Complement(Contract((X,), (_rel("b", X, negated=True),)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_nested_quantifier_keeps_outer_iteration():
-    # The inner witness sum folds; the universal pair stays iterated.
+    # The universal pair is one contraction of the negated body, and the
+    # witness sum in that body is another.
     plan = compile_formula(
         parse_formula(
             "forall x. forall y. ((l(x) & l(y) & prec(x, y)) -> "
@@ -136,22 +128,42 @@ def test_nested_quantifier_keeps_outer_iteration():
         )
     )
     optimized = optimize(plan)
-    assert optimized != plan
-    assert not isinstance(optimized, Min1Dot)
+    assert isinstance(optimized, Complement) and isinstance(optimized.body, Contract)
+    assert optimized.body.bound == (X, Y)
+    (witness,) = optimized.body.factors
+    assert isinstance(witness, Complement) and isinstance(witness.body, Contract)
+    assert witness.body.bound == (Z,)
     _assert_equivalent(plan, optimized, all_words("lra", 4), "lra", "prec")
 
 
 def test_hadamard_of_unary_factors():
     plan = compile_formula(parse_formula("exists x. (a(x) & b(x))"))
     optimized = optimize(plan)
-    assert optimized == Min1Dot(OnesVec(), HadamardVec((RelVec("a"), RelVec("b"))))
+    assert optimized == Contract((X,), (_rel("a", X), _rel("b", X)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
 def test_scalar_factor_pulled_out():
     plan = compile_formula(parse_formula("exists y. ((exists x. a(x)) & b(y))"))
     optimized = optimize(plan)
+    assert optimized == Contract((Y, X), (_rel("a", X), _rel("b", Y)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
+
+
+@pytest.mark.parametrize("text", ["exists x. exists y. a(x)", "forall x. forall y. b(y)"])
+def test_contract_over_a_variable_no_factor_uses(text):
+    # The unused bound variable's axis still counts N times, and 0 times on
+    # the empty word.
+    formula = parse_formula(text)
+    optimized = optimize(compile_formula(formula))
+    contract = optimized.body if isinstance(optimized, Complement) else optimized
+    assert contract.bound == (X, Y) and len(contract.factors) == 1
+    for length in range(4):
+        words = ["".join(w) for w in itertools.product("ab", repeat=length)]
+        want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
+        single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
+        batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
+        assert single == batched.tolist() == want, length
 
 
 def test_random_plans_preserve_evaluation():
@@ -177,4 +189,4 @@ def test_optimized_plan_dump_renders():
     from fotensor import dump_expr
 
     optimized = optimize(compile_formula(parse_formula("exists x. b(x)")))
-    assert dump_expr(optimized).splitlines()[0] == "(min1dot"
+    assert dump_expr(optimized).splitlines() == ["(contract x", "  (rel b x))"]

@@ -15,6 +15,7 @@ from fotensor import (
     Variable,
     parse_formula,
 )
+from fotensor.parser import MAX_NESTING
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -116,3 +117,25 @@ def test_ternary_atom_rejected():
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_formula("a(x) b(x)")
+
+
+# One formula per kind of nesting level: n - 1 levels of that kind under the
+# outer quantifier, n levels in all; and the position of the opener of the
+# 101st level.
+NESTED = {
+    "parentheses": (lambda n: "exists x. " + "(" * (n - 1) + "a(x)" + ")" * (n - 1), 109),
+    "negations": (lambda n: "exists x. " + "!" * (n - 1) + "a(x)", 109),
+    "implications": (lambda n: "exists x. " + "a(x) -> " * (n - 1) + "a(x)", 10 + 99 * 8 + 5),
+    "quantifiers": (lambda n: "exists x. " * n + "a(x)", 1000),
+}
+
+
+@pytest.mark.parametrize("kind", NESTED)
+def test_nesting_limit(kind):
+    nested, position = NESTED[kind]
+    assert MAX_NESTING == 100
+    parse_formula(nested(100))
+    with pytest.raises(ParseError) as info:
+        parse_formula(nested(101))
+    assert info.value.position == position
+    assert str(info.value) == f"formula nested more than 100 levels deep (at position {position})"

@@ -13,6 +13,7 @@ from fotensor import (
     tarski_eval,
     to_prenex,
 )
+from fotensor import formulas, prenex
 from fotensor.formulas import Implies, contains, contains_quantifier
 from fotensor.prenex import EXISTS, FORALL, PrenexFormula
 
@@ -182,3 +183,17 @@ def test_desugar_required_first_is_handled_internally():
     pf = to_prenex(f)
     assert not contains(pf.matrix, Implies)
     assert desugar(f) == desugar(desugar(f))
+
+
+def test_negation_normal_form_walks_each_subtree_once(monkeypatch):
+    # Whether a negated subtree holds a quantifier comes out of the same walk
+    # that normalizes it, not from a second walk of the subtree.
+    calls = []
+    counting = lambda f: calls.append(f) or contains_quantifier(f)  # noqa: E731
+    monkeypatch.setattr(formulas, "contains_quantifier", counting)
+    monkeypatch.setattr(prenex, "contains_quantifier", counting)
+    for text in (DISS, "!(a(x) & !(exists y. (b(y) | !(a(x) & b(y)))))", "!!(a(x) | b(x))"):
+        to_prenex(parse_formula(text))
+    for formula, _, _ in corpus_formulas():
+        to_prenex(formula)
+    assert calls == []

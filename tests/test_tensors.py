@@ -29,7 +29,6 @@ from fotensor import (
     optimize,
     parse_formula,
     tarski_eval,
-    transpose_encode,
 )
 from fotensor.tensors import (
     MAX_CELLS,
@@ -109,22 +108,24 @@ def test_negate_relation_involution():
 
 
 def test_transpose_encode_examples():
+    # R(y, x) reads the transpose of R.
     em = _embedded("abba", "abc", "succ")
-    t = transpose_encode(em.relation_tensors["succ"])
-    pairs = {(i + 1, j + 1) for i, j in zip(*np.nonzero(t))}
+    plan = compile_formula(parse_formula("succ(y, x)"))
+    pairs = {
+        (x, y) for x in range(1, 5) for y in range(1, 5) if eval_tensor(plan, em, {"x": x, "y": y})
+    }
     assert pairs == {(2, 1), (3, 2), (4, 3)}
-    sym = np.array([[1, 1], [1, 0]])
-    assert np.array_equal(transpose_encode(sym), sym)
 
 
 def test_transpose_swaps_arguments_exhaustively():
-    rng = np.random.default_rng(3)
-    for n in range(1, 5):
-        r = rng.integers(0, 2, size=(n, n))
-        eye = np.eye(n, dtype=int)
-        for i in range(n):
-            for j in range(n):
-                assert eye[j] @ r @ eye[i] == eye[i] @ transpose_encode(r) @ eye[j]
+    for kind in ("succ", "prec"):
+        em = _embedded("abba", "ab", kind)
+        swapped = compile_formula(parse_formula(f"{kind}(y, x)"))
+        straight = compile_formula(parse_formula(f"{kind}(x, y)"))
+        for i in range(1, 5):
+            for j in range(1, 5):
+                at_ij, at_ji = {"x": i, "y": j}, {"x": j, "y": i}
+                assert eval_tensor(swapped, em, at_ij) == eval_tensor(straight, em, at_ji)
 
 
 def test_min1():
