@@ -128,7 +128,9 @@ def _cmd_eval(args) -> int:
         except OSError as exc:
             raise StructureFormatError(f"cannot read structure file: {exc}") from exc
     trace = [] if args.trace else None
-    value = eval_tensor(compile_formula(formula), embed_model(model), trace=trace)
+    # Trace events are defined on the plain plan's quantifiers.
+    plan = compile_formula(formula) if args.trace else optimize(compile_formula(formula))
+    value = eval_tensor(plan, embed_model(model), trace=trace)
     if args.format == "json":
         doc = {"command": "eval", "value": value}
         if trace is not None:

@@ -2,12 +2,11 @@
 
 Each case draws an alphabet, a string model kind, a word and a random
 closed formula over matching predicates, then evaluates the formula along
-every path: the compiled plan, its optimized form, the compiled plan on a
-batch of every word of the case word's length (read at the case word) and
-the oracle. Any
-disagreement (or evaluation failure, which includes a violated 0/1-closure
-check) is reported with the per-case seed so it can be replayed. Generation
-is fully deterministic in the base seed.
+every path: the compiled plan, its optimized (planned) form, the planned
+plan on a batch of every word of the case word's length (read at the case
+word) and the oracle. Any disagreement (or evaluation failure, which
+includes a violated 0/1-closure check) is reported with the per-case seed
+so it can be replayed. Generation is fully deterministic in the base seed.
 """
 
 from __future__ import annotations
@@ -196,19 +195,21 @@ def case_from_seed(index: int, case_seed: int, max_word_len: int, max_depth: int
 
 
 def compare_paths(
-    formula: Formula, plan: TensorExpr, word: str, kind: str, alphabet: Alphabet
+    formula: Formula, plan: TensorExpr, word: str, kind: str, alphabet: Alphabet,
+    optimized: TensorExpr | None = None,
 ) -> tuple[int, int, int]:
-    """Values of the compiled plan, the optimized plan and the oracle."""
+    """Values of the compiled plan, the optimized plan (optimize(plan) unless
+    given) and the oracle."""
     model = build_word_model(word, alphabet, kind)
     embedded = embed_model(model)
     tensor_value = eval_tensor(plan, embedded)
-    optimized_value = eval_tensor(optimize(plan), embedded)
+    optimized_value = eval_tensor(optimize(plan) if optimized is None else optimized, embedded)
     oracle_value = int(tarski_eval(formula, model))
     return tensor_value, optimized_value, oracle_value
 
 
 def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) -> int:
-    """Value of the compiled plan at the word, read from one eval_batch over
+    """Value of the plan at the word, read from one eval_batch over
     every word of its length (over the chunk that holds the word, when they
     do not fit in one batch)."""
     code = 0
@@ -236,8 +237,11 @@ def run_differential_check(
         alphabet = Alphabet(case.alphabet)
         try:
             plan = compile_formula(case.formula)
-            tensor, optimized, oracle = compare_paths(case.formula, plan, case.word, case.kind, alphabet)
-            batched = batched_value(plan, case.word, case.kind, alphabet)
+            planned = optimize(plan)
+            tensor, optimized, oracle = compare_paths(
+                case.formula, plan, case.word, case.kind, alphabet, planned
+            )
+            batched = batched_value(planned, case.word, case.kind, alphabet)
         except Exception as exc:  # report, never hide: a crash is a failed case
             error = f"{type(exc).__name__}: {exc}"
             failures.append(CheckFailure(case, None, None, None, None, error))

@@ -19,8 +19,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
+import numpy as np
+
 from .formulas import Formula, free_variables, predicates
 from .models import Alphabet, build_word_model, normalize_kind
+from .optimize import optimize
 from .oracle import tarski_eval
 from .parser import parse_formula
 from .tensors import batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
@@ -85,7 +88,7 @@ def membership(spec: LanguageSpec, word: str, path: str = "tensor") -> bool:
     model = build_word_model(word, spec.alphabet, spec.model_kind)
     if path == "oracle":
         return tarski_eval(spec.formula, model)
-    return bool(eval_tensor(compile_formula(spec.formula), embed_model(model)))
+    return bool(eval_tensor(optimize(compile_formula(spec.formula)), embed_model(model)))
 
 
 def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
@@ -99,10 +102,10 @@ def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
 def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -> list[str]:
     """All accepted words of length <= max_len, in length-then-lex order.
 
-    The tensor path evaluates the plan once per length on all words of that
-    length together (eval_batch), in chunks of at most batch_limit words. It
-    raises SemanticError before evaluating anything when a single word of
-    length max_len is already past the memory limit."""
+    The tensor path evaluates the planned plan once per length on all words
+    of that length together (eval_batch), in chunks of at most batch_limit
+    words. It raises SemanticError before evaluating anything when a single
+    word of length max_len is already past the memory limit."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if path not in PATHS:
@@ -113,7 +116,7 @@ def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -
             for w in iter_words(spec.alphabet, max_len)
             if tarski_eval(spec.formula, build_word_model(w, spec.alphabet, spec.model_kind))
         ]
-    plan = compile_formula(spec.formula)
+    plan = optimize(compile_formula(spec.formula))
     batch_limit(plan, max_len)
     words = []
     for length in range(max_len + 1):
@@ -121,15 +124,6 @@ def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -
         for start in range(0, total, step):
             stop = min(start + step, total)
             model = embed_words(spec.alphabet, length, spec.model_kind, start, stop)
-            accepted = eval_batch(plan, model).nonzero()[0]
-            words.extend(_spell(start + int(k), spec.alphabet.symbols, length) for k in accepted)
+            accepted = model.digits[eval_batch(plan, model).nonzero()[0]]
+            words.extend(map("".join, np.array(spec.alphabet.symbols)[accepted].tolist()))
     return words
-
-
-def _spell(code: int, symbols: tuple[str, ...], length: int) -> str:
-    """The word of the given length whose code (see embed_words) this is."""
-    letters = [""] * length
-    for i in reversed(range(length)):
-        code, digit = divmod(code, len(symbols))
-        letters[i] = symbols[digit]
-    return "".join(letters)

@@ -1,26 +1,25 @@
-"""Rewriting of evaluation plans into contractions.
+"""The planner: rewriting of evaluation plans into contractions.
 
 Each maximal run of like quantifiers becomes one Contract node over all of
-its variables:
+its variables: a run of exists-sums the contraction of the body's factors,
+and a run of forall-duals the complement of the contraction of the factors
+of !body, with negations pushed inward by De Morgan's laws (exact on 0/1
+values). Dropping the clamps inside a run is exact too: on nonnegative
+integers min1(sum_i min1(x_i)) = min1(sum_i x_i). Contract.order plans the
+summation, lazily, per node.
 
-  * a run of exists-sums over a body becomes the contraction of the body's
-    factors, min1(sum over the run's variables of their product);
-  * a run of forall-duals becomes the complement of the contraction of the
-    factors of the negated body, 1 - min1(sum of the product of !body).
-
-The negation is pushed through products, sums, complements and literals by
-De Morgan's laws, which hold on 0/1 values; any other node is complemented
-as a whole. Dropping the clamps between the quantifiers of a run is exact:
-all values are nonnegative integers, so min1(sum_i min1(x_i)) and
-min1(sum_i x_i) agree. Rewrites never change evaluation results; the test
+Miniscoping keeps in the contraction only the parts of the body that use a
+variable of the run. The factors of an exists run's product (terms of a
+forall run's sum) that ignore the run always stay outside; the terms of an
+exists run's sum (factors of a forall run's product) only below an
+enclosing variable, since on an empty domain an exists is 0 and a forall 1
+whatever the body. Rewrites never change evaluation results; the test
 suite checks this per pattern and on random plans.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from .formulas import rebuild
+from .formulas import children, rebuild
 from .tensors import (
     Complement,
     Contract,
@@ -35,29 +34,66 @@ from .tensors import (
 
 
 def optimize(e: TensorExpr) -> TensorExpr:
+    return _plan(e, False)
+
+
+def _plan(e: TensorExpr, nonempty: bool) -> TensorExpr:
+    """The planned form of e, evaluated only on nonempty domains if nonempty."""
     if not isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-        return rebuild(e, optimize)
+        return rebuild(e, lambda child: _plan(child, nonempty))
     kind, bound = type(e), []
     while isinstance(e, kind):
         bound.append(e.var)
         e = e.body
-    if kind is Min1SumOverDomain:
-        return Contract(tuple(bound), _factors(optimize(e)))
-    return Complement(Contract(tuple(bound), _factors(_negate(e))))
+    return _block(tuple(bound), _plan(e, True), nonempty, kind is Min1SumOverDomain)
 
 
-def _factors(e: TensorExpr) -> tuple[TensorExpr, ...]:
-    return e.factors if isinstance(e, Product) else (e,)
+def _block(bound: tuple, body: TensorExpr, nonempty: bool, exists: bool) -> TensorExpr:
+    """The planned form of the run (exists or forall) bound. body, with the
+    parts of body that use none of bound outside the contraction."""
+    always, guarded = (Product, Min1Sum) if exists else (Min1Sum, Product)
+    kind = guarded if nonempty and isinstance(body, guarded) else always
+    parts, inside, outside, names = _parts(body, kind), [], [], {v.name for v in bound}
+    for p in parts:
+        # A lone part stays inside even if it ignores the run (counted N^k times).
+        (outside if len(parts) > 1 and not _uses(p, names) else inside).append(p)
+    if not inside and nonempty:
+        return body
+    inner = _join(kind, inside)
+    block = Contract(bound, _parts(inner if exists else _negate(inner), Product))
+    return _join(kind, outside + [block if exists else Complement(block)])
+
+
+def _uses(e: TensorExpr, names: set) -> bool:
+    """Whether e mentions a variable named in names (a rebound one too)."""
+    if isinstance(e, (RelApply, EqApply)):
+        return any([v.name in names for v in (e.terms if isinstance(e, RelApply) else (e.left, e.right))])
+    return any([_uses(child, names) for child in children(e)])
+
+
+def _parts(e: TensorExpr, kind: type) -> tuple[TensorExpr, ...]:
+    """The factors (kind Product) or terms (kind Min1Sum) of e."""
+    return children(e) if isinstance(e, kind) else (e,)
+
+
+def _join(kind: type, parts) -> TensorExpr:
+    """The flattened product or sum (kind) of the parts; one part stands alone."""
+    flat = []
+    for p in parts:
+        flat.extend(_parts(p, kind))
+    return flat[0] if len(flat) == 1 else kind(tuple(flat))
 
 
 def _negate(e: TensorExpr) -> TensorExpr:
-    """The optimized plan of the complement of e, by De Morgan's laws."""
-    if isinstance(e, (RelApply, EqApply)):
-        return dataclasses.replace(e, negated=not e.negated)
+    """The complement of the planned plan e, by De Morgan's laws."""
+    if isinstance(e, RelApply):
+        return RelApply(e.predicate, e.terms, not e.negated)
+    if isinstance(e, EqApply):
+        return EqApply(e.left, e.right, not e.negated)
     if isinstance(e, Complement):
-        return optimize(e.body)
+        return e.body
     if isinstance(e, Product):
-        return Min1Sum(tuple(map(_negate, e.factors)))
+        return _join(Min1Sum, map(_negate, e.factors))
     if isinstance(e, Min1Sum):
-        return Product(tuple(map(_negate, e.terms)))
-    return Complement(optimize(e))
+        return _join(Product, map(_negate, e.terms))
+    return Complement(e)

@@ -3,7 +3,7 @@
 Domain elements become one-hot basis vectors; a k-ary relation becomes an
 order-k 0/1 tensor whose contraction with basis vectors yields the atom's
 truth value (for binary relations, e_i . R e_j). Compiled formulas evaluate
-by exact integer arithmetic over these tensors:
+by exact arithmetic over these tensors:
 
     negative literal      the complement tensor 1...1 - R
     negation              1 - x
@@ -15,20 +15,24 @@ by exact integer arithmetic over these tensors:
 
 where min1(x) = min(x, 1) componentwise. A contraction is one block of
 existentials over a conjunction, a multilinear map; optimize (optimize.py)
-turns each run of like quantifiers of a compiled plan into one.
+plans a compiled plan into contractions.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
-an integer array with one axis per such variable; the axis has size 1 where
+an int64 array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
 column for a variable the assignment binds), conjunction is a broadcast
 product and disjunction a clamped sum. A quantifier sums its body over the
 variable's axis after broadcasting that axis to the domain size N, which
-makes existentials 0 and universals 1 on an empty domain; a contraction
-does the same over one axis per bound variable. A plan with k nested
-quantified variables therefore allocates arrays of up to N^k cells, and
-evaluation refuses plans past MAX_CELLS.
+makes existentials 0 and universals 1 on an empty domain. A contraction
+runs its order (Contract.order): it eliminates the bound variables one at
+a time, summing an axis that one factor uses and contracting two or more
+factors with one np.matmul on float64 counts (exact below 2^53); a bound
+variable that no factor uses gets no axis. Before allocating anything,
+evaluation refuses a plan whose largest array, N^k cells, is past
+MAX_CELLS, where k counts the quantifiers around a node of a plain plan,
+or a contraction's variables in its largest factor, step or output.
 
 All words of one length share their order relation and differ only in
 their labels. A batched model (embed_words) stacks the label vectors of B
@@ -37,9 +41,10 @@ eval_batch evaluates a closed plan on all of them at once: the batch is one
 more axis in front of the quantified variables', carried by every literal
 over a batched relation, so arrays grow to B * N^k cells.
 
-Every node value of a well-formed plan is exactly 0 or 1. Evaluation checks
-this on literal, product and sum nodes, and min1 rejects negative input;
-both raise ClosureError explicitly, so the checks also run under python -O.
+Every node value of a well-formed plan is exactly 0 or 1: the relation
+tensors are checked when the model is embedded, every clamp checks its
+output, and min1 rejects negative input. Both raise ClosureError
+explicitly, so the checks also run under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
@@ -103,16 +108,23 @@ class EmbeddedModel:
 
     A batched model stands for B structures over the same domain: each
     relation named in `batched` carries a leading axis of size B, one entry
-    per structure, and the other relations are shared by all of them."""
+    per structure, and the other relations are shared by all of them. For
+    embed_words, `digits` holds each word's letters as alphabet positions.
+    Raises ClosureError unless every relation tensor is 0/1."""
 
     def __init__(
         self,
         basis_size: int,
         relation_tensors: dict[str, np.ndarray],
         batched: Iterable[str] = (),
+        digits: np.ndarray | None = None,
     ):
+        for name, t in relation_tensors.items():
+            if not is_zero_one(t):
+                raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
         self.basis_size = basis_size
         self.relation_tensors = dict(relation_tensors)
+        self.digits = digits
         self.batched = frozenset(batched)
         self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
         self.identity = np.eye(basis_size, dtype=_DT)
@@ -172,7 +184,7 @@ def embed_words(
     for i in reversed(range(length)):
         codes, digits[:, i] = np.divmod(codes, base)
     labels = {sym: (digits == k).astype(_DT) for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(length, {**labels, name: order}, batched=labels)
+    return EmbeddedModel(length, {**labels, name: order}, batched=labels, digits=digits)
 
 
 # --- evaluation plans ---------------------------------------------------
@@ -198,11 +210,11 @@ class TensorExpr(Node):
         return out
 
     @functools.cached_property
-    def _depth(self) -> int:
-        """_axes of the plan rooted here, walked once per root node: plans
+    def _extent(self) -> tuple[int, int]:
+        """_extent of the plan rooted here, walked once per root node: plans
         are immutable, and the cache lives outside the dataclass fields, so
         equality and hashing ignore it."""
-        return _axes(self)
+        return _extent(self)
 
 
 @dataclass(frozen=True)
@@ -253,6 +265,38 @@ class Contract(TensorExpr):
 
     bound: tuple[Variable, ...]
     factors: tuple[TensorExpr, ...]
+
+    @functools.cached_property
+    def order(self) -> tuple:
+        """(axes, steps, rest, peak) from the factors' variable sets, for every N.
+        Each step (axis, slots) eliminates the bound variable leaving fewest
+        variables: it multiplies the factors using it (slots of the factor
+        list, which each step's result extends), the largest last, and sums
+        its axis out. axes names the bound variables some factor uses, rest
+        the slots left, peak the most variables of a factor, step or output."""
+        # By name: str hashing and equality run in C, Variable's in Python.
+        sets = [frozenset([v.name for v in f.variables]) for f in self.factors]
+        free = frozenset().union(*sets)
+        used = [v.name for v in self.bound if v.name in free]
+        live, steps, todo = list(range(len(sets))), [], list(used)
+        peak = max(map(len, sets), default=0)
+        while todo:
+            best = None
+            for v in todo:
+                slots = [k for k in live if v in sets[k]]
+                left = frozenset().union(*[sets[k] for k in slots])
+                if best is None or len(left) < len(best[2]):
+                    best = v, slots, left
+            v, slots, left = best
+            todo.remove(v)
+            if len(slots) > 1:
+                slots.sort(key=lambda k: len(sets[k]))
+                peak = max(peak, len(frozenset().union(*[sets[k] for k in slots[:-1]])))
+            live = [k for k in live if k not in slots] + [len(sets)]
+            sets.append(left - {v})
+            peak = max(peak, len(sets[-1]))
+            steps.append((used.index(v), tuple(slots)))
+        return tuple(used), tuple(steps), tuple(live), max(peak, len(free) - len(used))
 
 
 # --- compilation --------------------------------------------------------
@@ -319,10 +363,10 @@ def eval_tensor(
     inner quantifiers before outer ones, outer variables counting up.
 
     Raises SemanticError, before allocating anything, when the plan's
-    largest node value would exceed MAX_CELLS cells."""
+    largest array would exceed MAX_CELLS cells or MAX_AXES axes."""
     if m.batched:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
-    batch_limit(e, m.basis_size)
+    _planned_cells(e, m.basis_size, 0)
     ev = _Evaluator(m, normalize_assignment(a), trace is not None)
     value = int(ev.scalar(e, (), ()))
     if trace is not None:
@@ -335,30 +379,45 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     embed_words) at once; returns their values, each exactly 0 or 1, as an
     array of shape (B,). A model without batched relations is a batch of one.
 
-    Raises SemanticError, before allocating anything, when B * N^depth
-    exceeds MAX_CELLS cells."""
+    Raises SemanticError, before allocating anything, when B * N^k (see
+    batch_limit) exceeds MAX_CELLS cells."""
     b, n = m.batch_size, m.basis_size
     if b > batch_limit(e, n):
         raise SemanticError(
-            f"evaluation of {b} structures needs arrays of B * N^depth = "
-            f"{b} * {n}^{e._depth} cells, over the limit of {MAX_CELLS}"
+            f"evaluation of {b} structures needs arrays of B * N^k = "
+            f"{b} * {n}^{e._extent[1]} cells, over the limit of {MAX_CELLS}"
         )
     value = _Evaluator(m, {}, False).scalar(e, (_BATCH.name,), ())
     return np.broadcast_to(value, (b,)).copy()
 
 
+# numpy's limit on the axes of an array (NPY_MAXDIMS).
+MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
+
 def batch_limit(e: TensorExpr, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
-    for plan e: MAX_CELLS // N^depth. Raises SemanticError when a single
-    structure is already past MAX_CELLS."""
-    depth = e._depth
+    for plan e: MAX_CELLS // N^k, N^k the planned peak per structure. Raises
+    SemanticError when one structure is past MAX_CELLS or MAX_AXES."""
+    return MAX_CELLS // max(_planned_cells(e, n, 1), 1)
+
+
+def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
+    """The planned peak N^k of e (see _extent), checked with the axes, batch
+    axes included, against MAX_CELLS and MAX_AXES."""
+    axes, depth = e._extent
+    if axes + batch_axes > MAX_AXES:
+        raise SemanticError(
+            f"evaluation needs arrays of {axes + batch_axes} axes, "
+            f"over numpy's limit of {MAX_AXES}"
+        )
     cells = n**depth
     if cells > MAX_CELLS:
         raise SemanticError(
-            f"evaluation needs arrays of N^depth = {n}^{depth} cells "
-            f"(domain size {n}, {depth} nested axes), over the limit of {MAX_CELLS}"
+            f"evaluation needs arrays of N^k = {n}^{depth} cells "
+            f"(domain size {n}, k = {depth} variables), over the limit of {MAX_CELLS}"
         )
-    return MAX_CELLS // max(cells, 1)
+    return cells
 
 
 class _Evaluator:
@@ -381,41 +440,44 @@ class _Evaluator:
 
     def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
-            return _closed(self.relation(e.predicate, e.negated, e.terms, scope))
+            return self.relation(e.predicate, e.negated, e.terms, scope)
         if isinstance(e, EqApply):
             t = self.m.complement_tensor(None) if e.negated else self.m.identity
-            return _closed(self.place(t, (e.left, e.right), scope))
+            return self.place(t, (e.left, e.right), scope)
         if isinstance(e, Complement):
             return 1 - self.scalar(e.body, scope, path + (0,))
         if isinstance(e, Product):
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.factors)]
-            return _closed(functools.reduce(np.multiply, values))
+            return functools.reduce(np.multiply, values)
         if isinstance(e, Min1Sum):
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.terms)]
             return _closed(min1(functools.reduce(np.add, values)))
         if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
             exists = isinstance(e, Min1SumOverDomain)
             body = self.scalar(e.body, scope + (e.var.name,), path + (None,))
-            total = self.sum_out(body if exists else 1 - body, 1)
+            # Broadcast to N: a body that ignores the variable counts N times.
+            total = np.broadcast_to(body if exists else 1 - body, body.shape[:-1] + (self.n,)).sum(-1)
             if self.events is not None:
                 tag = "exists-sum" if exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
             return _closed(min1(total) if exists else 1 - min1(total))
         if isinstance(e, Contract):
-            inner = scope + tuple(v.name for v in e.bound)
+            (axes, steps, rest, _), outer = e.order, len(scope)
             # The factors sit inside one loop per bound variable.
             path += (None,) * len(e.bound)
-            values = [self.scalar(g, inner, path + (k,)) for k, g in enumerate(e.factors)]
-            total = self.sum_out(functools.reduce(np.multiply, values), len(e.bound))
-            return _closed(min1(total))
+            counts = [self.scalar(g, scope + axes, path + (k,)) for k, g in enumerate(e.factors)]
+            for axis, slots in steps:
+                *head, last = (counts[k] for k in slots)
+                counts.append(
+                    _matmul(functools.reduce(np.multiply, head), last, outer + axis)
+                    if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
+                )
+            total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
+            total = total.reshape(total.shape[:outer])
+            if len(axes) < len(e.bound) and self.n == 0:
+                total = total * 0  # N^k for the unused bound variables: min1 sees only N = 0
+            return _closed(min1(total).astype(_DT, copy=False))
         raise TypeError(f"not a plan node: {e!r}")
-
-    def sum_out(self, body: np.ndarray, k: int) -> np.ndarray:
-        """body summed over its last k axes. Each is broadcast to N first, so
-        that a body that ignores a variable counts N times (and 0 times when
-        N = 0)."""
-        shape = body.shape[: body.ndim - k] + (self.n,) * k
-        return np.broadcast_to(body, shape).sum(axis=tuple(range(-k, 0)))
 
     def relation(self, name: str, negated: bool, terms, scope: tuple[str, ...]):
         """The relation's (or its complement's) tensor placed on terms; the
@@ -481,6 +543,26 @@ def _scope_axis(scope: tuple[str, ...], name: str) -> int | None:
     return None
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
+    """The sum over axis v of a * b, kept as an axis of size 1, by np.matmul on
+    float64 (numpy has no BLAS path for integers): the axes both carry (size
+    not 1) stack the matrices, a's alone are their rows, b's their columns."""
+    stack, rows, cols, ones = [], [], [], []
+    for k, (p, q) in enumerate(zip(a.shape, b.shape)):
+        if k != v:
+            (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
+    if not rows and not cols:
+        # A stack of dot products: no copy into matrix layout pays off.
+        return (a * b).sum(axis=v, keepdims=True, dtype=np.float64)
+    lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
+    x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
+    y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])
+    x, y = x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)
+    out = np.matmul(x, y).reshape(lead + r + c + [1] * (len(ones) + 1))
+    perm = stack + rows + cols + ones + [v]
+    return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 def _closed(v: np.ndarray) -> np.ndarray:
     """v, once every entry is checked to be 0 or 1."""
     if not is_zero_one(v):
@@ -488,16 +570,18 @@ def _closed(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _axes(e, outer: int = 0) -> int:
-    """Most axes any node value of the plan carries: one per quantified or
-    contracted variable around the node."""
+def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
+    """(most axes, k of the most cells N^k) of the arrays evaluating e, whose
+    value has `axes` axes over `depth` variables: a quantifier adds one to
+    both, a contraction its order's axes and peak (Contract.order)."""
     if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-        outer += 1
+        axes, depth = axes + 1, depth + 1
     elif isinstance(e, Contract):
-        outer += len(e.bound)
-    most = outer
+        axes, depth = axes + len(e.order[0]), e.order[3]
+    most = (axes, depth)
     for child in children(e):
-        most = max(most, _axes(child, outer))
+        a, d = _extent(child, axes, len(child.variables) if isinstance(e, Contract) else depth)
+        most = (max(most[0], a), max(most[1], d))
     return most
 
 

@@ -90,10 +90,33 @@ def test_eval_unknown_predicate_exits_2(capsys):
 
 
 def test_eval_plan_too_large_exits_2(capsys):
-    expr = "exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"
+    # A 4-clique: every elimination order leaves three variables in a step.
+    expr = (
+        "exists x. exists y. exists z. exists w. "
+        "(succ(x, y) & succ(x, z) & succ(x, w) & succ(y, z) & succ(y, w) & succ(z, w))"
+    )
     assert run(["eval", "--expr", expr, "--word", "a" * 400]) == 2
     err = capsys.readouterr().err
-    assert "domain size 400" in err and "400^4" in err
+    assert "domain size 400" in err and "400^3" in err
+
+
+def test_eval_past_the_axis_limit_exits_2(capsys):
+    # 70 nested quantified variables need 70 axes on the plain plan, which
+    # --trace evaluates; the planned plan gives the 69 unused ones none.
+    expr = "exists x. " * 70 + "a(x)"
+    assert run(["eval", "--trace", "--expr", expr, "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"needs arrays of 70 axes, over numpy's limit of {tensors.MAX_AXES}" in captured.err
+    assert run(["eval", "--expr", expr, "--word", "a"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_eval_dissimilation_at_length_1024(capsys):
+    # Past N = 256 only the planned plan fits under the cell limit.
+    for word, value in (("lr" * 512, "1"), ("l" + "a" * 1022 + "l", "0")):
+        assert run(["eval", "--expr", DISS, "--model", "prec", "--word", word]) == 0
+        assert capsys.readouterr().out == value + "\n"
 
 
 def test_eval_corrupted_build_exits_2(monkeypatch, capsys):
@@ -163,10 +186,13 @@ def test_enumerate_rejects_tree_model(capsys):
 
 
 def test_enumerate_word_over_the_limit_exits_2(capsys):
-    expr = "exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"
+    expr = (
+        "exists x. exists y. exists z. exists w. "
+        "(succ(x, y) & succ(x, z) & succ(x, w) & succ(y, z) & succ(y, w) & succ(z, w))"
+    )
     assert run(["enumerate", "--expr", expr, "--alphabet", "ab", "--max-len", "400"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "400^4" in captured.err
+    assert captured.out == "" and "400^3" in captured.err
 
 
 def test_compile_one_b_plan(capsys):

@@ -238,6 +238,28 @@ def test_enumerate_reaches_roadmap_targets():
     assert diss == [w for w in all_words("lra", 7) if _diss_truth(w)]
 
 
+def _consecutive_ls_have_an_r(word):
+    # _diss_truth, in time linear in the word.
+    return all("r" in between for between in word.split("l")[1:-1])
+
+
+@pytest.mark.parametrize(
+    "spec, truth, n",
+    [(formula_diss(), _consecutive_ls_have_an_r, n) for n in (256, 512, 1024)]
+    + [(formula_one_b(), _one_b_truth, n) for n in (512, 2048)],
+    ids=["dissimilation-256", "dissimilation-512", "dissimilation-1024", "one-b-512", "one-b-2048"],
+)
+def test_planned_eval_on_long_words(spec, truth, n):
+    # The plain plans are refused from N = 257 (dissimilation) and 4097
+    # (one-b); the oracle is compared up to N = 128 above.
+    planned = optimize(compile_formula(spec.formula))
+    words = _long_words(random.Random(n), spec, n)
+    assert [truth(w) for w in words] == [True, True, False, False], words
+    for word, expected in zip(words, (1, 1, 0, 0)):
+        m = word_model(word, "".join(spec.alphabet), spec.model_kind)
+        assert eval_tensor(planned, embed_model(m)) == expected, word
+
+
 def test_enumerate_in_chunks_equals_one_batch(monkeypatch):
     spec = formula_diss()  # depth 3
     whole = enumerate_language(spec, 5)
@@ -249,22 +271,26 @@ def test_enumerate_in_chunks_equals_one_batch(monkeypatch):
         return real(plan, model)
 
     monkeypatch.setattr(languages, "eval_batch", spy)
-    monkeypatch.setattr(tensors, "MAX_CELLS", 7 * 5**3)
+    # The planned plan's arrays have at most two variables: N^2 per word.
+    monkeypatch.setattr(tensors, "MAX_CELLS", 7 * 5**2)
     assert enumerate_language(spec, 5) == whole
-    assert all(b * n**3 <= 7 * 5**3 for n, b in batches)
+    assert all(b * n**2 <= 7 * 5**2 for n, b in batches)
     assert [b for n, b in batches if n == 5] == [7] * 34 + [5]
     assert sum(b for _, b in batches) == sum(3**n for n in range(6))
 
 
 def test_enumerate_refuses_a_word_over_the_limit_before_allocating():
     spec = LanguageSpec(
-        parse_formula("exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))"),
+        parse_formula(
+            "exists x. exists y. exists z. exists w. "
+            "(succ(x, y) & succ(x, z) & succ(x, w) & succ(y, z) & succ(y, w) & succ(z, w))"
+        ),
         "succ",
         Alphabet("ab"),
     )
     tracemalloc.start()
     try:
-        with pytest.raises(SemanticError, match=r"400\^4"):
+        with pytest.raises(SemanticError, match=r"400\^3"):
             enumerate_language(spec, 400)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -16,13 +16,17 @@ from fotensor import (
     tarski_eval,
 )
 from fotensor.diffcheck import random_formula
+from fotensor.formulas import children
+from fotensor.models import MAX_CELLS
 from fotensor.tensors import (
     Complement,
     Contract,
     EqApply,
     Min1Sum,
+    Product,
     RelApply,
     Variable,
+    batch_limit,
 )
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -120,7 +124,8 @@ def test_forall_folds_through_dual():
 
 def test_nested_quantifier_keeps_outer_iteration():
     # The universal pair is one contraction of the negated body, and the
-    # witness sum in that body is another.
+    # witness sum in that body is another, beside the factors over x and y
+    # that miniscoping moved out of it.
     plan = compile_formula(
         parse_formula(
             "forall x. forall y. ((l(x) & l(y) & prec(x, y)) -> "
@@ -128,11 +133,10 @@ def test_nested_quantifier_keeps_outer_iteration():
         )
     )
     optimized = optimize(plan)
-    assert isinstance(optimized, Complement) and isinstance(optimized.body, Contract)
-    assert optimized.body.bound == (X, Y)
-    (witness,) = optimized.body.factors
-    assert isinstance(witness, Complement) and isinstance(witness.body, Contract)
-    assert witness.body.bound == (Z,)
+    witness = Contract((Z,), (_rel("r", Z), _rel("prec", X, Z), _rel("prec", Z, Y)))
+    assert optimized == Complement(
+        Contract((X, Y), (_rel("l", X), _rel("l", Y), _rel("prec", X, Y), Complement(witness)))
+    )
     _assert_equivalent(plan, optimized, all_words("lra", 4), "lra", "prec")
 
 
@@ -164,6 +168,95 @@ def test_contract_over_a_variable_no_factor_uses(text):
         single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
         batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
         assert single == batched.tolist() == want, length
+
+
+@pytest.mark.parametrize(
+    ("text", "planned"),
+    [
+        (
+            "forall x. (b(x) | (exists y. a(y)))",
+            Min1Sum(
+                (Contract((Y,), (_rel("a", Y),)), Complement(Contract((X,), (_rel("b", X, negated=True),))))
+            ),
+        ),
+        (
+            "exists x. (a(x) & (forall y. b(y)))",
+            Product(
+                (Complement(Contract((Y,), (_rel("b", Y, negated=True),))), Contract((X,), (_rel("a", X),)))
+            ),
+        ),
+        # Here the inner block stays in: on the empty word it is 1 (0) while
+        # the outer exists (forall) must be 0 (1).
+        (
+            "exists x. (a(x) | (forall y. b(y)))",
+            Contract((X,), (Min1Sum((_rel("a", X), Complement(Contract((Y,), (_rel("b", Y, negated=True),))))),)),
+        ),
+        (
+            "forall x. (b(x) & (exists y. a(y)))",
+            Complement(
+                Contract((X,), (Min1Sum((_rel("b", X, negated=True), Complement(Contract((Y,), (_rel("a", Y),))))),))
+            ),
+        ),
+    ],
+)
+def test_miniscoping_at_the_top_of_a_closed_plan(text, planned):
+    # The inner block leaves the outer one where that holds on every domain,
+    # so that the empty word still makes the outer forall 1 and exists 0.
+    formula = parse_formula(text)
+    optimized = optimize(compile_formula(formula))
+    assert optimized == planned
+    for length in range(4):
+        words = ["".join(w) for w in itertools.product("ab", repeat=length)]
+        want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
+        single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
+        batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
+        assert single == batched.tolist() == want, length
+
+
+def _contracts(e):
+    found = [e] if isinstance(e, Contract) else []
+    for child in children(e):
+        found += _contracts(child)
+    return found
+
+
+@pytest.mark.parametrize(
+    ("text", "depth", "peak"),
+    [
+        (
+            "forall x. forall y. ((l(x) & l(y) & prec(x, y)) -> "
+            "exists z. (r(z) & prec(x, z) & prec(z, y)))",
+            3,
+            2,
+        ),
+        # A star: eliminating its leaves first leaves two variables at most.
+        ("exists x. exists y. exists z. exists w. (succ(x, y) & succ(x, z) & succ(x, w))", 4, 2),
+        # A 4-clique: every order has a step over three variables.
+        (
+            "exists x. exists y. exists z. exists w. "
+            "(succ(x, y) & succ(x, z) & succ(x, w) & succ(y, z) & succ(y, w) & succ(z, w))",
+            4,
+            3,
+        ),
+    ],
+)
+def test_contraction_order_sets_the_planned_peak(text, depth, peak):
+    plan = compile_formula(parse_formula(text))
+    optimized = optimize(plan)
+    # Planning does not order the contractions; evaluation does, once each.
+    assert not any("order" in vars(c) for c in _contracts(optimized))
+    assert batch_limit(optimized, 10) == MAX_CELLS // 10**peak
+    assert batch_limit(plan, 10) == MAX_CELLS // 10**depth
+    assert all("order" in vars(c) for c in _contracts(optimized))
+
+
+def test_contraction_counts_stay_exact_past_int64():
+    # 64^11 = 2^66 witnesses: an int64 count would wrap around to 0.
+    names = [f"x{i}" for i in range(11)]
+    text = " ".join(f"exists {v}." for v in names) + " (" + " & ".join(f"a({v})" for v in names) + ")"
+    optimized = optimize(compile_formula(parse_formula(text)))
+    assert eval_tensor(optimized, embed_model(word_model("a" * 64, "ab", "succ"))) == 1
+    assert eval_batch(optimized, embed_words(Alphabet("ab"), 64, "succ", 0, 2)).tolist() == [1, 1]
 
 
 def test_random_plans_preserve_evaluation():

@@ -114,4 +114,4 @@ def test_optimized_plan_output_is_pinned():
     # The optimized plan, as contractions; a deliberate change of what
     # optimize makes of a plan has to update the digest.
     digest = _front_end_digest(lambda f, plan: (dump_expr(optimize(plan)),))
-    assert digest == "ac9d8cf920d2920d2a921fc3d11194363adbd96dbefb591e66854aea5d1384be"
+    assert digest == "10e7993cccb0f45dff2fa6c83d5947acc294b04574eb49ce1e281390caf40527"
