@@ -195,15 +195,14 @@ def case_from_seed(index: int, case_seed: int, max_word_len: int, max_depth: int
 
 
 def compare_paths(
-    formula: Formula, plan: TensorExpr, word: str, kind: str, alphabet: Alphabet,
-    optimized: TensorExpr | None = None,
+    formula: Formula, plan: TensorExpr, optimized: TensorExpr, word: str, kind: str,
+    alphabet: Alphabet,
 ) -> tuple[int, int, int]:
-    """Values of the compiled plan, the optimized plan (optimize(plan) unless
-    given) and the oracle."""
+    """Values of the compiled plan, its optimized form and the oracle."""
     model = build_word_model(word, alphabet, kind)
     embedded = embed_model(model)
     tensor_value = eval_tensor(plan, embedded)
-    optimized_value = eval_tensor(optimize(plan) if optimized is None else optimized, embedded)
+    optimized_value = eval_tensor(optimized, embedded)
     oracle_value = int(tarski_eval(formula, model))
     return tensor_value, optimized_value, oracle_value
 
@@ -239,7 +238,7 @@ def run_differential_check(
             plan = compile_formula(case.formula)
             planned = optimize(plan)
             tensor, optimized, oracle = compare_paths(
-                case.formula, plan, case.word, case.kind, alphabet, planned
+                case.formula, plan, planned, case.word, case.kind, alphabet
             )
             batched = batched_value(planned, case.word, case.kind, alphabet)
         except Exception as exc:  # report, never hide: a crash is a failed case

@@ -551,9 +551,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
     for k, (p, q) in enumerate(zip(a.shape, b.shape)):
         if k != v:
             (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
-    if not rows and not cols:
-        # A stack of dot products: no copy into matrix layout pays off.
-        return (a * b).sum(axis=v, keepdims=True, dtype=np.float64)
     lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
     x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
     y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])

@@ -4,7 +4,7 @@ import pytest
 
 import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
-from fotensor import compile_formula, embed_model, eval_tensor, free_variables, parse_formula
+from fotensor import compile_formula, embed_model, eval_tensor, free_variables, optimize, parse_formula
 from fotensor.diffcheck import (
     batched_value,
     case_from_seed,
@@ -52,8 +52,9 @@ def test_small_run_agrees():
 def test_case_reproducible_from_seed():
     report = run_differential_check(10, seed=77)
     case = case_from_seed(3, (77 * 1_000_003 + 3) & 0x7FFFFFFF, 5, 3)
+    plan = compile_formula(case.formula)
     tensor_value, optimized_value, oracle_value = compare_paths(
-        case.formula, compile_formula(case.formula), case.word, case.kind, Alphabet(case.alphabet)
+        case.formula, plan, optimize(plan), case.word, case.kind, Alphabet(case.alphabet)
     )
     assert tensor_value == optimized_value == oracle_value
     assert report.total == 10
