@@ -27,13 +27,23 @@ PREC = "prec"
 _DT = np.int64
 
 # Largest array, in cells, that building or evaluating a model may allocate:
-# a structure of N elements has N x N binary relations (and an N x N
-# identity once embedded), and evaluation refuses plans whose node values
-# need more (see tensors.batch_limit). 2^24 int64 cells are 128 MiB.
+# every builder refuses a structure whose N x N relations would pass it
+# (check_domain_size), and evaluation refuses plans whose node values need
+# more (see tensors.batch_limit). 2^24 int64 cells are 128 MiB.
 MAX_CELLS = 1 << 24
 
 # Variable assignments map variable names to 1-based domain indices.
 Assignment = Mapping[str, int]
+
+
+def check_domain_size(n: int) -> None:
+    """Raise SemanticError when a structure of n elements needs N x N
+    tensors past MAX_CELLS; builders call it before allocating them."""
+    if n * n > MAX_CELLS:
+        raise SemanticError(
+            f"a structure of domain size {n} needs N x N tensors of "
+            f"{n * n} cells, over the limit of {MAX_CELLS}"
+        )
 
 
 def normalize_assignment(a) -> dict[str, int]:
@@ -118,7 +128,8 @@ class StructureModel:
         unary: Mapping[str, Iterable[int]] | None = None,
         binary: Mapping[str, Iterable[tuple[int, int]]] | None = None,
     ) -> "StructureModel":
-        """Build from 1-based position sets / pair sets."""
+        """Build from 1-based position sets / pair sets (see check_domain_size)."""
+        check_domain_size(domain_size)
         uvecs = {}
         for name, positions in (unary or {}).items():
             vec = np.zeros(domain_size, dtype=_DT)
@@ -222,8 +233,9 @@ def normalize_kind(kind: str) -> str:
 def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
     """Name and matrix of the order relation of every word model of the given
     length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does not depend
-    on the word's labels."""
+    on the word's labels. Refused past MAX_CELLS (check_domain_size)."""
     kind = normalize_kind(kind)
+    check_domain_size(length)
     if kind == "succ":
         return SUCC, np.eye(length, k=1, dtype=_DT)
     if kind == "prec":
@@ -263,11 +275,7 @@ def load_structure(text: str) -> StructureModel:
     domain = doc.get("domain")
     if not isinstance(domain, int) or isinstance(domain, bool) or domain < 0:
         raise StructureFormatError("'domain' must be a nonnegative integer")
-    if domain * domain > MAX_CELLS:
-        raise SemanticError(
-            f"a structure of domain size {domain} needs N x N tensors of "
-            f"{domain * domain} cells, over the limit of {MAX_CELLS}"
-        )
+    check_domain_size(domain)
 
     unary_sets: dict[str, list[int]] = {}
     for name, positions in _mapping(doc, "unary").items():

@@ -6,12 +6,14 @@ and a run of forall-duals the complement of the contraction of the factors
 of !body, with negations pushed inward by De Morgan's laws (exact on 0/1
 values). Dropping the clamps inside a run is exact too: on nonnegative
 integers min1(sum_i min1(x_i)) = min1(sum_i x_i). Contract.order plans the
-summation, lazily, per node.
+summation, lazily, per node. Only the quantifier prefix is walked: a
+compiled plan is prenex, so the matrix below it is kept as it is, and so is
+any node other than a quantifier (with a hand-built quantifier under it).
 
-Miniscoping keeps in the contraction only the parts of the body that use a
-variable of the run. The factors of an exists run's product (terms of a
-forall run's sum) that ignore the run always stay outside; the terms of an
-exists run's sum (factors of a forall run's product) only below an
+Miniscoping keeps in the contraction only the parts of the body in which a
+variable of the run is free. The factors of an exists run's product (terms
+of a forall run's sum) that ignore the run always stay outside; the terms
+of an exists run's sum (factors of a forall run's product) only below an
 enclosing variable, since on an empty domain an exists is 0 and a forall 1
 whatever the body. Rewrites never change evaluation results; the test
 suite checks this per pattern and on random plans.
@@ -19,7 +21,7 @@ suite checks this per pattern and on random plans.
 
 from __future__ import annotations
 
-from .formulas import children, rebuild
+from .formulas import children
 from .tensors import (
     Complement,
     Contract,
@@ -40,7 +42,7 @@ def optimize(e: TensorExpr) -> TensorExpr:
 def _plan(e: TensorExpr, nonempty: bool) -> TensorExpr:
     """The planned form of e, evaluated only on nonempty domains if nonempty."""
     if not isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-        return rebuild(e, lambda child: _plan(child, nonempty))
+        return e
     kind, bound = type(e), []
     while isinstance(e, kind):
         bound.append(e.var)
@@ -53,22 +55,15 @@ def _block(bound: tuple, body: TensorExpr, nonempty: bool, exists: bool) -> Tens
     parts of body that use none of bound outside the contraction."""
     always, guarded = (Product, Min1Sum) if exists else (Min1Sum, Product)
     kind = guarded if nonempty and isinstance(body, guarded) else always
-    parts, inside, outside, names = _parts(body, kind), [], [], {v.name for v in bound}
+    parts, inside, outside = _parts(body, kind), [], []
     for p in parts:
         # A lone part stays inside even if it ignores the run (counted N^k times).
-        (outside if len(parts) > 1 and not _uses(p, names) else inside).append(p)
+        (outside if len(parts) > 1 and p.variables.isdisjoint(bound) else inside).append(p)
     if not inside and nonempty:
         return body
     inner = _join(kind, inside)
     block = Contract(bound, _parts(inner if exists else _negate(inner), Product))
     return _join(kind, outside + [block if exists else Complement(block)])
-
-
-def _uses(e: TensorExpr, names: set) -> bool:
-    """Whether e mentions a variable named in names (a rebound one too)."""
-    if isinstance(e, (RelApply, EqApply)):
-        return any([v.name in names for v in (e.terms if isinstance(e, RelApply) else (e.left, e.right))])
-    return any([_uses(child, names) for child in children(e)])
 
 
 def _parts(e: TensorExpr, kind: type) -> tuple[TensorExpr, ...]:

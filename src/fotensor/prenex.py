@@ -5,8 +5,7 @@ apart (fresh-name suffixing x, x1, x2, ...) in one rebuild of the tree,
 normalize negations downward (through quantifiers: !exists x G => forall x
 !G and dually; a negation over a quantifier-free subtree is left in place
 as a whole-subformula complement), then float the quantifiers out
-left-to-right. The matrix can optionally be reshaped into CNF, which also
-pushes the remaining negations onto literals.
+left-to-right.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class PrenexFormula:
         return to_text(self.to_formula())
 
 
-def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
+def to_prenex(f: Formula) -> PrenexFormula:
     """Convert f to an equivalent prenex formula.
 
     Equivalence holds on every finite model, the empty one included: pulling
@@ -75,12 +74,7 @@ def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
     nonempty domains, so when the extracted prefix would get the
     empty-domain value wrong, a vacuous quantifier over a fresh dummy
     variable is prepended (a no-op whenever the domain is inhabited).
-
-    shape: None leaves the matrix in NNF; "cnf" makes it a conjunction of
-    disjunctions of literals.
     """
-    if shape not in (None, "cnf"):
-        raise ValueError(f"unknown matrix shape {shape!r}")
     used = {v.name for v in free_variables(f)}
     closed = not used
     g = _standardize(f, used)
@@ -90,8 +84,6 @@ def to_prenex(f: Formula, shape: str | None = None) -> PrenexFormula:
         if want != (prefix[0][0] == FORALL):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
             prefix = [(FORALL if want else EXISTS, dummy)] + prefix
-    if shape == "cnf":
-        matrix = and_(or_(clause) for clause in _cnf_clauses(matrix))
     return PrenexFormula(tuple(prefix), matrix)
 
 
@@ -203,18 +195,3 @@ def _pull(f: Formula) -> tuple[list[tuple[str, Variable]], Formula]:
         return [(quant, f.var)] + p, m
     raise TypeError(f"not an NNF formula: {f!r}")
 
-
-def _cnf_clauses(f: Formula) -> list[list[Formula]]:
-    """Clauses (lists of literals) of a CNF of the quantifier-free matrix f,
-    pushing each negation over a compound subformula down to the literals."""
-    if isinstance(f, Not) and isinstance(f.body, Not):
-        return _cnf_clauses(f.body.body)
-    if isinstance(f, Not) and isinstance(f.body, (And, Or)):
-        dual = or_ if isinstance(f.body, And) else and_
-        return _cnf_clauses(dual(Not(g) for g in f.body.items))
-    if isinstance(f, And):
-        return [clause for g in f.items for clause in _cnf_clauses(g)]
-    if isinstance(f, Or):
-        combos = itertools.product(*(_cnf_clauses(g) for g in f.items))
-        return [[lit for clause in combo for lit in clause] for combo in combos]
-    return [[f]]

@@ -2,10 +2,11 @@
 
 Domain elements become one-hot basis vectors; a k-ary relation becomes an
 order-k 0/1 tensor whose contraction with basis vectors yields the atom's
-truth value (for binary relations, e_i . R e_j). Compiled formulas evaluate
-by exact arithmetic over these tensors:
+truth value (for binary relations, e_i . R e_j), and equality is the
+bilinear form of the identity, e_i . I e_j = [i = j]. Compiled formulas
+evaluate by exact arithmetic over these tensors:
 
-    negative literal      the complement tensor 1...1 - R
+    negative literal      the complement 1...1 - R of the placed literal
     negation              1 - x
     conjunction           product of the conjuncts
     disjunction           min1(sum of the disjuncts)
@@ -15,17 +16,22 @@ by exact arithmetic over these tensors:
 
 where min1(x) = min(x, 1) componentwise. A contraction is one block of
 existentials over a conjunction, a multilinear map; optimize (optimize.py)
-plans a compiled plan into contractions.
+plans a compiled plan into contractions. An embedded model holds only its
+relation tensors: evaluation never builds the basis vectors or the
+identity.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
 an int64 array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
-column for a variable the assignment binds), conjunction is a broadcast
-product and disjunction a clamped sum. A quantifier sums its body over the
-variable's axis after broadcasting that axis to the domain size N, which
-makes existentials 0 and universals 1 on an empty domain. A contraction
+column for a variable the assignment binds), complemented there when it is
+negated. An equality x = y places the index range 0..N-1 on the axis of x
+and on the axis of y and compares the two, so [i = j] comes from the
+indices alone. Conjunction is a broadcast product and disjunction a
+clamped sum. A quantifier sums its body over the variable's axis after
+broadcasting that axis to the domain size N, which makes existentials 0
+and universals 1 on an empty domain. A contraction
 runs its order (Contract.order): it eliminates the bound variables one at
 a time, summing an axis that one factor uses and contracting two or more
 factors with one np.matmul on float64 counts (exact below 2^53); a bound
@@ -104,7 +110,8 @@ def negate_relation(t: np.ndarray) -> np.ndarray:
 
 
 class EmbeddedModel:
-    """A structure mapped into R^N: one-hot basis plus relation tensors.
+    """A structure mapped into R^N: its relation tensors over a domain of
+    basis_size elements.
 
     A batched model stands for B structures over the same domain: each
     relation named in `batched` carries a leading axis of size B, one entry
@@ -127,19 +134,6 @@ class EmbeddedModel:
         self.digits = digits
         self.batched = frozenset(batched)
         self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
-        self.identity = np.eye(basis_size, dtype=_DT)
-        self.identity.flags.writeable = False
-        self._complements: dict[str | None, np.ndarray] = {}
-
-    def basis(self, i: int) -> np.ndarray:
-        """One-hot vector for domain element i (1-based)."""
-        if not 1 <= i <= self.basis_size:
-            raise AssignmentError(
-                f"index {i} outside domain of size {self.basis_size}"
-            )
-        # Rows of the identity are exactly the one-hot basis; they are
-        # read-only, so sharing them is safe.
-        return self.identity[i - 1]
 
     def tensor(self, name: str, arity: int) -> np.ndarray:
         try:
@@ -150,15 +144,6 @@ class EmbeddedModel:
         if own != arity:
             raise ArityMismatchError(f"relation {name!r} has arity {own}, atom uses {arity}")
         return t
-
-    def complement_tensor(self, name: str | None, arity: int = 2) -> np.ndarray:
-        """Memoized complement 1...1 - R; None names the identity matrix."""
-        if name not in self._complements:
-            base = self.identity if name is None else self.tensor(name, arity)
-            neg = negate_relation(base)
-            neg.flags.writeable = False
-            self._complements[name] = neg
-        return self._complements[name]
 
 
 def embed_model(m: StructureModel) -> EmbeddedModel:
@@ -440,10 +425,13 @@ class _Evaluator:
 
     def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
-            return self.relation(e.predicate, e.negated, e.terms, scope)
+            # A batched relation's leading axis goes on the batch axis.
+            terms = (_BATCH, *e.terms) if e.predicate in self.m.batched else e.terms
+            t = self.place(self.m.tensor(e.predicate, len(e.terms)), terms, scope)
+            return negate_relation(t) if e.negated else t
         if isinstance(e, EqApply):
-            t = self.m.complement_tensor(None) if e.negated else self.m.identity
-            return self.place(t, (e.left, e.right), scope)
+            left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
+            return (left != right if e.negated else left == right).astype(_DT)
         if isinstance(e, Complement):
             return 1 - self.scalar(e.body, scope, path + (0,))
         if isinstance(e, Product):
@@ -478,14 +466,6 @@ class _Evaluator:
                 total = total * 0  # N^k for the unused bound variables: min1 sees only N = 0
             return _closed(min1(total).astype(_DT, copy=False))
         raise TypeError(f"not a plan node: {e!r}")
-
-    def relation(self, name: str, negated: bool, terms, scope: tuple[str, ...]):
-        """The relation's (or its complement's) tensor placed on terms; the
-        leading axis of a batched relation goes on the batch axis."""
-        t = _relation(self.m, name, len(terms), negated)
-        if name in self.m.batched:
-            terms = (_BATCH, *terms)
-        return self.place(t, terms, scope)
 
     def place(self, t: np.ndarray, terms, scope: tuple[str, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
@@ -530,10 +510,6 @@ class _Evaluator:
             bindings.update(zip(scope, (i + 1 for i in idx)))
             event = TraceEvent(tag, variable, tuple(sorted(bindings.items())), int(totals[idx]))
             self.events.append((key, event))
-
-
-def _relation(m: EmbeddedModel, name: str, arity: int, negated: bool) -> np.ndarray:
-    return m.complement_tensor(name, arity) if negated else m.tensor(name, arity)
 
 
 def _scope_axis(scope: tuple[str, ...], name: str) -> int | None:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DuplicateAddressError, GornDomainError, UnknownSymbolError
-from .models import Alphabet, StructureModel
+from .models import Alphabet, StructureModel, check_domain_size
 
 DOM = "dom"
 LEFTOF = "leftof"
@@ -105,7 +105,8 @@ def build_tree_model(
     """Build the 2-d tree structure for labeled Gorn addresses.
 
     Domain indices are assigned 1-based in lexicographic-by-(depth, digits)
-    address order, so serialized structures are deterministic."""
+    address order, so serialized structures are deterministic. Refused past
+    MAX_CELLS (check_domain_size)."""
     labeled = [(_as_address(a), label) for a, label in nodes]
     addresses = [a for a, _ in labeled]
     if len(set(addresses)) != len(addresses):
@@ -121,6 +122,7 @@ def build_tree_model(
     order = sorted(addresses, key=lambda a: (len(a.digits), a.digits))
     index = {a: i + 1 for i, a in enumerate(order)}
     n = len(order)
+    check_domain_size(n)
 
     unary = {sym: np.zeros(n, dtype=np.int64) for sym in alphabet}
     for addr, label in labeled:

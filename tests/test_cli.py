@@ -324,6 +324,26 @@ def test_huge_structure_domain_exits_2_before_allocating(tmp_path, capsys):
     )
 
 
+def test_long_word_exits_2_before_allocating(capsys):
+    # The word's N x N order relation is refused before it is built.
+    argv = ["eval", "--expr", "exists x. a(x)", "--word", "ab" * 2500]
+    run(argv)  # the first call builds the argument parser
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a structure of domain size 5000 needs N x N tensors of "
+        "25000000 cells, over the limit of 16777216\n"
+    )
+
+
 # --- deep nesting ---------------------------------------------------------
 
 # Formulas at the parser's nesting limit of 100 levels; each holds on "a".

@@ -156,6 +156,27 @@ def test_load_refuses_a_domain_past_the_cell_limit(monkeypatch):
     )
 
 
+def test_every_builder_refuses_a_domain_past_the_cell_limit(monkeypatch):
+    from fotensor import build_tree_model, embed_words
+
+    monkeypatch.setattr(models, "MAX_CELLS", 16)
+    chain = lambda n: [("0" * k, "a") for k in range(n)]  # noqa: E731
+    builders = [
+        lambda n: build_word_model("a" * n, ABC, "succ"),
+        lambda n: build_word_model("a" * n, ABC, "prec"),
+        lambda n: embed_words(Alphabet("ab"), n, "succ"),
+        lambda n: StructureModel.from_sets(n, {"a": [1]}, {"r": [(1, 1)]}),
+        lambda n: build_tree_model(chain(n), ABC),
+    ]
+    for build in builders:
+        build(4)
+        with pytest.raises(SemanticError) as err:
+            build(5)
+        assert str(err.value) == (
+            "a structure of domain size 5 needs N x N tensors of 25 cells, over the limit of 16"
+        )
+
+
 def test_load_rejects_malformed_documents():
     with pytest.raises(StructureFormatError):
         load_structure("not json at all {")

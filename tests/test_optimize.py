@@ -21,8 +21,10 @@ from fotensor.models import MAX_CELLS
 from fotensor.tensors import (
     Complement,
     Contract,
+    DualSumOverDomain,
     EqApply,
     Min1Sum,
+    Min1SumOverDomain,
     Product,
     RelApply,
     Variable,
@@ -211,6 +213,17 @@ def test_miniscoping_at_the_top_of_a_closed_plan(text, planned):
         single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
         batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
         assert single == batched.tolist() == want, length
+
+
+def test_quantifier_below_another_node_keeps_its_value():
+    # Only the quantifier prefix is planned; a hand-built plan with a
+    # quantifier under a product is evaluated as it was built.
+    plan = Product((Min1SumOverDomain(X, _rel("a", X)), DualSumOverDomain(Y, _rel("b", Y, negated=True))))
+    formula = parse_formula("(exists x. a(x)) & (forall y. !b(y))")
+    optimized = optimize(plan)
+    for word in all_words("ab", 4):
+        m = word_model(word, "ab", "succ")
+        assert eval_tensor(optimized, embed_model(m)) == int(tarski_eval(formula, m)), word
 
 
 def _contracts(e):

@@ -150,34 +150,6 @@ def test_empty_domain_value_matches_oracle():
         assert tarski_eval(to_prenex(f).to_formula(), empty) == tarski_eval(f, empty), text
 
 
-@pytest.mark.parametrize("shape", ["cnf"])
-@pytest.mark.parametrize("formula,symbols,kinds", list(corpus_formulas()))
-def test_shaped_matrix_keeps_truth(shape, formula, symbols, kinds):
-    shaped = to_prenex(formula, shape=shape).to_formula()
-    for kind in kinds:
-        for word in all_words(symbols[:2], 4):
-            m = word_model(word, symbols, kind)
-            assert tarski_eval(formula, m) == tarski_eval(shaped, m), (word, kind, shape)
-
-
-def _is_literal(f):
-    return isinstance(f, (Atom,)) or (isinstance(f, Not) and isinstance(f.body, Atom)) or _is_eq(f)
-
-
-def _is_eq(f):
-    from fotensor import Equal
-
-    return isinstance(f, Equal) or (isinstance(f, Not) and isinstance(f.body, Equal))
-
-
-def test_cnf_shape_is_conjunction_of_disjunctions():
-    pf = to_prenex(parse_formula("exists x. ((a(x) | b(x)) & !(a(x) & b(x)))"), shape="cnf")
-    clauses = pf.matrix.items if isinstance(pf.matrix, And) else (pf.matrix,)
-    for clause in clauses:
-        literals = clause.items if isinstance(clause, Or) else (clause,)
-        assert all(_is_literal(lit) for lit in literals)
-
-
 def test_desugar_required_first_is_handled_internally():
     f = parse_formula("a(x) -> b(x)")
     pf = to_prenex(f)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -59,7 +60,6 @@ def test_embed_abba_successor():
     for i, j in [(1, 2), (2, 3), (3, 4)]:
         expected_succ[i - 1, j - 1] = 1
     assert np.array_equal(em.relation_tensors["succ"], expected_succ)
-    assert np.array_equal(em.identity, np.eye(4, dtype=int))
 
 
 def test_embed_empty_structure():
@@ -81,10 +81,11 @@ def test_relation_contraction_matches_source_truth():
     # the 0/1 relation of the source structure.
     m = word_model("abba", "abc", "succ")
     em = embed_model(m)
+    basis = np.eye(4, dtype=int)
     for i in range(1, 5):
-        assert int(em.relation_tensors["b"] @ em.basis(i)) == (i in m.unary_positions("b"))
+        assert int(em.relation_tensors["b"] @ basis[i - 1]) == (i in m.unary_positions("b"))
         for j in range(1, 5):
-            value = int(em.basis(i) @ em.relation_tensors["succ"] @ em.basis(j))
+            value = int(basis[i - 1] @ em.relation_tensors["succ"] @ basis[j - 1])
             assert value == ((i, j) in m.binary_pairs("succ"))
 
 
@@ -284,6 +285,53 @@ def test_equality_via_identity_matrix():
     em = _embedded("abb", "ab", "succ")
     assert eval_tensor(plan, em, {"x": 2, "y": 2}) == 1
     assert eval_tensor(plan, em, {"x": 1, "y": 2}) == 0
+
+
+# Equality, its negation, x = x and a negated relation literal.
+EQUALITY_BODIES = ["x = y", "!(x = y)", "x = x", "b(x) & !(x = y)", "!{kind}(x, y) | x = y"]
+
+
+@pytest.mark.parametrize("kind", ["succ", "prec"])
+@pytest.mark.parametrize("body", EQUALITY_BODIES)
+def test_equality_and_complement_literals_match_oracle(body, kind):
+    # Every word of length 0-4. Each body is evaluated under exists and
+    # forall, both closed and with x bound by the assignment, on the plain
+    # plan, the planned plan and (closed) the batched path.
+    body = body.format(kind=kind)
+    for q1, q2 in itertools.product(["exists", "forall"], repeat=2):
+        closed = parse_formula(f"{q1} x. {q2} y. ({body})")
+        opened = parse_formula(f"{q2} y. ({body})")
+        plans = [(f, compile_formula(f), optimize(compile_formula(f))) for f in (closed, opened)]
+        for length in range(5):
+            words = ["".join(w) for w in itertools.product("ab", repeat=length)]
+            for word in words:
+                m = word_model(word, "ab", kind)
+                em = embed_model(m)
+                for f, plain, planned in plans:
+                    bindings = [{}] if f is closed else [{"x": i} for i in range(1, length + 1)]
+                    for a in bindings:
+                        want = int(tarski_eval(f, m, a))
+                        got = (eval_tensor(plain, em, a), eval_tensor(planned, em, a))
+                        assert got == (want, want), (str(f), word, a)
+            batched = eval_batch(plans[0][2], embed_words(Alphabet("ab"), length, kind))
+            want = [int(tarski_eval(closed, word_model(w, "ab", kind))) for w in words]
+            assert batched.tolist() == want, (str(closed), length)
+
+
+def test_planned_one_b_peak_at_n_1024():
+    # Embedding stores no N x N identity, and equality is computed from index
+    # ranges rather than read from the identity's complement, so embedding
+    # and evaluating peak at two N x N int64 arrays.
+    plan = optimize(compile_formula(ONE_B))
+    m = word_model("a" * 600 + "b" + "a" * 423, "ab", "succ")
+    tracemalloc.start()
+    try:
+        value = eval_tensor(plan, embed_model(m))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 1
+    assert peak < 20 << 20
 
 
 def test_values_are_exactly_zero_or_one():
