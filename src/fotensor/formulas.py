@@ -205,15 +205,10 @@ def is_closed(f: Formula) -> bool:
 
 
 def desugar(f: Formula) -> Formula:
-    """Rewrite every implication p -> q into !p | q. Idempotent; free
+    """Rewrite every implication p -> q into !p | q, flattening nested
+    conjunctions and disjunctions as and_/or_ do. Idempotent; free
     variables are unchanged."""
-    return desugar_step(rebuild(f, desugar))
-
-
-def desugar_step(f: Formula) -> Formula:
-    """f with its own implication rewritten and its conjunction or
-    disjunction flattened (as and_/or_ do), given implication-free
-    subformulas."""
+    f = rebuild(f, desugar)
     if isinstance(f, Implies):
         return or_([Not(f.left), f.right])
     if isinstance(f, (And, Or)) and type(f) in map(type, f.items):

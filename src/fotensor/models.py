@@ -183,9 +183,11 @@ class StructureModel:
 
 
 def is_zero_one(arr: np.ndarray) -> bool:
-    """Whether every entry of an integer array is 0 or 1."""
-    # For integers, x & ~1 is nonzero exactly when x is outside {0, 1}.
-    return not np.bitwise_and(arr, ~1).any()
+    """Whether arr is an integer or boolean array whose every entry is 0 or 1."""
+    if arr.dtype.kind not in "biu":
+        return False
+    # Read as unsigned, a negative entry is huge: one reduction, no temporary.
+    return arr.size == 0 or bool(arr.view(arr.dtype.str.replace("i", "u")).max() <= 1)
 
 
 def _check_index(i, domain_size, name):

@@ -15,7 +15,8 @@ Grammar (quantifier scope extends maximally to the right; precedence
 
 `succ`, `prec`, `dom` and `leftof` are reserved binary relation names; any
 other predicate takes its arity from first use, which must stay consistent
-within one parse.
+within one parse. One parse builds one Variable per variable name and one
+PredicateSymbol per predicate name, shared by every use.
 
 Each "(", "!", quantifier and "->" opens one level of nesting until what it
 scopes over ends; a formula nested deeper than MAX_NESTING levels is
@@ -103,7 +104,8 @@ class FormulaParser:
         self._tokens = _tokenize(text)
         self._pos = 0
         self._depth = 0
-        self._arities: dict[str, int] = {name: 2 for name in RESERVED_BINARY}
+        self._variables: dict[str, Variable] = {}
+        self._predicates = {name: PredicateSymbol(name, 2) for name in RESERVED_BINARY}
 
     def parse(self) -> Formula:
         f = self._formula()
@@ -144,7 +146,7 @@ class FormulaParser:
             body = self._formula()
             self._depth -= 1
             ctor = Exists if tok.text == "exists" else Forall
-            return ctor(Variable(var.text), body)
+            return ctor(self._variable(var.text), body)
         return self._implication()
 
     def _implication(self) -> Formula:
@@ -164,14 +166,14 @@ class FormulaParser:
         while self._peek().kind == "PIPE":
             self._advance()
             items.append(self._conjunction())
-        return or_(items)
+        return or_(items) if len(items) > 1 else items[0]
 
     def _conjunction(self) -> Formula:
         items = [self._negation()]
         while self._peek().kind == "AMP":
             self._advance()
             items.append(self._negation())
-        return and_(items)
+        return and_(items) if len(items) > 1 else items[0]
 
     def _negation(self) -> Formula:
         if self._peek().kind == "BANG":
@@ -207,21 +209,25 @@ class FormulaParser:
                     name.pos,
                 )
             arity = len(args)
-            known = self._arities.setdefault(name.text, arity)
-            if known != arity:
+            symbol = self._predicates.get(name.text) or self._predicates.setdefault(
+                name.text, PredicateSymbol(name.text, arity)
+            )
+            if symbol.arity != arity:
                 raise ArityMismatchError(
                     f"predicate {name.text!r} used with {arity} argument(s) but "
-                    f"previously with {known} (at position {name.pos})"
+                    f"previously with {symbol.arity} (at position {name.pos})"
                 )
-            terms = tuple(Variable(a.text) for a in args)
-            return Atom(PredicateSymbol(name.text, arity), terms)
+            return Atom(symbol, tuple(self._variable(a.text) for a in args))
         if nxt.kind == "EQ":
             self._advance()
             right = self._expect("IDENT", "a variable name")
-            return Equal(Variable(name.text), Variable(right.text))
+            return Equal(self._variable(name.text), self._variable(right.text))
         raise ParseError(
             f"expected '(' or '=' after {name.text!r}", nxt.pos
         )
+
+    def _variable(self, name: str) -> Variable:
+        return self._variables.get(name) or self._variables.setdefault(name, Variable(name))
 
 
 def parse_formula(text: str) -> Formula:

@@ -1,11 +1,12 @@
 """Prenex normal form conversion.
 
-The pipeline is: remove implications and standardize bound variables
-apart (fresh-name suffixing x, x1, x2, ...) in one rebuild of the tree,
-normalize negations downward (through quantifiers: !exists x G => forall x
-!G and dually; a negation over a quantifier-free subtree is left in place
-as a whole-subformula complement), then float the quantifiers out
-left-to-right.
+One walk of the tree does the whole conversion. It removes implications
+(p -> q becomes the disjunction !p | q), flattens nested conjunctions and
+disjunctions, renames bound variables apart (fresh-name suffixing x, x1,
+x2, ...), moves negations down just far enough to expose every quantifier
+(!exists x G => forall x !G and dually; a negation over a quantifier-free
+subtree is left in place as a whole-subformula complement), and floats the
+quantifiers out in the order the walk meets them, left to right.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .formulas import (
     and_,
     contains,
     contains_quantifier,
-    desugar_step,
     free_variables,
     or_,
-    rebuild,
     to_text,
 )
 
@@ -77,18 +76,71 @@ def to_prenex(f: Formula) -> PrenexFormula:
     """
     used = {v.name for v in free_variables(f)}
     closed = not used
-    g = _standardize(f, used)
-    prefix, matrix = _pull(_nnf(g)[0])
+    prefix: list[tuple[str, Variable]] = []
+
+    def walk(g: Formula, negated: bool, renamed: dict[str, Variable]) -> Formula:
+        """The matrix of g, or of !g when negated; appends g's quantifiers,
+        renamed apart, to prefix in pre-order. renamed maps the source name
+        of each renamed binder in scope to its new variable; a binder that
+        keeps its name needs no entry, as its name was never met before."""
+        if isinstance(g, Atom):
+            if renamed:
+                g = Atom(g.predicate, tuple(renamed.get(t.name, t) for t in g.terms))
+            return Not(g) if negated else g
+        if isinstance(g, Equal):
+            if renamed:
+                g = Equal(renamed.get(g.left.name, g.left), renamed.get(g.right.name, g.right))
+            return Not(g) if negated else g
+        if isinstance(g, Not):
+            return walk(g.body, not negated, renamed)
+        if isinstance(g, (Exists, Forall)):
+            name = g.var.name
+            var = Variable(_fresh(name, used)) if name in used else g.var
+            used.add(var.name)
+            prefix.append((EXISTS if isinstance(g, Exists) != negated else FORALL, var))
+            return walk(g.body, negated, renamed if var is g.var else {**renamed, name: var})
+        if not isinstance(g, (And, Or, Implies)):
+            raise TypeError(f"not a formula: {g!r}")
+        conjunction = isinstance(g, And)
+        start = len(prefix)
+        parts = [walk(h, negated != flip, renamed) for h, flip in _operands(g, [])]
+        if negated and len(prefix) == start:
+            # No quantifier below: the negation stays over the whole subtree,
+            # whose parts were normalized negated and differ by one Not.
+            parts = [p.body if isinstance(p, Not) else Not(p) for p in parts]
+            return Not((and_ if conjunction else or_)(parts))
+        return (and_ if conjunction != negated else or_)(parts)
+
+    matrix = walk(f, False, {})
     if closed and prefix:
-        want = _empty_domain_value(g)
+        want = _empty_domain_value(f)
         if want != (prefix[0][0] == FORALL):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
-            prefix = [(FORALL if want else EXISTS, dummy)] + prefix
+            prefix.insert(0, (FORALL if want else EXISTS, dummy))
     return PrenexFormula(tuple(prefix), matrix)
 
 
+def _operands(f: Formula, out: list) -> list[tuple[Formula, bool]]:
+    """out extended by the operands of the conjunction, disjunction or
+    implication f, as (subformula, negated) pairs: a conjunct that is a
+    conjunction, or a disjunct that is a disjunction or implication, is
+    replaced by its own operands, and p -> q has the disjuncts !p and q."""
+    if isinstance(f, Implies):
+        out.append((f.left, True))
+        items = (f.right,)
+    else:
+        items = f.items
+    nested = And if isinstance(f, And) else (Or, Implies)
+    for g in items:
+        if isinstance(g, nested):
+            _operands(g, out)
+        else:
+            out.append((g, False))
+    return out
+
+
 def _empty_domain_value(f: Formula) -> bool:
-    """Truth of a closed, desugared formula over the empty domain.
+    """Truth of a closed formula over the empty domain.
 
     Every quantified subformula collapses to a constant there, so the value
     never depends on any atom."""
@@ -102,6 +154,8 @@ def _empty_domain_value(f: Formula) -> bool:
         return all(_empty_domain_value(g) for g in f.items)
     if isinstance(f, Or):
         return any(_empty_domain_value(g) for g in f.items)
+    if isinstance(f, Implies):
+        return not _empty_domain_value(f.left) or _empty_domain_value(f.right)
     raise ValueError(f"formula is not closed: atom {f} outside every quantifier")
 
 
@@ -112,86 +166,3 @@ def _fresh(name: str, used: set[str]) -> str:
         if candidate not in used:
             return candidate
     raise AssertionError("unreachable")
-
-
-def _standardize(f: Formula, used: set[str]) -> Formula:
-    """f with implications removed and every bound variable renamed apart
-    from the names in used, which collects them; one rebuild of the tree."""
-
-    def visit(g: Formula) -> Formula:
-        if isinstance(g, (Exists, Forall)):
-            if g.var.name in used:
-                renamed = Variable(_fresh(g.var.name, used))
-                g = type(g)(renamed, _rename_free(g.body, g.var, renamed))
-            used.add(g.var.name)
-            return rebuild(g, visit)
-        return desugar_step(rebuild(g, visit))
-
-    return visit(f)
-
-
-def _rename_free(f: Formula, old: Variable, new: Variable) -> Formula:
-    def visit(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.predicate, tuple(new if t == old else t for t in g.terms))
-        if isinstance(g, Equal):
-            return Equal(new if g.left == old else g.left, new if g.right == old else g.right)
-        if isinstance(g, (Exists, Forall)) and g.var == old:
-            return g
-        return rebuild(g, visit)
-
-    return visit(f)
-
-
-def _nnf(f: Formula, negated: bool = False) -> tuple[Formula, bool]:
-    """Normalize negations (of f, or of !f when negated) just far enough to
-    expose every quantifier; also returns whether the result has one.
-
-    Double negations cancel and negations flip quantifiers on the way down,
-    but a negation over a quantifier-free subtree stays put: it compiles to
-    a whole-subformula complement, mirroring the complement-of-a-product
-    form the dissimilation study is presented in. Each node is visited once:
-    the subtree's normal form is rebuilt from its negated children's."""
-    if isinstance(f, (Atom, Equal)):
-        return (Not(f) if negated else f), False
-    if isinstance(f, Not):
-        return _nnf(f.body, not negated)
-    if isinstance(f, (Exists, Forall)):
-        body, _ = _nnf(f.body, negated)
-        exists = isinstance(f, Exists) != negated
-        return (Exists if exists else Forall)(f.var, body), True
-    if isinstance(f, (And, Or)):
-        parts = [_nnf(g, negated) for g in f.items]
-        quantified = any(q for _, q in parts)
-        if negated and not quantified:
-            combine = and_ if isinstance(f, And) else or_
-            return Not(combine(_unnegated(g) for g, _ in parts)), False
-        combine = and_ if isinstance(f, And) != negated else or_
-        return combine(g for g, _ in parts), quantified
-    raise TypeError(f"not a desugared formula: {f!r}")
-
-
-def _unnegated(f: Formula) -> Formula:
-    """The normal form of a quantifier-free g, given f, the normal form of
-    !g: the two differ by one negation at the top."""
-    return f.body if isinstance(f, Not) else Not(f)
-
-
-def _pull(f: Formula) -> tuple[list[tuple[str, Variable]], Formula]:
-    if isinstance(f, (Atom, Equal, Not)):
-        return [], f
-    if isinstance(f, (And, Or)):
-        prefix: list[tuple[str, Variable]] = []
-        matrices: list[Formula] = []
-        for g in f.items:
-            p, m = _pull(g)
-            prefix.extend(p)
-            matrices.append(m)
-        combine = and_ if isinstance(f, And) else or_
-        return prefix, combine(matrices)
-    if isinstance(f, (Exists, Forall)):
-        quant = EXISTS if isinstance(f, Exists) else FORALL
-        p, m = _pull(f.body)
-        return [(quant, f.var)] + p, m
-    raise TypeError(f"not an NNF formula: {f!r}")
-

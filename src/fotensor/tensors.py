@@ -348,10 +348,18 @@ def eval_tensor(
     inner quantifiers before outer ones, outer variables counting up.
 
     Raises SemanticError, before allocating anything, when the plan's
-    largest array would exceed MAX_CELLS cells or MAX_AXES axes."""
+    largest array would exceed MAX_CELLS cells or MAX_AXES axes, or a trace
+    would hold more than MAX_TRACE_EVENTS events."""
     if m.batched:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
     _planned_cells(e, m.basis_size, 0)
+    if trace is not None:
+        events = _trace_events(e, m.basis_size)
+        if events > MAX_TRACE_EVENTS:
+            raise SemanticError(
+                f"a trace of this plan on domain size {m.basis_size} holds {events} "
+                f"events, over the limit of {MAX_TRACE_EVENTS}"
+            )
     ev = _Evaluator(m, normalize_assignment(a), trace is not None)
     value = int(ev.scalar(e, (), ()))
     if trace is not None:
@@ -379,6 +387,10 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
 # numpy's limit on the axes of an array (NPY_MAXDIMS).
 MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
+# Most events one traced evaluation may record. An event holds a binding per
+# quantified variable around its node: about 0.6 KB under 8 of them, 0.9 KB under 12.
+MAX_TRACE_EVENTS = 1 << 18
+
 
 def batch_limit(e: TensorExpr, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
@@ -403,6 +415,17 @@ def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
             f"(domain size {n}, k = {depth} variables), over the limit of {MAX_CELLS}"
         )
     return cells
+
+
+def _trace_events(e: TensorExpr, n: int, depth: int = 0) -> int:
+    """Events a trace of e records on domain size n, inside `depth`
+    quantified variables: N^k for each quantifier node, k the quantified
+    variables around it (a contraction's bound ones included)."""
+    if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
+        return n**depth + _trace_events(e.body, n, depth + 1)
+    if isinstance(e, Contract):
+        depth += len(e.order[0])
+    return sum(_trace_events(child, n, depth) for child in children(e))
 
 
 class _Evaluator:

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import random
 from itertools import product
 
 from fotensor import Alphabet, build_word_model, parse_formula
+from fotensor.diffcheck import random_formula
 
 
 def all_words(symbols: str, max_len: int) -> list[str]:
@@ -42,3 +44,12 @@ CLOSED_CORPUS = [
 def corpus_formulas():
     for text, symbols, kinds in CLOSED_CORPUS:
         yield parse_formula(text), symbols, kinds
+
+
+def traversal_corpus():
+    """The 3,000 random formulas whose front-end output test_traversal pins."""
+    rng = random.Random(20191)
+    for i in range(3000):
+        alphabet = ("ab", "abc")[i % 2]
+        kind = ("succ", "prec")[i // 2 % 2]
+        yield random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)

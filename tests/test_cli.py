@@ -445,3 +445,15 @@ def test_import_builds_no_parser():
         "print(len(built))\n"
     )
     assert _fresh_interpreter(["-c", probe]) == (0, "0\n", "")
+
+
+def test_eval_trace_over_the_event_limit_exits_2(monkeypatch, capsys):
+    # Eight nested existentials on "ab" trace 1 + 2 + ... + 128 = 255 events.
+    monkeypatch.setattr(tensors, "MAX_TRACE_EVENTS", 100)
+    expr = " ".join(f"exists x{i}." for i in range(1, 9)) + " a(x1)"
+    assert run(["eval", "--trace", "--expr", expr, "--word", "ab"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds 255 events, over the limit of 100" in captured.err
+    assert run(["eval", "--expr", expr, "--word", "ab"]) == 0
+    assert capsys.readouterr().out == "1\n"

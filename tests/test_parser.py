@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import traversal_corpus
 from fotensor import (
     And,
     ArityMismatchError,
@@ -15,6 +16,7 @@ from fotensor import (
     Variable,
     parse_formula,
 )
+from fotensor.formulas import children, to_text
 from fotensor.parser import MAX_NESTING
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -139,3 +141,28 @@ def test_nesting_limit(kind):
         parse_formula(nested(101))
     assert info.value.position == position
     assert str(info.value) == f"formula nested more than 100 levels deep (at position {position})"
+
+
+def test_one_parse_builds_each_symbol_once():
+    f = parse_formula("exists x. forall y. (b(x) & succ(x, y) & (b(y) -> x = y | succ(y, x)))")
+    seen = {}
+
+    def visit(g):
+        if isinstance(g, Atom):
+            found = [g.predicate, *g.terms]
+        elif isinstance(g, Equal):
+            found = [g.left, g.right]
+        else:
+            found = [g.var] if isinstance(g, (Exists, Forall)) else []
+            for child in children(g):
+                visit(child)
+        for symbol in found:
+            assert seen.setdefault((type(symbol), symbol.name), symbol) is symbol
+
+    visit(f)
+    assert sorted(name for _, name in seen) == ["b", "succ", "x", "y"]
+
+
+def test_rendering_reparses_the_traversal_corpus():
+    for f in traversal_corpus():
+        assert parse_formula(to_text(f)) == f

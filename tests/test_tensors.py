@@ -40,6 +40,7 @@ from fotensor.tensors import (
     RelApply,
     TraceEvent,
 )
+from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _trace_events
 
 ONE_B = parse_formula("exists x. forall y. (b(x) & (b(y) -> x = y))")
 DISS = parse_formula(
@@ -520,3 +521,38 @@ def test_corrupted_clamp_breaks_the_batched_path(monkeypatch):
     monkeypatch.setattr(fotensor.tensors, "min1", lambda x: x)
     with pytest.raises(ClosureError):
         eval_batch(plan, em)
+
+
+def test_trace_size_is_counted_before_evaluating():
+    # The count matches the events recorded, plain and planned; dissimilation
+    # at N = 256 stays traceable, a chain of 24 existentials on "ab" (2^24
+    # cells, the cell limit itself) does not, and is never evaluated here.
+    em = _embedded("abab", "ab", "succ")
+    for formula, _, kinds in corpus_formulas():
+        if "succ" in kinds:
+            for plan in (compile_formula(formula), optimize(compile_formula(formula))):
+                trace: list[TraceEvent] = []
+                eval_tensor(plan, em, trace=trace)
+                assert len(trace) == _trace_events(plan, 4), str(formula)
+    assert _trace_events(compile_formula(DISS), 256) == 1 + 256 + 256**2 <= MAX_TRACE_EVENTS
+    chain = parse_formula(" ".join(f"exists x{i}." for i in range(1, 25)) + " a(x1)")
+    assert _trace_events(compile_formula(chain), 2) == 2**24 - 1 > MAX_TRACE_EVENTS
+
+
+def test_embedding_prec_at_n_1024_allocates_no_temporary():
+    m = word_model("ab" * 512, "ab", "prec")
+    tracemalloc.start()
+    try:
+        embed_model(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_non_integer_relation_tensor_is_rejected():
+    with pytest.raises(ClosureError, match="not a 0/1 tensor"):
+        EmbeddedModel(1, {"a": np.array([0.5])})
+    with pytest.raises(ClosureError, match="not a 0/1 tensor"):
+        EmbeddedModel(2, {"a": np.array([0.0, 1.0])})
+    assert EmbeddedModel(2, {"a": np.array([True, False])}).tensor("a", 1).tolist() == [True, False]
