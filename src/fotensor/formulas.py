@@ -1,8 +1,9 @@
 """First-order formula ASTs over a relational signature.
 
 Terms are variables only; predicates are unary or binary. Connectives are
-negation, n-ary conjunction/disjunction and implication (which is sugar and
-removed by :func:`desugar` before any downstream processing).
+negation, n-ary conjunction/disjunction and implication, sugar for !p | q
+that :func:`prenex.to_prenex` rewrites as it converts (:func:`desugar`
+rewrites only that).
 """
 
 from __future__ import annotations

@@ -90,7 +90,8 @@ class Alphabet:
 
 
 class StructureModel:
-    """Immutable finite relational structure with dense 0/1 relations."""
+    """Immutable finite relational structure with dense 0/1 relations, given
+    as integer or boolean data."""
 
     def __init__(
         self,
@@ -113,11 +114,13 @@ class StructureModel:
 
     @staticmethod
     def _coerce(data, shape, name) -> np.ndarray:
-        arr = np.asarray(data, dtype=_DT)
+        arr = np.asarray(data)
         if arr.shape != shape:
             raise ValueError(f"relation {name!r} has shape {arr.shape}, expected {shape}")
-        if not is_zero_one(arr):
+        # Checked before the cast, which would read 0.5 as 0; numpy types [] as float.
+        if arr.size and not is_zero_one(arr):
             raise ValueError(f"relation {name!r} has entries outside {{0, 1}}")
+        arr = arr.astype(_DT, copy=False)
         arr.flags.writeable = False
         return arr
 

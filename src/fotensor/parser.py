@@ -25,6 +25,8 @@ rejected with a ParseError, so that no later pass runs out of stack.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ArityMismatchError, ParseError
 from .formulas import (
     Atom,
@@ -45,57 +47,26 @@ RESERVED_BINARY = ("succ", "prec", "dom", "leftof")
 MAX_NESTING = 100
 
 _KEYWORDS = ("exists", "forall")
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ".": "DOT",
-    "=": "EQ",
-    "&": "AMP",
-    "|": "PIPE",
-    "!": "BANG",
-}
+# Each match is one token after optional whitespace: punctuation, a word, or
+# any other character. \S, not ".", so that trailing whitespace matches nothing.
+_TOKEN = re.compile(r"\s*(?:(->|[(),.=&|!])|(\w+)|(\S))")
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"_Token({self.kind}, {self.text!r}, {self.pos})"
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) for each token, then ("EOF", "", len(text)).
+    Punctuation is its own kind; a word is a KEYWORD or an IDENT and must
+    start with a letter or "_"."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", i))
-            i += 2
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("EOF", "", n))
+    for m in _TOKEN.finditer(text):
+        punct, word, other = m.groups()
+        pos = m.start(m.lastindex)
+        if punct:
+            tokens.append((punct, punct, pos))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("KEYWORD" if word in _KEYWORDS else "IDENT", word, pos))
+        else:
+            raise ParseError(f"unexpected character {(word or other)[0]!r}", pos)
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -109,15 +80,18 @@ class FormulaParser:
 
     def parse(self) -> Formula:
         f = self._formula()
-        tok = self._peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        kind, text, pos = self._peek()
+        if kind != "EOF":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return f
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._pos]
 
-    def _advance(self) -> _Token:
+    def _at(self, kind: str) -> bool:
+        return self._tokens[self._pos][0] == kind
+
+    def _advance(self) -> tuple[str, str, int]:
         tok = self._tokens[self._pos]
         self._pos += 1
         return tok
@@ -127,31 +101,29 @@ class FormulaParser:
         self._depth += 1
         if self._depth > MAX_NESTING:
             message = f"formula nested more than {MAX_NESTING} levels deep"
-            raise ParseError(message, self._peek().pos)
+            raise ParseError(message, self._peek()[2])
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {found!r}", tok.pos)
+    def _expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        if not self._at(kind):
+            _, text, pos = self._peek()
+            raise ParseError(f"expected {what}, found {text or 'end of input'!r}", pos)
         return self._advance()
 
     def _formula(self) -> Formula:
-        tok = self._peek()
-        if tok.kind == "KEYWORD":
+        if self._at("KEYWORD"):
             self._open()
-            self._advance()
-            var = self._expect("IDENT", "a variable after the quantifier")
-            self._expect("DOT", "'.'")
+            _, keyword, _ = self._advance()
+            _, var, _ = self._expect("IDENT", "a variable after the quantifier")
+            self._expect(".", "'.'")
             body = self._formula()
             self._depth -= 1
-            ctor = Exists if tok.text == "exists" else Forall
-            return ctor(self._variable(var.text), body)
+            ctor = Exists if keyword == "exists" else Forall
+            return ctor(self._variable(var), body)
         return self._implication()
 
     def _implication(self) -> Formula:
         left = self._disjunction()
-        if self._peek().kind == "ARROW":
+        if self._at("->"):
             self._open()
             self._advance()
             # Right-associative; the consequent may open a quantifier whose
@@ -163,20 +135,20 @@ class FormulaParser:
 
     def _disjunction(self) -> Formula:
         items = [self._conjunction()]
-        while self._peek().kind == "PIPE":
+        while self._at("|"):
             self._advance()
             items.append(self._conjunction())
         return or_(items) if len(items) > 1 else items[0]
 
     def _conjunction(self) -> Formula:
         items = [self._negation()]
-        while self._peek().kind == "AMP":
+        while self._at("&"):
             self._advance()
             items.append(self._negation())
         return and_(items) if len(items) > 1 else items[0]
 
     def _negation(self) -> Formula:
-        if self._peek().kind == "BANG":
+        if self._at("!"):
             self._open()
             self._advance()
             body = self._negation()
@@ -185,46 +157,42 @@ class FormulaParser:
         return self._atom()
 
     def _atom(self) -> Formula:
-        tok = self._peek()
-        if tok.kind == "LPAREN":
+        if self._at("("):
             self._open()
             self._advance()
             inner = self._formula()
-            self._expect("RPAREN", "')'")
+            self._expect(")", "')'")
             self._depth -= 1
             return inner
-        name = self._expect("IDENT", "a predicate or variable name")
-        nxt = self._peek()
-        if nxt.kind == "LPAREN":
+        _, name, pos = self._expect("IDENT", "a predicate or variable name")
+        if self._at("("):
             self._advance()
-            args = [self._expect("IDENT", "a variable name")]
-            while self._peek().kind == "COMMA":
+            args = [self._expect("IDENT", "a variable name")[1]]
+            while self._at(","):
                 self._advance()
-                args.append(self._expect("IDENT", "a variable name"))
-            self._expect("RPAREN", "')'")
+                args.append(self._expect("IDENT", "a variable name")[1])
+            self._expect(")", "')'")
             if len(args) > 2:
                 raise ParseError(
-                    f"predicate {name.text!r} used with {len(args)} arguments; "
+                    f"predicate {name!r} used with {len(args)} arguments; "
                     "relations are at most binary",
-                    name.pos,
+                    pos,
                 )
             arity = len(args)
-            symbol = self._predicates.get(name.text) or self._predicates.setdefault(
-                name.text, PredicateSymbol(name.text, arity)
+            symbol = self._predicates.get(name) or self._predicates.setdefault(
+                name, PredicateSymbol(name, arity)
             )
             if symbol.arity != arity:
                 raise ArityMismatchError(
-                    f"predicate {name.text!r} used with {arity} argument(s) but "
-                    f"previously with {symbol.arity} (at position {name.pos})"
+                    f"predicate {name!r} used with {arity} argument(s) but "
+                    f"previously with {symbol.arity} (at position {pos})"
                 )
-            return Atom(symbol, tuple(self._variable(a.text) for a in args))
-        if nxt.kind == "EQ":
+            return Atom(symbol, tuple(map(self._variable, args)))
+        if self._at("="):
             self._advance()
-            right = self._expect("IDENT", "a variable name")
-            return Equal(self._variable(name.text), self._variable(right.text))
-        raise ParseError(
-            f"expected '(' or '=' after {name.text!r}", nxt.pos
-        )
+            _, right, _ = self._expect("IDENT", "a variable name")
+            return Equal(self._variable(name), self._variable(right))
+        raise ParseError(f"expected '(' or '=' after {name!r}", self._peek()[2])
 
     def _variable(self, name: str) -> Variable:
         return self._variables.get(name) or self._variables.setdefault(name, Variable(name))

@@ -420,7 +420,7 @@ def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
 def _trace_events(e: TensorExpr, n: int, depth: int = 0) -> int:
     """Events a trace of e records on domain size n, inside `depth`
     quantified variables: N^k for each quantifier node, k the quantified
-    variables around it (a contraction's bound ones included)."""
+    variables around it (a contraction's used bound ones included)."""
     if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
         return n**depth + _trace_events(e.body, n, depth + 1)
     if isinstance(e, Contract):
@@ -474,8 +474,8 @@ class _Evaluator:
             return _closed(min1(total) if exists else 1 - min1(total))
         if isinstance(e, Contract):
             (axes, steps, rest, _), outer = e.order, len(scope)
-            # The factors sit inside one loop per bound variable.
-            path += (None,) * len(e.bound)
+            # The factors sit inside one loop per bound variable they use.
+            path += (None,) * len(axes)
             counts = [self.scalar(g, scope + axes, path + (k,)) for k, g in enumerate(e.factors)]
             for axis, slots in steps:
                 *head, last = (counts[k] for k in slots)

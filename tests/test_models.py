@@ -196,10 +196,11 @@ def test_load_rejects_non_integer_entries():
 
 
 def test_relations_must_be_zero_one():
-    for bad in ([0, 2], [-1, 1], [1, 3]):
+    for bad in ([0, 2], [-1, 1], [1, 3], [0.5, 1]):
         with pytest.raises(ValueError, match=r"entries outside \{0, 1\}"):
             StructureModel(2, {"a": bad})
     assert StructureModel(2, {"a": [1, 0]}, {"r": [[0, 1], [1, 1]]}).unary["a"].tolist() == [1, 0]
+    assert StructureModel(0, {"a": []}).unary["a"].dtype == np.int64
     assert is_zero_one(np.zeros((0, 3), dtype=np.int64))
     assert not is_zero_one(np.array([[0, 1], [1, -2]]))
 

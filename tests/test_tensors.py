@@ -34,6 +34,7 @@ from fotensor import (
 from fotensor.tensors import (
     MAX_CELLS,
     batch_limit,
+    Contract,
     DualSumOverDomain,
     Min1SumOverDomain,
     Product,
@@ -537,6 +538,20 @@ def test_trace_size_is_counted_before_evaluating():
     assert _trace_events(compile_formula(DISS), 256) == 1 + 256 + 256**2 <= MAX_TRACE_EVENTS
     chain = parse_formula(" ".join(f"exists x{i}." for i in range(1, 25)) + " a(x1)")
     assert _trace_events(compile_formula(chain), 2) == 2**24 - 1 > MAX_TRACE_EVENTS
+
+
+def test_trace_under_a_contraction_with_an_unused_bound_variable():
+    # The quantifier below the contraction loops over x only, so its trace
+    # holds N events whichever bound variables the contraction lists.
+    x, y, z = (fotensor.Variable(name) for name in "xyz")
+    body = (RelApply("a", (x,)), Min1SumOverDomain(z, RelApply("succ", (x, z))))
+    em = _embedded("aab", "ab", "succ")
+    for bound in ((x, y), (y, x), (x,)):
+        plan = Contract(bound, (Product(body),))
+        trace: list[TraceEvent] = []
+        assert eval_tensor(plan, em, trace=trace) == 1
+        assert len(trace) == _trace_events(plan, 3) == 3
+        assert [dict(t.bindings)["x"] for t in trace] == [1, 2, 3]
 
 
 def test_embedding_prec_at_n_1024_allocates_no_temporary():
