@@ -2,8 +2,7 @@
 
 Terms are variables only; predicates are unary or binary. Connectives are
 negation, n-ary conjunction/disjunction and implication, sugar for !p | q
-that :func:`prenex.to_prenex` rewrites as it converts (:func:`desugar`
-rewrites only that).
+that :func:`prenex.to_prenex` rewrites as it converts.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ class Variable:
     name: str
 
     def __post_init__(self):
-        if not self.name or not self.name.isascii():
-            raise ValueError(f"variable name must be a nonempty ASCII token: {self.name!r}")
+        if not self.name:
+            raise ValueError("variable name must be nonempty")
 
     def __str__(self):
         return self.name
@@ -199,22 +198,6 @@ def free_variables(f: Formula) -> set[Variable]:
     if isinstance(f, (Exists, Forall)):
         out.discard(f.var)
     return out
-
-
-def is_closed(f: Formula) -> bool:
-    return not free_variables(f)
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite every implication p -> q into !p | q, flattening nested
-    conjunctions and disjunctions as and_/or_ do. Idempotent; free
-    variables are unchanged."""
-    f = rebuild(f, desugar)
-    if isinstance(f, Implies):
-        return or_([Not(f.left), f.right])
-    if isinstance(f, (And, Or)) and type(f) in map(type, f.items):
-        return (and_ if isinstance(f, And) else or_)(f.items)
-    return f
 
 
 def contains(f: Node, types: type | tuple[type, ...]) -> bool:

@@ -91,7 +91,7 @@ class Alphabet:
 
 class StructureModel:
     """Immutable finite relational structure with dense 0/1 relations, given
-    as integer or boolean data."""
+    as integer or boolean data; the model keeps its own int64 copy."""
 
     def __init__(
         self,
@@ -120,7 +120,7 @@ class StructureModel:
         # Checked before the cast, which would read 0.5 as 0; numpy types [] as float.
         if arr.size and not is_zero_one(arr):
             raise ValueError(f"relation {name!r} has entries outside {{0, 1}}")
-        arr = arr.astype(_DT, copy=False)
+        arr = arr.astype(_DT)  # a copy: the caller's array stays theirs and writable
         arr.flags.writeable = False
         return arr
 
@@ -135,14 +135,14 @@ class StructureModel:
         check_domain_size(domain_size)
         uvecs = {}
         for name, positions in (unary or {}).items():
-            vec = np.zeros(domain_size, dtype=_DT)
+            vec = np.zeros(domain_size, dtype=bool)
             for i in positions:
                 _check_index(i, domain_size, name)
                 vec[i - 1] = 1
             uvecs[name] = vec
         bmats = {}
         for name, pairs in (binary or {}).items():
-            mat = np.zeros((domain_size, domain_size), dtype=_DT)
+            mat = np.zeros((domain_size, domain_size), dtype=bool)
             for i, j in pairs:
                 _check_index(i, domain_size, name)
                 _check_index(j, domain_size, name)
@@ -189,8 +189,10 @@ def is_zero_one(arr: np.ndarray) -> bool:
     """Whether arr is an integer or boolean array whose every entry is 0 or 1."""
     if arr.dtype.kind not in "biu":
         return False
+    if arr.dtype.kind == "b" or arr.size == 0:  # bool is 0/1 by its type
+        return True
     # Read as unsigned, a negative entry is huge: one reduction, no temporary.
-    return arr.size == 0 or bool(arr.view(arr.dtype.str.replace("i", "u")).max() <= 1)
+    return bool(arr.view(arr.dtype.str.replace("i", "u")).max() <= 1)
 
 
 def _check_index(i, domain_size, name):
@@ -203,7 +205,7 @@ def _check_index(i, domain_size, name):
 
 
 def _label_vectors(word: str, alphabet: Alphabet) -> dict[str, np.ndarray]:
-    vectors = {sym: np.zeros(len(word), dtype=_DT) for sym in alphabet}
+    vectors = {sym: np.zeros(len(word), dtype=bool) for sym in alphabet}
     for pos, ch in enumerate(word):
         if ch not in alphabet:
             raise UnknownSymbolError(f"symbol {ch!r} at position {pos + 1} not in alphabet")
@@ -236,15 +238,16 @@ def normalize_kind(kind: str) -> str:
 
 
 def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
-    """Name and matrix of the order relation of every word model of the given
-    length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does not depend
-    on the word's labels. Refused past MAX_CELLS (check_domain_size)."""
+    """Name and boolean matrix of the order relation of every word model of
+    the given length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does
+    not depend on the word's labels. Refused past MAX_CELLS
+    (check_domain_size)."""
     kind = normalize_kind(kind)
     check_domain_size(length)
     if kind == "succ":
-        return SUCC, np.eye(length, k=1, dtype=_DT)
+        return SUCC, np.eye(length, k=1, dtype=bool)
     if kind == "prec":
-        return PREC, np.triu(np.ones((length, length), dtype=_DT), k=1)
+        return PREC, np.less.outer(np.arange(length), np.arange(length))
     raise ValueError("tree models are not built from words; use build_tree_model")
 
 

@@ -26,11 +26,9 @@ from .tensors import (
     Complement,
     Contract,
     DualSumOverDomain,
-    EqApply,
     Min1Sum,
     Min1SumOverDomain,
     Product,
-    RelApply,
     TensorExpr,
 )
 
@@ -81,10 +79,6 @@ def _join(kind: type, parts) -> TensorExpr:
 
 def _negate(e: TensorExpr) -> TensorExpr:
     """The complement of the planned plan e, by De Morgan's laws."""
-    if isinstance(e, RelApply):
-        return RelApply(e.predicate, e.terms, not e.negated)
-    if isinstance(e, EqApply):
-        return EqApply(e.left, e.right, not e.negated)
     if isinstance(e, Complement):
         return e.body
     if isinstance(e, Product):

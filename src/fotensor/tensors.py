@@ -6,7 +6,7 @@ truth value (for binary relations, e_i . R e_j), and equality is the
 bilinear form of the identity, e_i . I e_j = [i = j]. Compiled formulas
 evaluate by exact arithmetic over these tensors:
 
-    negative literal      the complement 1...1 - R of the placed literal
+    negative literal      compl over the literal: 1...1 - R, placed
     negation              1 - x
     conjunction           product of the conjuncts
     disjunction           min1(sum of the disjuncts)
@@ -25,20 +25,21 @@ assignments to the quantified variables in its scope at the same time, as
 an int64 array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
-column for a variable the assignment binds), complemented there when it is
-negated. An equality x = y places the index range 0..N-1 on the axis of x
-and on the axis of y and compares the two, so [i = j] comes from the
-indices alone. Conjunction is a broadcast product and disjunction a
-clamped sum. A quantifier sums its body over the variable's axis after
-broadcasting that axis to the domain size N, which makes existentials 0
-and universals 1 on an empty domain. A contraction
-runs its order (Contract.order): it eliminates the bound variables one at
-a time, summing an axis that one factor uses and contracting two or more
-factors with one np.matmul on float64 counts (exact below 2^53); a bound
-variable that no factor uses gets no axis. Before allocating anything,
-evaluation refuses a plan whose largest array, N^k cells, is past
-MAX_CELLS, where k counts the quantifiers around a node of a plain plan,
-or a contraction's variables in its largest factor, step or output.
+column for a variable the assignment binds), and a negative literal the
+complement node over it, 1 minus that placed tensor. An equality x = y
+places the index range 0..N-1 on the axis of x and on the axis of y and
+compares the two, so [i = j] comes from the indices alone. Conjunction is
+a broadcast product and disjunction a clamped sum. A quantifier sums its
+body over the variable's axis after broadcasting that axis to the domain
+size N, which makes existentials 0 and universals 1 on an empty domain. A
+contraction runs its order (Contract.order): it eliminates the bound
+variables one at a time, summing an axis that one factor uses and
+contracting two or more factors with one np.matmul on float64 counts
+(exact below 2^53); a bound variable that no factor uses gets no axis.
+Before allocating anything, evaluation refuses a plan whose largest
+array, N^k cells, is past MAX_CELLS, where k counts the quantifiers
+around a node of a plain plan, or a contraction's variables in its
+largest factor, step or output.
 
 All words of one length share their order relation and differ only in
 their labels. A batched model (embed_words) stacks the label vectors of B
@@ -101,14 +102,6 @@ def min1(x):
     return min(int(x), 1)
 
 
-def negate_relation(t: np.ndarray) -> np.ndarray:
-    """Complement tensor 1...1 - t, encoding the negated relation. Raises
-    ClosureError unless t is a 0/1 tensor."""
-    if not is_zero_one(t):
-        raise ClosureError("negate_relation requires a 0/1 tensor")
-    return np.ones_like(t) - t
-
-
 class EmbeddedModel:
     """A structure mapped into R^N: its relation tensors over a domain of
     basis_size elements.
@@ -169,7 +162,7 @@ def embed_words(
     for i in reversed(range(length)):
         codes, digits[:, i] = np.divmod(codes, base)
     labels = {sym: (digits == k).astype(_DT) for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(length, {**labels, name: order}, batched=labels, digits=digits)
+    return EmbeddedModel(length, {**labels, name: order.astype(_DT)}, batched=labels, digits=digits)
 
 
 # --- evaluation plans ---------------------------------------------------
@@ -206,14 +199,12 @@ class TensorExpr(Node):
 class RelApply(TensorExpr):
     predicate: str
     terms: tuple[Variable, ...]
-    negated: bool = False
 
 
 @dataclass(frozen=True)
 class EqApply(TensorExpr):
     left: Variable
     right: Variable
-    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -307,12 +298,7 @@ def _compile_matrix(f: Formula) -> TensorExpr:
     if isinstance(f, Equal):
         return EqApply(f.left, f.right)
     if isinstance(f, Not):
-        inner = f.body
-        if isinstance(inner, Atom):
-            return RelApply(inner.predicate.name, inner.terms, negated=True)
-        if isinstance(inner, Equal):
-            return EqApply(inner.left, inner.right, negated=True)
-        return Complement(_compile_matrix(inner))
+        return Complement(_compile_matrix(f.body))
     if isinstance(f, And):
         return Product(tuple(_compile_matrix(g) for g in f.items))
     if isinstance(f, Or):
@@ -450,11 +436,10 @@ class _Evaluator:
         if isinstance(e, RelApply):
             # A batched relation's leading axis goes on the batch axis.
             terms = (_BATCH, *e.terms) if e.predicate in self.m.batched else e.terms
-            t = self.place(self.m.tensor(e.predicate, len(e.terms)), terms, scope)
-            return negate_relation(t) if e.negated else t
+            return self.place(self.m.tensor(e.predicate, len(e.terms)), terms, scope)
         if isinstance(e, EqApply):
             left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
-            return (left != right if e.negated else left == right).astype(_DT)
+            return (left == right).astype(_DT)
         if isinstance(e, Complement):
             return 1 - self.scalar(e.body, scope, path + (0,))
         if isinstance(e, Product):
@@ -613,9 +598,6 @@ def _dump(e, pad: str, out: list[str]) -> None:
         head = _HEADS[type(e)](e)
     except KeyError:
         raise TypeError(f"not a plan node: {e!r}") from None
-    if isinstance(e, (RelApply, EqApply)) and e.negated:
-        out += [f"{pad}(compl", f"{pad}  ({head}))"]
-        return
     out.append(f"{pad}({head}")
     for child in children(e):
         _dump(child, pad + "  ", out)

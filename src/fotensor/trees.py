@@ -124,14 +124,14 @@ def build_tree_model(
     n = len(order)
     check_domain_size(n)
 
-    unary = {sym: np.zeros(n, dtype=np.int64) for sym in alphabet}
+    unary = {sym: np.zeros(n, dtype=bool) for sym in alphabet}
     for addr, label in labeled:
         if label not in alphabet:
             raise UnknownSymbolError(f"label {label!r} for node {addr} not in alphabet")
         unary[label][index[addr] - 1] = 1
 
-    dom = np.zeros((n, n), dtype=np.int64)
-    leftof = np.zeros((n, n), dtype=np.int64)
+    dom = np.zeros((n, n), dtype=bool)
+    leftof = np.zeros((n, n), dtype=bool)
     domain = set(addresses)
     for addr in order:
         if not addr.is_root:

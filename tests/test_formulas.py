@@ -1,18 +1,15 @@
 from fotensor import (
     And,
     Atom,
-    Equal,
-    Implies,
-    Not,
     Or,
     Variable,
     and_,
     atom,
-    desugar,
     free_variables,
     or_,
     parse_formula,
     predicates,
+    to_prenex,
 )
 
 
@@ -25,33 +22,13 @@ def test_atom_arity_checked():
         Atom(PredicateSymbol("b", 1), (Variable("x"), Variable("y")))
 
 
-def test_desugar_rewrites_implication():
-    f = Implies(atom("b", "y"), Equal(Variable("x"), Variable("y")))
-    assert desugar(f) == Or((Not(atom("b", "y")), Equal(Variable("x"), Variable("y"))))
-
-
-def test_desugar_identity_on_implication_free():
-    f = parse_formula("a(x) & (b(y) | !c(z))")
-    assert desugar(f) == f
-
-
-def test_desugar_idempotent():
-    for text in [
-        "a(x) -> b(x)",
-        "exists x. (a(x) -> forall y. (b(y) -> x = y))",
-        "(a(x) -> b(x)) -> c(x)",
-    ]:
-        once = desugar(parse_formula(text))
-        assert desugar(once) == once
-
-
 def test_desugar_matches_truth_table():
     # p -> q and !p | q agree on all four {0,1}x{0,1} combinations, checked
     # with the Tarskian oracle over one-element models.
     from fotensor import StructureModel, tarski_eval
 
     sugar = parse_formula("p(x) -> q(x)")
-    plain = desugar(sugar)
+    plain = to_prenex(sugar).to_formula()
     for p in (0, 1):
         for q in (0, 1):
             m = StructureModel(1, {"p": [p], "q": [q]})
@@ -68,7 +45,7 @@ def test_free_variables():
 
 def test_desugar_preserves_free_variables():
     f = parse_formula("a(x) -> exists y. succ(x, y)")
-    assert free_variables(desugar(f)) == free_variables(f) == {Variable("x")}
+    assert free_variables(to_prenex(f).to_formula()) == free_variables(f) == {Variable("x")}
 
 
 def test_constructors_flatten():
@@ -92,6 +69,7 @@ def test_rendering_reparses():
         "!(a(x) -> b(x))",
         "exists x. (a(x) | (exists y. succ(x, y)))",
         "!x = y & a(x)",
+        "exists xé. forall x². (a(xé) & (a(x²) -> xé = x²))",
     ]
     for text in texts:
         f = parse_formula(text)

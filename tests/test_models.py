@@ -111,6 +111,14 @@ def test_structures_are_immutable():
     m = build_successor_model("ab", Alphabet("ab"))
     with pytest.raises(ValueError):
         m.unary["a"][0] = 0
+    # The model copies the caller's array: that stays writable, and writing
+    # to it leaves the model as it was.
+    a = np.array([1, 0])
+    m = StructureModel(2, {"a": a})
+    a[0] = 0
+    assert m.unary["a"].tolist() == [1, 0]
+    with pytest.raises(ValueError):
+        m.unary["a"][0] = 0
 
 
 def test_dump_matches_documented_format():

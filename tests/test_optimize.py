@@ -35,7 +35,8 @@ X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 
 def _rel(name, *terms, negated=False):
-    return RelApply(name, terms, negated)
+    rel = RelApply(name, terms)
+    return Complement(rel) if negated else rel
 
 
 def _assert_equivalent(plan, optimized, words, symbols, kind, assignment=None):

@@ -7,7 +7,6 @@ from fotensor import (
     Not,
     Or,
     Variable,
-    desugar,
     free_variables,
     parse_formula,
     tarski_eval,
@@ -154,7 +153,6 @@ def test_desugar_required_first_is_handled_internally():
     f = parse_formula("a(x) -> b(x)")
     pf = to_prenex(f)
     assert not contains(pf.matrix, Implies)
-    assert desugar(f) == desugar(desugar(f))
 
 
 def test_negation_normal_form_walks_each_subtree_once(monkeypatch):

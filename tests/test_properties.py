@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import all_words, word_model
 from fotensor import (
     compile_formula,
-    desugar,
     embed_model,
     eval_tensor,
     free_variables,
@@ -29,14 +28,6 @@ def _formula_from(seed, scope=()):
     kind = rng.choice(("succ", "prec"))
     formula = random_formula(rng, ("a", "b"), kind, scope=scope)
     return formula, kind
-
-
-@given(st.integers(0, 10**9))
-@settings(max_examples=120, deadline=None)
-def test_desugar_idempotent(seed):
-    formula, _ = _formula_from(seed)
-    once = desugar(formula)
-    assert desugar(once) == once
 
 
 @given(st.integers(0, 10**9))

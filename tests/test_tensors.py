@@ -26,7 +26,6 @@ from fotensor import (
     formula_diss,
     formula_one_b,
     min1,
-    negate_relation,
     optimize,
     parse_formula,
     tarski_eval,
@@ -34,6 +33,7 @@ from fotensor import (
 from fotensor.tensors import (
     MAX_CELLS,
     batch_limit,
+    Complement,
     Contract,
     DualSumOverDomain,
     Min1SumOverDomain,
@@ -89,25 +89,6 @@ def test_relation_contraction_matches_source_truth():
         for j in range(1, 5):
             value = int(basis[i - 1] @ em.relation_tensors["succ"] @ basis[j - 1])
             assert value == ((i, j) in m.binary_pairs("succ"))
-
-
-def test_negate_relation_examples():
-    b = np.array([0, 1, 1, 0])
-    assert negate_relation(b).tolist() == [1, 0, 0, 1]
-    zero = np.zeros((2, 2), dtype=int)
-    assert negate_relation(zero).tolist() == [[1, 1], [1, 1]]
-
-
-def test_negate_relation_rejects_non_binary_tensor():
-    with pytest.raises(ClosureError):
-        negate_relation(np.array([0, 2]))
-
-
-def test_negate_relation_involution():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        r = rng.integers(0, 2, size=(4, 4))
-        assert np.array_equal(negate_relation(negate_relation(r)), r)
 
 
 def test_transpose_encode_examples():
@@ -169,7 +150,7 @@ def test_compile_dissimilation_plan_structure():
     # forall-dual x (forall-dual y (exists-sum z (min1sum of a complemented
     # product and a product))): the negated antecedent compiles as a
     # complement over the whole conjunction, not literal by literal.
-    from fotensor.tensors import Complement, Min1Sum
+    from fotensor.tensors import Min1Sum
 
     plan = compile_formula(DISS)
     assert isinstance(plan, DualSumOverDomain)
@@ -189,7 +170,7 @@ def test_compile_open_atom_is_a_leaf():
 
 def test_negative_literal_compiles_to_complement_tensor():
     plan = compile_formula(parse_formula("!b(x)"))
-    assert plan == RelApply("b", plan.terms, negated=True)
+    assert plan == Complement(RelApply("b", plan.body.terms))
     em = _embedded("ab", "ab", "succ")
     assert eval_tensor(plan, em, {"x": 1}) == 1
     assert eval_tensor(plan, em, {"x": 2}) == 0

@@ -25,7 +25,7 @@ from fotensor.tensors import (
 
 X, Y = Variable("x"), Variable("y")
 A, SUCC = atom("a", "x"), atom("succ", "x", "y")
-REL, NEQ = RelApply("a", (X,)), EqApply(X, Y, negated=True)
+REL, NEQ = RelApply("a", (X,)), Complement(EqApply(X, Y))
 
 # One node of every formula and plan node class.
 EXAMPLES = [
@@ -38,8 +38,8 @@ EXAMPLES = [
     Exists(X, A),
     Forall(Y, SUCC),
     REL,
+    EqApply(X, Y),
     NEQ,
-    Complement(REL),
     Product((REL, NEQ)),
     Min1Sum((REL, NEQ)),
     Min1SumOverDomain(X, REL),
