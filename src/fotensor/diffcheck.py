@@ -3,10 +3,11 @@
 Each case draws an alphabet, a string model kind, a word and a random
 closed formula over matching predicates, then evaluates the formula along
 every path: the compiled plan, its optimized (planned) form, the planned
-plan on a batch of every word of the case word's length (read at the case
-word) and the oracle. Any disagreement (or evaluation failure, which
-includes a violated 0/1-closure check) is reported with the per-case seed
-so it can be replayed. Generation is fully deterministic in the base seed.
+plan on a batch of words from the case word on, longer ones included, so
+that the case word is padded (read at the case word), and the oracle. Any
+disagreement (or evaluation failure, which includes a violated 0/1-closure
+check) is reported with the per-case seed so it can be replayed.
+Generation is fully deterministic in the base seed.
 """
 
 from __future__ import annotations
@@ -208,17 +209,16 @@ def compare_paths(
 
 
 def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) -> int:
-    """Value of the plan at the word, read from one eval_batch over
-    every word of its length (over the chunk that holds the word, when they
-    do not fit in one batch)."""
-    code = 0
+    """Value of the plan at the word, read from one eval_batch over a chunk
+    of words in iter_words order that starts at it and runs on over the
+    words one letter longer, as many as one batch of those holds: padded
+    past its own letters, the word relies on the domain mask."""
+    number = 0  # the word's place in iter_words order: its bijective base-|alphabet| numeral
     for ch in word:
-        code = code * len(alphabet) + alphabet.symbols.index(ch)
-    step = batch_limit(plan, len(word))
-    start = code - code % step
-    stop = min(start + step, len(alphabet) ** len(word))
-    values = eval_batch(plan, embed_words(alphabet, len(word), kind, start, stop))
-    return int(values[code - start])
+        number = number * len(alphabet) + alphabet.symbols.index(ch) + 1
+    longer = len(word) + 1
+    stop = min(number + batch_limit(plan, longer), sum(len(alphabet) ** k for k in range(longer + 1)))
+    return int(eval_batch(plan, embed_words(alphabet, longer, kind, number, stop))[0])
 
 
 def run_differential_check(

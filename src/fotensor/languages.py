@@ -16,7 +16,8 @@ oracle; both must agree, and the test suite enforces that they do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 from typing import Iterator
 
 import numpy as np
@@ -102,10 +103,12 @@ def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
 def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -> list[str]:
     """All accepted words of length <= max_len, in length-then-lex order.
 
-    The tensor path evaluates the planned plan once per length on all words
-    of that length together (eval_batch), in chunks of at most batch_limit
-    words. It raises SemanticError before evaluating anything when a single
-    word of length max_len is already past the memory limit."""
+    The tensor path evaluates the planned plan on the words in iter_words
+    order in chunks, one eval_batch per chunk (see embed_words): a chunk
+    runs across lengths, as far as batch_limit allows at its longest word
+    and padding its words to that length at most doubles its cells. It
+    raises SemanticError before evaluating anything when a single word of
+    length max_len is already past the memory limit."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     if path not in PATHS:
@@ -118,12 +121,21 @@ def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -
         ]
     plan = optimize(compile_formula(spec.formula))
     batch_limit(plan, max_len)
-    words = []
-    for length in range(max_len + 1):
-        total, step = len(spec.alphabet) ** length, batch_limit(plan, length)
-        for start in range(0, total, step):
-            stop = min(start + step, total)
-            model = embed_words(spec.alphabet, length, spec.model_kind, start, stop)
-            accepted = model.digits[eval_batch(plan, model).nonzero()[0]]
-            words.extend(map("".join, np.array(spec.alphabet.symbols)[accepted].tolist()))
+    # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
+    firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
+    letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter
+    words, start, k = [], 0, plan._relativized._extent[1]
+    while start < firsts[-1]:
+        stop = own = 0  # own: the chunk's cells unpadded, L^k per word of length L
+        for length in range(bisect_right(firsts, start) - 1, max_len + 1):
+            end = min(start + batch_limit(plan, length), firsts[length + 1])
+            own += (end - max(start, firsts[length])) * length**k
+            if end > stop and (end - start) * length**k <= 2 * own:
+                stop = end
+            if stop < firsts[length + 1]:  # no longer word joins the chunk
+                break
+        model = embed_words(spec.alphabet, max_len, spec.model_kind, start, stop)
+        accepted = model.digits[eval_batch(plan, model).nonzero()[0]]
+        words.extend(map("".join, letters[accepted].tolist()))
+        start = stop
     return words

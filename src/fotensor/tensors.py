@@ -41,12 +41,14 @@ array, N^k cells, is past MAX_CELLS, where k counts the quantifiers
 around a node of a plain plan, or a contraction's variables in its
 largest factor, step or output.
 
-All words of one length share their order relation and differ only in
-their labels. A batched model (embed_words) stacks the label vectors of B
-such words as (B, N) tensors next to the one shared order tensor, and
-eval_batch evaluates a closed plan on all of them at once: the batch is one
-more axis in front of the quantified variables', carried by every literal
-over a batched relation, so arrays grow to B * N^k cells.
+A batched model (embed_words) stands for B words, each padded to the
+longest, N letters: (B, N) labels and a (B, N) domain mask of each word's
+own positions, next to one shared (N, N) order tensor, which on a word's
+first L positions is the order of that word. eval_batch evaluates a closed
+plan on all of them at once: the batch is one more axis in front of the
+quantified variables', carried by every literal over a batched relation,
+so arrays grow to B * N^k cells. It runs the plan relativized to the mask
+(TensorExpr._relativized), so that each word sees only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, every clamp checks its
@@ -59,10 +61,12 @@ iteration symbolically and bind its size only at evaluation time.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -75,7 +79,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children
+from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children, rebuild
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -102,15 +106,23 @@ def min1(x):
     return min(int(x), 1)
 
 
+# The domain mask's name in plans (see TensorExpr._relativized): no model
+# may hold a relation of that name, and the parser cannot produce it.
+DOMAIN = "#domain"
+
+
 class EmbeddedModel:
     """A structure mapped into R^N: its relation tensors over a domain of
     basis_size elements.
 
     A batched model stands for B structures over the same domain: each
     relation named in `batched` carries a leading axis of size B, one entry
-    per structure, and the other relations are shared by all of them. For
-    embed_words, `digits` holds each word's letters as alphabet positions.
-    Raises ClosureError unless every relation tensor is 0/1."""
+    per structure, and the other relations are shared by all of them. A
+    (B, N) `domain` mask restricts each structure to the elements where it
+    holds (by default all of them); plans read it as the unary relation
+    DOMAIN. For embed_words, `digits` holds each word's letters as alphabet
+    positions. Raises ClosureError unless every tensor is 0/1, and
+    ValueError for a relation named DOMAIN."""
 
     def __init__(
         self,
@@ -118,17 +130,23 @@ class EmbeddedModel:
         relation_tensors: dict[str, np.ndarray],
         batched: Iterable[str] = (),
         digits: np.ndarray | None = None,
+        domain: np.ndarray | None = None,
     ):
-        for name, t in relation_tensors.items():
-            if not is_zero_one(t):
+        if DOMAIN in relation_tensors:
+            raise ValueError(f"relation name {DOMAIN!r} is reserved for the domain mask")
+        for name, t in [*relation_tensors.items(), (DOMAIN, domain)]:
+            if t is not None and not is_zero_one(t):
                 raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
         self.basis_size = basis_size
         self.relation_tensors = dict(relation_tensors)
         self.digits = digits
+        self.domain = domain
         self.batched = frozenset(batched)
         self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
 
     def tensor(self, name: str, arity: int) -> np.ndarray:
+        if name == DOMAIN:
+            return np.ones(self.basis_size, bool) if self.domain is None else self.domain
         try:
             t = self.relation_tensors[name]
         except KeyError:
@@ -145,24 +163,37 @@ def embed_model(m: StructureModel) -> EmbeddedModel:
 
 
 def embed_words(
-    alphabet: Alphabet, length: int, kind: str, start: int = 0, stop: int | None = None
+    alphabet: Alphabet, max_len: int, kind: str, start: int = 0, stop: int | None = None
 ) -> EmbeddedModel:
-    """Batched model of the words of one length over the alphabet, in
-    iter_words order: the words whose codes, read as base-|alphabet| numerals
-    of `length` digits in alphabet order, run from start to stop - 1 (by
-    default all |alphabet|^length of them). Each label is a (B, length)
-    tensor, built from the digits without a per-word model; the order
-    relation is one shared (length, length) matrix."""
+    """Batched model of the words of length <= max_len numbered start to
+    stop - 1 in iter_words order (shortest first, then lexicographic in
+    alphabet order), by default all of them, each padded to the longest of
+    them, N letters. The labels and the domain mask are (B, N) bool tensors,
+    0 past a word's own letters, and `digits` holds len(alphabet) there. The
+    order relation is one shared (N, N) matrix. Built from each word's code,
+    its base-|alphabet| numeral, without a per-word model."""
     base = len(alphabet)
-    stop = base**length if stop is None else stop
-    if not 0 <= start <= stop <= base**length:
-        raise ValueError(f"word codes {start}..{stop} outside 0..{base**length}")
-    name, order = order_relation(length, kind)
-    codes, digits = np.arange(start, stop, dtype=_DT), np.empty((stop - start, length), _DT)
-    for i in reversed(range(length)):
-        codes, digits[:, i] = np.divmod(codes, base)
-    labels = {sym: (digits == k).astype(_DT) for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(length, {**labels, name: order.astype(_DT)}, batched=labels, digits=digits)
+    firsts = [0, *itertools.accumulate(base**k for k in range(max_len + 1))]
+    stop = firsts[-1] if stop is None else stop
+    if not 0 <= start <= stop <= firsts[-1]:
+        raise ValueError(f"word numbers {start}..{stop} outside 0..{firsts[-1]}")
+    # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
+    low, n = (bisect.bisect_right(firsts, k, hi=max_len + 1) - 1 for k in (start, max(stop - 1, start)))
+    name, order = order_relation(n, kind)
+    runs = [(length, max(firsts[length], start) - start, min(firsts[length + 1], stop) - start)
+            for length in range(low, n + 1)]
+    codes = np.concatenate([np.arange(a, b) + (start - firsts[length]) for length, a, b in runs])
+    # Each code's numeral in n digits, then each word's own last L of them.
+    numerals = np.empty((stop - start, n), np.min_scalar_type(base))
+    for i in reversed(range(n)):
+        codes, numerals[:, i] = np.divmod(codes, base)
+    digits = np.full_like(numerals, base)
+    for length, a, b in runs:
+        digits[a:b, :length] = numerals[a:b, n - length:]
+    labels = {sym: digits == k for k, sym in enumerate(alphabet)}
+    return EmbeddedModel(
+        n, {**labels, name: order}, batched=labels, digits=digits, domain=digits != base
+    )
 
 
 # --- evaluation plans ---------------------------------------------------
@@ -193,6 +224,32 @@ class TensorExpr(Node):
         are immutable, and the cache lives outside the dataclass fields, so
         equality and hashing ignore it."""
         return _extent(self)
+
+    @functools.cached_property
+    def _relativized(self) -> TensorExpr:
+        """The plan rooted here with every quantified variable v restricted
+        to the domain mask, built once per node from its children's: an
+        exists-sum over v takes the factor RelApply(DOMAIN, (v,)) and a
+        forall-dual its complement as a term. A contraction keeps its order,
+        each step also taking its variable's domain factor (first: it has the
+        fewest variables), and a bound variable no factor uses becomes a
+        contraction of its domain factor alone (min1 of N^k is [N > 0])."""
+        e, r = self, rebuild(self, attrgetter("_relativized"))
+        if isinstance(e, Min1SumOverDomain):
+            return Min1SumOverDomain(e.var, Product((RelApply(DOMAIN, (e.var,)), r.body)))
+        if isinstance(e, DualSumOverDomain):
+            return DualSumOverDomain(e.var, Min1Sum((Complement(RelApply(DOMAIN, (e.var,))), r.body)))
+        if not isinstance(e, Contract):
+            return r
+        (axes, steps, rest, peak), m = e.order, len(e.factors)
+        used = tuple(v for v in e.bound if v.name in axes)
+        moved = lambda k: k if k < m else k + len(used)  # noqa: E731 (a step result's slot)
+        out = Contract(used, r.factors + tuple(RelApply(DOMAIN, (v,)) for v in used))
+        out.__dict__["order"] = (  # seeds the cached property
+            axes, tuple((a, (m + a, *map(moved, slots))) for a, slots in steps), tuple(map(moved, rest)), peak
+        )
+        nonempty = [Contract((v,), (RelApply(DOMAIN, (v,)),)) for v in e.bound if v.name not in axes]
+        return Product((out, *nonempty)) if nonempty else out
 
 
 @dataclass(frozen=True)
@@ -355,8 +412,8 @@ def eval_tensor(
 
 def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     """Evaluate a closed plan on each structure of a batched model (see
-    embed_words) at once; returns their values, each exactly 0 or 1, as an
-    array of shape (B,). A model without batched relations is a batch of one.
+    embed_words), each over its domain mask (e._relativized), at once: an
+    array of B values, each exactly 0 or 1. Without batched relations, B is 1.
 
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
@@ -364,10 +421,10 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     if b > batch_limit(e, n):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
-            f"{b} * {n}^{e._extent[1]} cells, over the limit of {MAX_CELLS}"
+            f"{b} * {n}^{e._relativized._extent[1]} cells, over the limit of {MAX_CELLS}"
         )
-    value = _Evaluator(m, {}, False).scalar(e, (_BATCH.name,), ())
-    return np.broadcast_to(value, (b,)).copy()
+    value = _Evaluator(m, {}, False).scalar(e._relativized, (_BATCH.name,), ())
+    return np.broadcast_to(value, (b,)).astype(_DT)
 
 
 # numpy's limit on the axes of an array (NPY_MAXDIMS).
@@ -380,9 +437,10 @@ MAX_TRACE_EVENTS = 1 << 18
 
 def batch_limit(e: TensorExpr, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
-    for plan e: MAX_CELLS // N^k, N^k the planned peak per structure. Raises
-    SemanticError when one structure is past MAX_CELLS or MAX_AXES."""
-    return MAX_CELLS // max(_planned_cells(e, n, 1), 1)
+    for plan e: MAX_CELLS // N^k, N^k the planned peak per structure of the
+    relativized plan that eval_batch runs. Raises SemanticError when one
+    structure is past MAX_CELLS or MAX_AXES."""
+    return MAX_CELLS // max(_planned_cells(e._relativized, n, 1), 1)
 
 
 def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
@@ -435,13 +493,13 @@ class _Evaluator:
     def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
             # A batched relation's leading axis goes on the batch axis.
-            terms = (_BATCH, *e.terms) if e.predicate in self.m.batched else e.terms
-            return self.place(self.m.tensor(e.predicate, len(e.terms)), terms, scope)
+            t = self.m.tensor(e.predicate, len(e.terms))
+            return self.place(t, (_BATCH, *e.terms) if t.ndim > len(e.terms) else e.terms, scope)
         if isinstance(e, EqApply):
             left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
             return (left == right).astype(_DT)
         if isinstance(e, Complement):
-            return 1 - self.scalar(e.body, scope, path + (0,))
+            return _complement(self.scalar(e.body, scope, path + (0,)))
         if isinstance(e, Product):
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.factors)]
             return functools.reduce(np.multiply, values)
@@ -452,7 +510,7 @@ class _Evaluator:
             exists = isinstance(e, Min1SumOverDomain)
             body = self.scalar(e.body, scope + (e.var.name,), path + (None,))
             # Broadcast to N: a body that ignores the variable counts N times.
-            total = np.broadcast_to(body if exists else 1 - body, body.shape[:-1] + (self.n,)).sum(-1)
+            total = np.broadcast_to(body if exists else _complement(body), body.shape[:-1] + (self.n,)).sum(-1)
             if self.events is not None:
                 tag = "exists-sum" if exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
@@ -542,6 +600,11 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
     out = np.matmul(x, y).reshape(lead + r + c + [1] * (len(ones) + 1))
     perm = stack + rows + cols + ones + [v]
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _complement(v: np.ndarray) -> np.ndarray:
+    """1 - v on a 0/1 array, bool (as a relation may be) or integer."""
+    return ~v if v.dtype == bool else 1 - v
 
 
 def _closed(v: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import random
 from itertools import product
 
-from fotensor import Alphabet, build_word_model, parse_formula
+from fotensor import Alphabet, build_word_model, embed_words, parse_formula
 from fotensor.diffcheck import random_formula
 
 
@@ -18,6 +18,14 @@ def all_words(symbols: str, max_len: int) -> list[str]:
 
 def word_model(word: str, symbols: str, kind: str):
     return build_word_model(word, Alphabet(symbols), kind)
+
+
+def embed_length(symbols: str, n: int, kind: str, start: int = 0, stop: int | None = None):
+    """embed_words over the words of length n alone: those whose codes run
+    from start to stop - 1 (by default all of them)."""
+    first = sum(len(symbols) ** k for k in range(n))
+    stop = len(symbols) ** n if stop is None else stop
+    return embed_words(Alphabet(symbols), n, kind, first + start, first + stop)
 
 
 # Closed formulas paired with their alphabet and the model kinds they can be

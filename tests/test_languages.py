@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import fotensor.languages as languages
@@ -267,16 +268,24 @@ def test_enumerate_in_chunks_equals_one_batch(monkeypatch):
     real = languages.eval_batch
 
     def spy(plan, model):
-        batches.append((model.basis_size, model.batch_size))
+        letters = np.array([*spec.alphabet.symbols, ""])
+        batches.append((model.basis_size, list(map("".join, letters[model.digits].tolist()))))
         return real(plan, model)
 
     monkeypatch.setattr(languages, "eval_batch", spy)
-    # The planned plan's arrays have at most two variables: N^2 per word.
+    # The planned plan's arrays have at most two variables: N^2 per word,
+    # N the chunk's longest word.
     monkeypatch.setattr(tensors, "MAX_CELLS", 7 * 5**2)
     assert enumerate_language(spec, 5) == whole
-    assert all(b * n**2 <= 7 * 5**2 for n, b in batches)
-    assert [b for n, b in batches if n == 5] == [7] * 34 + [5]
-    assert sum(b for _, b in batches) == sum(3**n for n in range(6))
+    assert all(len(words) * n**2 <= 7 * 5**2 for n, words in batches)
+    assert all(n == max(map(len, words)) for n, words in batches)
+    # Padding to N at most doubles a chunk's cells.
+    assert all(len(words) * n**2 <= 2 * sum(len(w) ** 2 for w in words) for n, words in batches)
+    # The chunks cover every word once, in order, and a chunk that ends
+    # inside a length is full: one more word would pass the limit.
+    assert [w for _, words in batches for w in words] == list(iter_words(spec.alphabet, 5))
+    for (n, words), (_, after) in zip(batches, batches[1:]):
+        assert len(after[0]) > n or (len(words) + 1) * n**2 > 7 * 5**2
 
 
 def test_enumerate_refuses_a_word_over_the_limit_before_allocating():

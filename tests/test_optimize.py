@@ -3,12 +3,10 @@ import random
 
 import pytest
 
-from conftest import all_words, word_model
+from conftest import all_words, embed_length, word_model
 from fotensor import (
-    Alphabet,
     compile_formula,
     embed_model,
-    embed_words,
     eval_batch,
     eval_tensor,
     optimize,
@@ -169,7 +167,7 @@ def test_contract_over_a_variable_no_factor_uses(text):
         words = ["".join(w) for w in itertools.product("ab", repeat=length)]
         want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
         single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
-        batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
+        batched = eval_batch(optimized, embed_length("ab", length, "succ"))
         assert single == batched.tolist() == want, length
 
 
@@ -212,7 +210,7 @@ def test_miniscoping_at_the_top_of_a_closed_plan(text, planned):
         words = ["".join(w) for w in itertools.product("ab", repeat=length)]
         want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
         single = [eval_tensor(optimized, embed_model(word_model(w, "ab", "succ"))) for w in words]
-        batched = eval_batch(optimized, embed_words(Alphabet("ab"), length, "succ"))
+        batched = eval_batch(optimized, embed_length("ab", length, "succ"))
         assert single == batched.tolist() == want, length
 
 
@@ -270,7 +268,7 @@ def test_contraction_counts_stay_exact_past_int64():
     text = " ".join(f"exists {v}." for v in names) + " (" + " & ".join(f"a({v})" for v in names) + ")"
     optimized = optimize(compile_formula(parse_formula(text)))
     assert eval_tensor(optimized, embed_model(word_model("a" * 64, "ab", "succ"))) == 1
-    assert eval_batch(optimized, embed_words(Alphabet("ab"), 64, "succ", 0, 2)).tolist() == [1, 1]
+    assert eval_batch(optimized, embed_length("ab", 64, "succ", 0, 2)).tolist() == [1, 1]
 
 
 def test_random_plans_preserve_evaluation():
