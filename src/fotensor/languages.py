@@ -124,7 +124,7 @@ def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
     letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter
-    words, start, k = [], 0, plan._relativized._extent[1]
+    words, start, k = [], 0, plan._extent[1]
     while start < firsts[-1]:
         stop = own = 0  # own: the chunk's cells unpadded, L^k per word of length L
         for length in range(bisect_right(firsts, start) - 1, max_len + 1):

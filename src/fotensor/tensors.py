@@ -47,8 +47,8 @@ own positions, next to one shared (N, N) order tensor, which on a word's
 first L positions is the order of that word. eval_batch evaluates a closed
 plan on all of them at once: the batch is one more axis in front of the
 quantified variables', carried by every literal over a batched relation,
-so arrays grow to B * N^k cells. It runs the plan relativized to the mask
-(TensorExpr._relativized), so that each word sees only its own positions.
+so arrays grow to B * N^k cells. Each sum over a variable multiplies in
+the mask on its axis, so that each word sees only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, every clamp checks its
@@ -66,7 +66,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -79,7 +79,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children, rebuild
+from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -106,11 +106,6 @@ def min1(x):
     return min(int(x), 1)
 
 
-# The domain mask's name in plans (see TensorExpr._relativized): no model
-# may hold a relation of that name, and the parser cannot produce it.
-DOMAIN = "#domain"
-
-
 class EmbeddedModel:
     """A structure mapped into R^N: its relation tensors over a domain of
     basis_size elements.
@@ -119,10 +114,9 @@ class EmbeddedModel:
     relation named in `batched` carries a leading axis of size B, one entry
     per structure, and the other relations are shared by all of them. A
     (B, N) `domain` mask restricts each structure to the elements where it
-    holds (by default all of them); plans read it as the unary relation
-    DOMAIN. For embed_words, `digits` holds each word's letters as alphabet
-    positions. Raises ClosureError unless every tensor is 0/1, and
-    ValueError for a relation named DOMAIN."""
+    holds (by default all of them); only eval_batch reads it, wherever it
+    sums a variable out. For embed_words, `digits` holds each word's letters
+    as alphabet positions. Raises ClosureError unless every tensor is 0/1."""
 
     def __init__(
         self,
@@ -132,11 +126,11 @@ class EmbeddedModel:
         digits: np.ndarray | None = None,
         domain: np.ndarray | None = None,
     ):
-        if DOMAIN in relation_tensors:
-            raise ValueError(f"relation name {DOMAIN!r} is reserved for the domain mask")
-        for name, t in [*relation_tensors.items(), (DOMAIN, domain)]:
-            if t is not None and not is_zero_one(t):
+        for name, t in relation_tensors.items():
+            if not is_zero_one(t):
                 raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
+        if domain is not None and not is_zero_one(domain):
+            raise ClosureError("the domain mask is not a 0/1 tensor")
         self.basis_size = basis_size
         self.relation_tensors = dict(relation_tensors)
         self.digits = digits
@@ -145,8 +139,6 @@ class EmbeddedModel:
         self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
 
     def tensor(self, name: str, arity: int) -> np.ndarray:
-        if name == DOMAIN:
-            return np.ones(self.basis_size, bool) if self.domain is None else self.domain
         try:
             t = self.relation_tensors[name]
         except KeyError:
@@ -224,32 +216,6 @@ class TensorExpr(Node):
         are immutable, and the cache lives outside the dataclass fields, so
         equality and hashing ignore it."""
         return _extent(self)
-
-    @functools.cached_property
-    def _relativized(self) -> TensorExpr:
-        """The plan rooted here with every quantified variable v restricted
-        to the domain mask, built once per node from its children's: an
-        exists-sum over v takes the factor RelApply(DOMAIN, (v,)) and a
-        forall-dual its complement as a term. A contraction keeps its order,
-        each step also taking its variable's domain factor (first: it has the
-        fewest variables), and a bound variable no factor uses becomes a
-        contraction of its domain factor alone (min1 of N^k is [N > 0])."""
-        e, r = self, rebuild(self, attrgetter("_relativized"))
-        if isinstance(e, Min1SumOverDomain):
-            return Min1SumOverDomain(e.var, Product((RelApply(DOMAIN, (e.var,)), r.body)))
-        if isinstance(e, DualSumOverDomain):
-            return DualSumOverDomain(e.var, Min1Sum((Complement(RelApply(DOMAIN, (e.var,))), r.body)))
-        if not isinstance(e, Contract):
-            return r
-        (axes, steps, rest, peak), m = e.order, len(e.factors)
-        used = tuple(v for v in e.bound if v.name in axes)
-        moved = lambda k: k if k < m else k + len(used)  # noqa: E731 (a step result's slot)
-        out = Contract(used, r.factors + tuple(RelApply(DOMAIN, (v,)) for v in used))
-        out.__dict__["order"] = (  # seeds the cached property
-            axes, tuple((a, (m + a, *map(moved, slots))) for a, slots in steps), tuple(map(moved, rest)), peak
-        )
-        nonempty = [Contract((v,), (RelApply(DOMAIN, (v,)),)) for v in e.bound if v.name not in axes]
-        return Product((out, *nonempty)) if nonempty else out
 
 
 @dataclass(frozen=True)
@@ -365,10 +331,6 @@ def _compile_matrix(f: Formula) -> TensorExpr:
 
 # --- evaluation ----------------------------------------------------------
 
-# The batch axis's pseudo-variable. The parser cannot produce this name.
-_BATCH = Variable("#batch")
-
-
 class TraceEvent(NamedTuple):
     tag: str
     variable: str
@@ -393,7 +355,7 @@ def eval_tensor(
     Raises SemanticError, before allocating anything, when the plan's
     largest array would exceed MAX_CELLS cells or MAX_AXES axes, or a trace
     would hold more than MAX_TRACE_EVENTS events."""
-    if m.batched:
+    if m.batched or m.domain is not None:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
     _planned_cells(e, m.basis_size, 0)
     if trace is not None:
@@ -412,8 +374,8 @@ def eval_tensor(
 
 def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     """Evaluate a closed plan on each structure of a batched model (see
-    embed_words), each over its domain mask (e._relativized), at once: an
-    array of B values, each exactly 0 or 1. Without batched relations, B is 1.
+    embed_words), each over its domain mask, at once: an array of B values,
+    each exactly 0 or 1. Without batched relations, B is 1.
 
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
@@ -421,9 +383,9 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     if b > batch_limit(e, n):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
-            f"{b} * {n}^{e._relativized._extent[1]} cells, over the limit of {MAX_CELLS}"
+            f"{b} * {n}^{e._extent[1]} cells, over the limit of {MAX_CELLS}"
         )
-    value = _Evaluator(m, {}, False).scalar(e._relativized, (_BATCH.name,), ())
+    value = _Evaluator(m, {}, False).scalar(e, (None,), ())
     return np.broadcast_to(value, (b,)).astype(_DT)
 
 
@@ -437,10 +399,10 @@ MAX_TRACE_EVENTS = 1 << 18
 
 def batch_limit(e: TensorExpr, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
-    for plan e: MAX_CELLS // N^k, N^k the planned peak per structure of the
-    relativized plan that eval_batch runs. Raises SemanticError when one
+    for plan e: MAX_CELLS // N^k, N^k the planned peak of e per structure
+    (the domain mask adds no variable). Raises SemanticError when one
     structure is past MAX_CELLS or MAX_AXES."""
-    return MAX_CELLS // max(_planned_cells(e._relativized, n, 1), 1)
+    return MAX_CELLS // max(_planned_cells(e, n, 1), 1)
 
 
 def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
@@ -476,7 +438,8 @@ class _Evaluator:
     """One evaluation of a plan. Each node value is an integer array with
     one axis per quantified variable in scope (outermost first), of size 1
     where the node does not depend on that variable. A batched evaluation
-    opens the scope with the batch pseudo-variable.
+    opens the scope with the batch axis, named None as no variable can be,
+    and multiplies in the domain mask, if any, at every sum over a variable.
 
     Trace events are recorded with a sort key that restores the nested-loop
     order: the path from the root, where a quantifier contributes its loop
@@ -490,11 +453,9 @@ class _Evaluator:
         self.env = env
         self.events: list | None = [] if tracing else None
 
-    def scalar(self, e, scope: tuple[str, ...], path: tuple) -> np.ndarray:
+    def scalar(self, e, scope: tuple[str | None, ...], path: tuple) -> np.ndarray:
         if isinstance(e, RelApply):
-            # A batched relation's leading axis goes on the batch axis.
-            t = self.m.tensor(e.predicate, len(e.terms))
-            return self.place(t, (_BATCH, *e.terms) if t.ndim > len(e.terms) else e.terms, scope)
+            return self.place(self.m.tensor(e.predicate, len(e.terms)), e.terms, scope)
         if isinstance(e, EqApply):
             left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
             return (left == right).astype(_DT)
@@ -507,10 +468,13 @@ class _Evaluator:
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.terms)]
             return _closed(min1(functools.reduce(np.add, values)))
         if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-            exists = isinstance(e, Min1SumOverDomain)
-            body = self.scalar(e.body, scope + (e.var.name,), path + (None,))
+            exists, inner = isinstance(e, Min1SumOverDomain), scope + (e.var.name,)
+            body = self.scalar(e.body, inner, path + (None,))
+            body = body if exists else _complement(body)
+            if self.m.domain is not None:
+                body = body * self.mask(len(scope), len(inner))
             # Broadcast to N: a body that ignores the variable counts N times.
-            total = np.broadcast_to(body if exists else _complement(body), body.shape[:-1] + (self.n,)).sum(-1)
+            total = np.broadcast_to(body, body.shape[:-1] + (self.n,)).sum(-1)
             if self.events is not None:
                 tag = "exists-sum" if exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
@@ -522,23 +486,28 @@ class _Evaluator:
             counts = [self.scalar(g, scope + axes, path + (k,)) for k, g in enumerate(e.factors)]
             for axis, slots in steps:
                 *head, last = (counts[k] for k in slots)
+                if self.m.domain is not None:
+                    head.insert(0, self.mask(outer + axis, outer + len(axes)))
                 counts.append(
                     _matmul(functools.reduce(np.multiply, head), last, outer + axis)
                     if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
                 )
             total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
             total = total.reshape(total.shape[:outer])
-            if len(axes) < len(e.bound) and self.n == 0:
-                total = total * 0  # N^k for the unused bound variables: min1 sees only N = 0
+            if len(axes) < len(e.bound):
+                # N^k for the unused bound variables: min1 sees only whether N > 0.
+                nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
+                total = total * self.place(nonempty, (), scope)
             return _closed(min1(total).astype(_DT, copy=False))
         raise TypeError(f"not a plan node: {e!r}")
 
-    def place(self, t: np.ndarray, terms, scope: tuple[str, ...]) -> np.ndarray:
+    def place(self, t: np.ndarray, terms, scope: tuple[str | None, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
         one axis per scope variable. A quantified variable takes its scope
         axis (the innermost one of that name), and a variable the assignment
-        binds fixes a row or column."""
-        index, axes = [], []
+        binds fixes a row or column. A batched t, one axis more than terms,
+        has its leading axis on the batch axis, scope position 0."""
+        index, axes = ([slice(None)], [0]) if t.ndim > len(terms) else ([], [])
         for v in terms:
             axis = _scope_axis(scope, v.name)
             if axis is None:
@@ -556,6 +525,12 @@ class _Evaluator:
         for p, size in zip(out, t.shape):
             shape[p] = size
         return t.reshape(shape)
+
+    def mask(self, axis: int, width: int) -> np.ndarray:
+        """The (B, N) domain mask on the batch axis and on `axis` of `width`."""
+        shape = [1] * width
+        shape[0], shape[axis] = self.m.domain.shape
+        return self.m.domain.reshape(shape)
 
     def index(self, var: Variable) -> int:
         """0-based domain position the assignment gives var."""
@@ -578,7 +553,7 @@ class _Evaluator:
             self.events.append((key, event))
 
 
-def _scope_axis(scope: tuple[str, ...], name: str) -> int | None:
+def _scope_axis(scope: tuple[str | None, ...], name: str) -> int | None:
     for p in range(len(scope) - 1, -1, -1):
         if scope[p] == name:
             return p

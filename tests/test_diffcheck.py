@@ -107,7 +107,9 @@ def test_batched_path_disagreement_fails_the_check(monkeypatch):
 def test_batched_value_reads_the_case_word_from_its_chunk(monkeypatch):
     formula = parse_formula("forall x. (b(x) -> exists y. (a(y) & succ(y, x)))")
     alphabet = Alphabet("ab")
-    monkeypatch.setattr(tensors, "MAX_CELLS", 5 * 4**2)  # chunks of 5 of the 16 words
+    # The plan peaks at N^2 cells, so at N = 5 a chunk holds 80 // 25 = 3
+    # words from the case word on.
+    monkeypatch.setattr(tensors, "MAX_CELLS", 5 * 4**2)
     for word in ("aaaa", "abab", "aabb", "baaa", "abba", "bbbb"):
         em = embed_model(build_successor_model(word, alphabet))
         plan = compile_formula(formula)

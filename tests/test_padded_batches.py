@@ -11,6 +11,7 @@ import fotensor.tensors as tensors
 from conftest import all_words, word_model
 from fotensor import (
     Alphabet,
+    Exists,
     LanguageSpec,
     Variable,
     compile_formula,
@@ -23,11 +24,10 @@ from fotensor import (
     load_structure,
     optimize,
     parse_formula,
+    atom,
     tarski_eval,
 )
-from fotensor.cli import main
 from fotensor.tensors import (
-    DOMAIN,
     Complement,
     Contract,
     DualSumOverDomain,
@@ -74,6 +74,7 @@ def _hand_built(kind):
             Contract((X,), (Complement(Contract((Y,), (Complement(RelApply("b", (Y,))),))),)),
             "exists x. !(exists y. !b(y))",
         ),
+        (Min1SumOverDomain(X, Contract((Y,), (RelApply("a", (X,)),))), "exists x. exists y. a(x)"),
     ]
 
 
@@ -163,11 +164,11 @@ def test_a_300_letter_alphabet_keeps_every_digit(monkeypatch):
 
 
 def test_a_batch_ignores_relations_named_like_the_mask():
-    # Only the reserved name is refused; a tree's dom, or a relation named
-    # domain or #batch, is an ordinary relation.
+    # A tree's dom, or a relation named domain, #domain or #batch, is an
+    # ordinary relation.
     doc = {
         "domain": 3,
-        "unary": {"domain": [1], "#batch": [2]},
+        "unary": {"domain": [1], "#domain": [3], "#batch": [2]},
         "binary": {"dom": [[1, 2], [1, 3]]},
     }
     m = load_structure(json.dumps(doc))
@@ -182,16 +183,22 @@ def test_a_batch_ignores_relations_named_like_the_mask():
             assert eval_batch(plan, embed_model(m)).tolist() == [eval_tensor(plan, embed_model(m))] == [want]
 
 
-def test_the_mask_name_is_refused_as_a_relation(tmp_path, capsys):
-    doc = json.dumps({"domain": 2, "unary": {DOMAIN: [1]}})
-    with pytest.raises(ValueError, match=f"relation name '{DOMAIN}' is reserved"):
-        embed_model(load_structure(doc))
-    with pytest.raises(ValueError, match="reserved"):
-        tensors.EmbeddedModel(2, {DOMAIN: np.ones(2, bool)})
-    path = tmp_path / "s.json"
-    path.write_text(doc)
-    assert main(["eval", "--expr", "exists x. x = x", "--structure", str(path)]) == 1
-    assert "reserved for the domain mask" in capsys.readouterr().err
+def test_a_variable_named_like_the_batch_axis_is_an_ordinary_variable():
+    # The batch axis is a scope position, not a name a variable can take.
+    plan = compile_formula(Exists(Variable("#batch"), atom("b", "#batch")))
+    em = embed_words(Alphabet("ab"), 2, "succ")  # "", a, b, aa, ab, ba, bb
+    for p in (plan, optimize(plan)):
+        assert eval_batch(p, em).tolist() == [0, 0, 1, 0, 1, 1, 1]
+
+
+def test_eval_tensor_refuses_a_masked_model():
+    # eval_tensor's scope has no batch axis for a mask, even one without
+    # batched relations, to go on.
+    m = tensors.EmbeddedModel(2, {"a": np.array([True, False])}, domain=np.array([[True, False]]))
+    plan = compile_formula(parse_formula("forall x. a(x)"))
+    with pytest.raises(ValueError, match="use eval_batch"):
+        eval_tensor(plan, m)
+    assert eval_batch(plan, m).tolist() == [1]
 
 
 def test_iter_words_numbers_the_batch():
