@@ -35,6 +35,9 @@ from .tensors import TensorExpr, batch_limit, compile_formula, embed_model, embe
 
 _VAR_POOL = ("x", "y", "z")
 
+# Most quantifiers in one random formula, which bounds its prenex prefix.
+_MAX_QUANTIFIERS = 3
+
 # Node choice weights: connective / atom / quantifier / equality.
 _WEIGHTS = {"connective": 40, "atom": 30, "quantifier": 20, "equality": 10}
 
@@ -48,13 +51,12 @@ def random_formula(
     labels: tuple[str, ...],
     order_relation: str,
     max_depth: int = 3,
-    max_vars: int = 3,
     scope: tuple[str, ...] = (),
 ) -> Formula:
     """A random formula over the given unary labels and binary order
-    relation; closed whenever the initial scope is empty. At most max_vars
-    quantifiers appear in total, bounding the prenex prefix."""
-    formula, _ = _gen(rng, list(scope), labels, order_relation, max_depth, max_vars)
+    relation; closed whenever the initial scope is empty. At most
+    _MAX_QUANTIFIERS quantifiers appear in total."""
+    formula, _ = _gen(rng, list(scope), labels, order_relation, max_depth, _MAX_QUANTIFIERS)
     return formula
 
 
@@ -186,12 +188,12 @@ class CheckReport:
         return json.dumps(doc, indent=2)
 
 
-def case_from_seed(index: int, case_seed: int, max_word_len: int, max_depth: int) -> CheckCase:
+def case_from_seed(index: int, case_seed: int) -> CheckCase:
     rng = random.Random(case_seed)
     alphabet_text = "abc"[: rng.randint(1, 3)]
     kind = rng.choice(("succ", "prec"))
-    word = random_word(rng, Alphabet(alphabet_text), max_word_len)
-    formula = random_formula(rng, tuple(alphabet_text), kind, max_depth=max_depth)
+    word = random_word(rng, Alphabet(alphabet_text))
+    formula = random_formula(rng, tuple(alphabet_text), kind)
     return CheckCase(index, case_seed, kind, alphabet_text, word, formula)
 
 
@@ -221,18 +223,13 @@ def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) ->
     return int(eval_batch(plan, embed_words(alphabet, longer, kind, number, stop))[0])
 
 
-def run_differential_check(
-    count: int,
-    seed: int = 0,
-    max_word_len: int = 5,
-    max_depth: int = 3,
-) -> CheckReport:
+def run_differential_check(count: int, seed: int = 0) -> CheckReport:
     if count < 1:
         raise ValueError("count must be at least 1")
     failures = []
     for index in range(count):
         case_seed = (seed * 1_000_003 + index) & 0x7FFFFFFF
-        case = case_from_seed(index, case_seed, max_word_len, max_depth)
+        case = case_from_seed(index, case_seed)
         alphabet = Alphabet(case.alphabet)
         try:
             plan = compile_formula(case.formula)
@@ -240,11 +237,11 @@ def run_differential_check(
             tensor, optimized, oracle = compare_paths(
                 case.formula, plan, planned, case.word, case.kind, alphabet
             )
-            batched = batched_value(planned, case.word, case.kind, alphabet)
+            batch = batched_value(planned, case.word, case.kind, alphabet)
         except Exception as exc:  # report, never hide: a crash is a failed case
             error = f"{type(exc).__name__}: {exc}"
             failures.append(CheckFailure(case, None, None, None, None, error))
             continue
-        if len({tensor, optimized, batched, oracle}) > 1:
-            failures.append(CheckFailure(case, tensor, optimized, batched, oracle, None))
+        if len({tensor, optimized, batch, oracle}) > 1:
+            failures.append(CheckFailure(case, tensor, optimized, batch, oracle, None))
     return CheckReport(count, seed, tuple(failures))

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .formulas import Formula, free_variables, predicates
-from .models import Alphabet, build_word_model, normalize_kind
+from .models import Alphabet, build_word_model, check_kind
 from .optimize import optimize
 from .oracle import tarski_eval
 from .parser import parse_formula
@@ -41,7 +41,7 @@ class LanguageSpec:
     alphabet: Alphabet
 
     def __post_init__(self):
-        object.__setattr__(self, "model_kind", normalize_kind(self.model_kind))
+        check_kind(self.model_kind)
         if free_variables(self.formula):
             raise ValueError("language formulas must be closed")
         order = _ORDER_RELATIONS[self.model_kind]

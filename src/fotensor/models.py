@@ -24,12 +24,11 @@ from .errors import SemanticError, StructureFormatError, UnknownSymbolError
 SUCC = "succ"
 PREC = "prec"
 
-_DT = np.int64
-
 # Largest array, in cells, that building or evaluating a model may allocate:
 # every builder refuses a structure whose N x N relations would pass it
 # (check_domain_size), and evaluation refuses plans whose node values need
-# more (see tensors.batch_limit). 2^24 int64 cells are 128 MiB.
+# more (see tensors.batch_limit). 2^24 cells are 16 MiB as bool relations and
+# node values, 128 MiB as the float64 counts of a contraction.
 MAX_CELLS = 1 << 24
 
 # Variable assignments map variable names to 1-based domain indices.
@@ -91,7 +90,7 @@ class Alphabet:
 
 class StructureModel:
     """Immutable finite relational structure with dense 0/1 relations, given
-    as integer or boolean data; the model keeps its own int64 copy."""
+    as integer or boolean data; the model keeps its own bool copy."""
 
     def __init__(
         self,
@@ -117,10 +116,10 @@ class StructureModel:
         arr = np.asarray(data)
         if arr.shape != shape:
             raise ValueError(f"relation {name!r} has shape {arr.shape}, expected {shape}")
-        # Checked before the cast, which would read 0.5 as 0; numpy types [] as float.
+        # Checked before the cast, which would read 0.5 or 2 as 1; numpy types [] as float.
         if arr.size and not is_zero_one(arr):
             raise ValueError(f"relation {name!r} has entries outside {{0, 1}}")
-        arr = arr.astype(_DT)  # a copy: the caller's array stays theirs and writable
+        arr = arr.astype(bool)  # a copy: the caller's array stays theirs and writable
         arr.flags.writeable = False
         return arr
 
@@ -227,14 +226,10 @@ def build_precedence_model(word: str, alphabet: Alphabet) -> StructureModel:
 
 MODEL_KINDS = ("succ", "prec", "tree")
 
-_KIND_ALIASES = {"successor": "succ", "precedence": "prec"}
 
-
-def normalize_kind(kind: str) -> str:
-    kind = _KIND_ALIASES.get(kind, kind)
+def check_kind(kind: str) -> None:
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    return kind
 
 
 def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
@@ -242,7 +237,7 @@ def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
     the given length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does
     not depend on the word's labels. Refused past MAX_CELLS
     (check_domain_size)."""
-    kind = normalize_kind(kind)
+    check_kind(kind)
     check_domain_size(length)
     if kind == "succ":
         return SUCC, np.eye(length, k=1, dtype=bool)

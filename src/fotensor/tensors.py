@@ -22,11 +22,11 @@ identity.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
-an int64 array with one axis per such variable; the axis has size 1 where
+a bool array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
 column for a variable the assignment binds), and a negative literal the
-complement node over it, 1 minus that placed tensor. An equality x = y
+complement node over it, the placed tensor inverted. An equality x = y
 places the index range 0..N-1 on the axis of x and on the axis of y and
 compares the two, so [i = j] comes from the indices alone. Conjunction is
 a broadcast product and disjunction a clamped sum. A quantifier sums its
@@ -36,24 +36,28 @@ contraction runs its order (Contract.order): it eliminates the bound
 variables one at a time, summing an axis that one factor uses and
 contracting two or more factors with one np.matmul on float64 counts
 (exact below 2^53); a bound variable that no factor uses gets no axis.
-Before allocating anything, evaluation refuses a plan whose largest
-array, N^k cells, is past MAX_CELLS, where k counts the quantifiers
-around a node of a plain plan, or a contraction's variables in its
-largest factor, step or output.
+Counts exist only inside a sum: int64 for a quantifier or a disjunction,
+float64 in a contraction; the clamp turns them back into bool. Before
+allocating anything, evaluation refuses a plan whose largest array, N^k
+cells, is past MAX_CELLS, where k counts the quantifiers around a node of
+a plain plan, or a contraction's variables in its largest factor, step or
+output.
 
-A batched model (embed_words) stands for B words, each padded to the
-longest, N letters: (B, N) labels and a (B, N) domain mask of each word's
-own positions, next to one shared (N, N) order tensor, which on a word's
-first L positions is the order of that word. eval_batch evaluates a closed
-plan on all of them at once: the batch is one more axis in front of the
-quantified variables', carried by every literal over a batched relation,
-so arrays grow to B * N^k cells. Each sum over a variable multiplies in
-the mask on its axis, so that each word sees only its own positions.
+A batch is a model with a (B, N) domain mask. embed_words builds one for
+B words, each padded to the longest, N letters: (B, N) labels and the mask
+of each word's own positions, next to the order tensor as a (1, N, N)
+view, which on a word's first L positions is the order of that word.
+eval_batch evaluates a closed plan on all of them at once: the batch is
+one more axis in front of the quantified variables', carried by every
+relation (size 1 when shared), so arrays grow to B * N^k cells. Each sum
+over a variable multiplies in the mask on its axis, so that each word sees
+only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
-tensors are checked when the model is embedded, every clamp checks its
-output, and min1 rejects negative input. Both raise ClosureError
-explicitly, so the checks also run under python -O.
+tensors are checked when the model is embedded, and every clamp runs
+min1, which rejects negative input, then checks its output before the
+cast to bool. Both raise ClosureError explicitly, so the checks also run
+under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
@@ -67,7 +71,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,9 +95,6 @@ from .models import (
 )
 from .prenex import EXISTS, PrenexFormula, to_prenex
 
-_DT = np.int64
-
-
 def min1(x):
     """min(x, 1), componentwise on arrays and numpy scalars. Raises
     ClosureError on negative input."""
@@ -108,42 +109,50 @@ def min1(x):
 
 class EmbeddedModel:
     """A structure mapped into R^N: its relation tensors over a domain of
-    basis_size elements.
+    basis_size elements, stored as bool.
 
-    A batched model stands for B structures over the same domain: each
-    relation named in `batched` carries a leading axis of size B, one entry
-    per structure, and the other relations are shared by all of them. A
-    (B, N) `domain` mask restricts each structure to the elements where it
-    holds (by default all of them); only eval_batch reads it, wherever it
-    sums a variable out. For embed_words, `digits` holds each word's letters
-    as alphabet positions. Raises ClosureError unless every tensor is 0/1."""
+    A model with a (B, N) `domain` mask is a batch of B structures over the
+    same domain, each restricted to the elements where its mask row holds;
+    only eval_batch takes it, and reads the mask wherever it sums a variable
+    out. Every relation of a batch carries a leading axis of size B, one
+    entry per structure, or of size 1, shared by all of them. For
+    embed_words, `digits` holds each word's letters as alphabet positions.
+    Raises ClosureError unless every tensor is 0/1, and ValueError for a
+    mask or a relation of a batch without those shapes."""
 
     def __init__(
         self,
         basis_size: int,
         relation_tensors: dict[str, np.ndarray],
-        batched: Iterable[str] = (),
         digits: np.ndarray | None = None,
         domain: np.ndarray | None = None,
     ):
         for name, t in relation_tensors.items():
             if not is_zero_one(t):
                 raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
-        if domain is not None and not is_zero_one(domain):
-            raise ClosureError("the domain mask is not a 0/1 tensor")
+        if domain is not None:
+            if not is_zero_one(domain):
+                raise ClosureError("the domain mask is not a 0/1 tensor")
+            if domain.ndim != 2 or domain.shape[1] != basis_size:
+                raise ValueError(f"the domain mask has shape {domain.shape}, expected (B, {basis_size})")
+            for name, t in relation_tensors.items():
+                if t.ndim == 0 or t.shape[0] not in (1, len(domain)):
+                    raise ValueError(
+                        f"relation tensor {name!r} has no batch axis of size {len(domain)} or 1"
+                    )
+            domain = domain.astype(bool, copy=False)
         self.basis_size = basis_size
-        self.relation_tensors = dict(relation_tensors)
+        self.batch_size = 1 if domain is None else len(domain)
+        self.relation_tensors = {name: t.astype(bool, copy=False) for name, t in relation_tensors.items()}
         self.digits = digits
         self.domain = domain
-        self.batched = frozenset(batched)
-        self.batch_size = next((self.relation_tensors[k].shape[0] for k in self.batched), 1)
 
     def tensor(self, name: str, arity: int) -> np.ndarray:
         try:
             t = self.relation_tensors[name]
         except KeyError:
             raise UnknownPredicateError(f"no relation tensor {name!r} in the model") from None
-        own = t.ndim - (name in self.batched)
+        own = t.ndim - (self.domain is not None)
         if own != arity:
             raise ArityMismatchError(f"relation {name!r} has arity {own}, atom uses {arity}")
         return t
@@ -162,8 +171,9 @@ def embed_words(
     alphabet order), by default all of them, each padded to the longest of
     them, N letters. The labels and the domain mask are (B, N) bool tensors,
     0 past a word's own letters, and `digits` holds len(alphabet) there. The
-    order relation is one shared (N, N) matrix. Built from each word's code,
-    its base-|alphabet| numeral, without a per-word model."""
+    order relation is one (N, N) matrix, shared as a (1, N, N) view. Built
+    from each word's code, its base-|alphabet| numeral, without a per-word
+    model."""
     base = len(alphabet)
     firsts = [0, *itertools.accumulate(base**k for k in range(max_len + 1))]
     stop = firsts[-1] if stop is None else stop
@@ -183,9 +193,7 @@ def embed_words(
     for length, a, b in runs:
         digits[a:b, :length] = numerals[a:b, n - length:]
     labels = {sym: digits == k for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(
-        n, {**labels, name: order}, batched=labels, digits=digits, domain=digits != base
-    )
+    return EmbeddedModel(n, {**labels, name: order[None]}, digits=digits, domain=digits != base)
 
 
 # --- evaluation plans ---------------------------------------------------
@@ -355,7 +363,7 @@ def eval_tensor(
     Raises SemanticError, before allocating anything, when the plan's
     largest array would exceed MAX_CELLS cells or MAX_AXES axes, or a trace
     would hold more than MAX_TRACE_EVENTS events."""
-    if m.batched or m.domain is not None:
+    if m.domain is not None:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
     _planned_cells(e, m.basis_size, 0)
     if trace is not None:
@@ -373,9 +381,9 @@ def eval_tensor(
 
 
 def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
-    """Evaluate a closed plan on each structure of a batched model (see
-    embed_words), each over its domain mask, at once: an array of B values,
-    each exactly 0 or 1. Without batched relations, B is 1.
+    """Evaluate a closed plan on each structure of a batch (see
+    EmbeddedModel), each over its domain mask, at once: an array of B
+    values, each exactly 0 or 1. A model without a mask is a batch of one.
 
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
@@ -386,7 +394,7 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
             f"{b} * {n}^{e._extent[1]} cells, over the limit of {MAX_CELLS}"
         )
     value = _Evaluator(m, {}, False).scalar(e, (None,), ())
-    return np.broadcast_to(value, (b,)).astype(_DT)
+    return np.broadcast_to(value, (b,)).astype(np.int64)
 
 
 # numpy's limit on the axes of an array (NPY_MAXDIMS).
@@ -435,11 +443,11 @@ def _trace_events(e: TensorExpr, n: int, depth: int = 0) -> int:
 
 
 class _Evaluator:
-    """One evaluation of a plan. Each node value is an integer array with
-    one axis per quantified variable in scope (outermost first), of size 1
-    where the node does not depend on that variable. A batched evaluation
-    opens the scope with the batch axis, named None as no variable can be,
-    and multiplies in the domain mask, if any, at every sum over a variable.
+    """One evaluation of a plan. Each node value is a bool array with one
+    axis per quantified variable in scope (outermost first), of size 1
+    where the node does not depend on that variable. eval_batch opens the
+    scope with the batch axis, named None as no variable can be, and
+    multiplies in the domain mask, if any, at every sum over a variable.
 
     Trace events are recorded with a sort key that restores the nested-loop
     order: the path from the root, where a quantifier contributes its loop
@@ -458,27 +466,28 @@ class _Evaluator:
             return self.place(self.m.tensor(e.predicate, len(e.terms)), e.terms, scope)
         if isinstance(e, EqApply):
             left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
-            return (left == right).astype(_DT)
+            return left == right
         if isinstance(e, Complement):
-            return _complement(self.scalar(e.body, scope, path + (0,)))
+            return ~self.scalar(e.body, scope, path + (0,))
         if isinstance(e, Product):
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.factors)]
-            return functools.reduce(np.multiply, values)
+            return functools.reduce(np.logical_and, values)
         if isinstance(e, Min1Sum):
             values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.terms)]
-            return _closed(min1(functools.reduce(np.add, values)))
+            # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
+            return _clamp(functools.reduce(np.add, values, np.int64(0)))
         if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
             exists, inner = isinstance(e, Min1SumOverDomain), scope + (e.var.name,)
             body = self.scalar(e.body, inner, path + (None,))
-            body = body if exists else _complement(body)
+            body = body if exists else ~body
             if self.m.domain is not None:
-                body = body * self.mask(len(scope), len(inner))
+                body = body & self.mask(len(scope), len(inner))
             # Broadcast to N: a body that ignores the variable counts N times.
             total = np.broadcast_to(body, body.shape[:-1] + (self.n,)).sum(-1)
             if self.events is not None:
                 tag = "exists-sum" if exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
-            return _closed(min1(total) if exists else 1 - min1(total))
+            return _clamp(total) if exists else ~_clamp(total)
         if isinstance(e, Contract):
             (axes, steps, rest, _), outer = e.order, len(scope)
             # The factors sit inside one loop per bound variable they use.
@@ -498,14 +507,14 @@ class _Evaluator:
                 # N^k for the unused bound variables: min1 sees only whether N > 0.
                 nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
                 total = total * self.place(nonempty, (), scope)
-            return _closed(min1(total).astype(_DT, copy=False))
+            return _clamp(total)
         raise TypeError(f"not a plan node: {e!r}")
 
     def place(self, t: np.ndarray, terms, scope: tuple[str | None, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
         one axis per scope variable. A quantified variable takes its scope
         axis (the innermost one of that name), and a variable the assignment
-        binds fixes a row or column. A batched t, one axis more than terms,
+        binds fixes a row or column. A batch's t, one axis more than terms,
         has its leading axis on the batch axis, scope position 0."""
         index, axes = ([slice(None)], [0]) if t.ndim > len(terms) else ([], [])
         for v in terms:
@@ -577,16 +586,14 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-def _complement(v: np.ndarray) -> np.ndarray:
-    """1 - v on a 0/1 array, bool (as a relation may be) or integer."""
-    return ~v if v.dtype == bool else 1 - v
-
-
-def _closed(v: np.ndarray) -> np.ndarray:
-    """v, once every entry is checked to be 0 or 1."""
-    if not is_zero_one(v):
+def _clamp(total: np.ndarray) -> np.ndarray:
+    """min1(total) as bool, once every entry is checked to be 0 or 1: the
+    cast alone would read any nonzero count as 1."""
+    v = min1(total)
+    out = v.astype(bool)
+    if not (out == v).all():
         raise ClosureError("plan node value outside {0, 1}")
-    return v
+    return out
 
 
 def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:

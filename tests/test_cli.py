@@ -60,6 +60,33 @@ def test_eval_trace(capsys):
     assert any("exists-sum x: sum=2" in line for line in out[1:])
 
 
+def test_eval_trace_json(capsys):
+    code = run(["eval", "--expr", "exists x. b(x)", "--word", "abba", "--trace", "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "command": "eval",
+        "value": 1,
+        "trace": [{"node": "exists-sum", "variable": "x", "bindings": {}, "sum": 2}],
+    }
+
+
+def test_eval_empty_word_with_a_label_free_formula(capsys):
+    # No labels and no letters: the alphabet falls back to "a".
+    assert run(["eval", "--expr", "forall x. x = x", "--word", ""]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["eval", "--expr", "exists x. x = x", "--word", ""]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_unreadable_files_exit_1(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert run(["eval", "--formula-file", missing, "--word", "ab"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read formula file")
+    assert run(["eval", "--expr", "exists x. b(x)", "--structure", missing]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read structure file")
+
+
 def test_eval_structure_file(tmp_path, capsys):
     doc = dump_structure(build_successor_model("abba", Alphabet("abc")))
     path = tmp_path / "abba.json"
@@ -175,6 +202,11 @@ def test_enumerate_json(capsys):
 
 def test_enumerate_rejects_negative_max_len(capsys):
     assert run(["enumerate", "--expr", ONE_B, "--alphabet", "ab", "--max-len", "-1"]) == 1
+
+
+def test_enumerate_formula_the_spec_refuses_exits_2(capsys):
+    assert run(["enumerate", "--expr", "exists x. c(x)", "--alphabet", "ab", "--max-len", "2"]) == 2
+    assert capsys.readouterr().err == "error: unary predicate 'c' is not an alphabet label\n"
 
 
 def test_enumerate_rejects_tree_model(capsys):

@@ -51,7 +51,7 @@ def test_small_run_agrees():
 
 def test_case_reproducible_from_seed():
     report = run_differential_check(10, seed=77)
-    case = case_from_seed(3, (77 * 1_000_003 + 3) & 0x7FFFFFFF, 5, 3)
+    case = case_from_seed(3, (77 * 1_000_003 + 3) & 0x7FFFFFFF)
     plan = compile_formula(case.formula)
     tensor_value, optimized_value, oracle_value = compare_paths(
         case.formula, plan, optimize(plan), case.word, case.kind, Alphabet(case.alphabet)

@@ -208,7 +208,7 @@ def test_relations_must_be_zero_one():
         with pytest.raises(ValueError, match=r"entries outside \{0, 1\}"):
             StructureModel(2, {"a": bad})
     assert StructureModel(2, {"a": [1, 0]}, {"r": [[0, 1], [1, 1]]}).unary["a"].tolist() == [1, 0]
-    assert StructureModel(0, {"a": []}).unary["a"].dtype == np.int64
+    assert StructureModel(0, {"a": []}).unary["a"].dtype == bool
     assert is_zero_one(np.zeros((0, 3), dtype=np.int64))
     assert not is_zero_one(np.array([[0, 1], [1, -2]]))
 

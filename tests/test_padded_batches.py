@@ -192,13 +192,30 @@ def test_a_variable_named_like_the_batch_axis_is_an_ordinary_variable():
 
 
 def test_eval_tensor_refuses_a_masked_model():
-    # eval_tensor's scope has no batch axis for a mask, even one without
-    # batched relations, to go on.
-    m = tensors.EmbeddedModel(2, {"a": np.array([True, False])}, domain=np.array([[True, False]]))
+    # eval_tensor's scope has no batch axis for a mask to go on.
+    m = tensors.EmbeddedModel(2, {"a": np.array([[True, False]])}, domain=np.array([[True, False]]))
     plan = compile_formula(parse_formula("forall x. a(x)"))
     with pytest.raises(ValueError, match="use eval_batch"):
         eval_tensor(plan, m)
     assert eval_batch(plan, m).tolist() == [1]
+
+
+def test_a_batch_is_any_model_with_a_domain_mask():
+    # Two structures over three elements, sharing a labels row and the
+    # successor order through batch axes of size 1; the mask alone sets B.
+    domain = np.array([[True, True, False], [True, True, True]])
+    shared = {"a": np.array([[True, True, False]]), "succ": np.eye(3, k=1, dtype=bool)[None]}
+    m = tensors.EmbeddedModel(3, shared, domain=domain)
+    assert m.batch_size == 2
+    for text, want in (("forall x. a(x)", [1, 0]), ("exists x. exists y. (succ(x, y) & !a(y))", [0, 1])):
+        plan = compile_formula(parse_formula(text))
+        assert eval_batch(plan, m).tolist() == eval_batch(optimize(plan), m).tolist() == want
+    for bad in (np.array([True, True, False]), np.ones((3, 3), dtype=bool), np.ones((4, 3), dtype=bool)):
+        with pytest.raises(ValueError, match="no batch axis of size 2 or 1"):
+            tensors.EmbeddedModel(3, {"a": bad}, domain=domain)
+    for mask in (domain[0], domain[:, :2], domain[None]):
+        with pytest.raises(ValueError, match=r"expected \(B, 3\)"):
+            tensors.EmbeddedModel(3, {}, domain=mask)
 
 
 def test_iter_words_numbers_the_batch():

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 import fotensor
-from conftest import all_words, corpus_formulas, embed_length, word_model
+from conftest import all_words, corpus_formulas, embed_length, traversal_corpus, word_model
 from fotensor import (
     Alphabet,
     ArityMismatchError,
     ClosureError,
     SemanticError,
+    StructureModel,
     UnboundVariableError,
     UnknownPredicateError,
+    build_tree_model,
     compile_formula,
     dump_expr,
     embed_model,
@@ -25,6 +27,7 @@ from fotensor import (
     eval_tensor,
     formula_diss,
     formula_one_b,
+    load_structure,
     min1,
     optimize,
     parse_formula,
@@ -41,7 +44,7 @@ from fotensor.tensors import (
     RelApply,
     TraceEvent,
 )
-from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _trace_events
+from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
 ONE_B = parse_formula("exists x. forall y. (b(x) & (b(y) -> x = y))")
 DISS = parse_formula(
@@ -127,6 +130,29 @@ def test_min1_check_survives_python_O():
         "from fotensor import ClosureError, min1\n"
         "try:\n"
         "    print(min1(-1))\n"
+        "except ClosureError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(fotensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
+
+
+def test_corrupted_clamp_is_caught_under_python_O():
+    # Without min1, b(x) | b(x) sums to 2 at the b; the cast to bool would
+    # read that as 1, so only the clamp's explicit check can catch it.
+    code = (
+        "import fotensor.tensors as tensors\n"
+        "from fotensor import Alphabet, ClosureError, build_word_model, compile_formula, parse_formula\n"
+        "tensors.min1 = lambda x: x\n"
+        "plan = compile_formula(parse_formula('exists x. (b(x) | b(x))'))\n"
+        "em = tensors.embed_model(build_word_model('b', Alphabet('ab'), 'succ'))\n"
+        "try:\n"
+        "    print(tensors.eval_tensor(plan, em))\n"
         "except ClosureError:\n"
         "    print('raised')\n"
     )
@@ -430,12 +456,13 @@ def test_embed_words_stacks_per_word_labels():
             words = _same_length("lra", n)
             em = embed_length("lra", n, kind)
             assert em.batch_size == 3**n and em.basis_size == n
-            assert em.batched == {"l", "r", "a"}
+            assert all(em.relation_tensors[sym].shape == (3**n, n) for sym in "lra")
+            assert em.relation_tensors[kind].shape == (1, n, n)
             for b, word in enumerate(words):
                 single = _embedded(word, "lra", kind)
                 for sym in "lra":
                     assert np.array_equal(em.relation_tensors[sym][b], single.relation_tensors[sym])
-                assert np.array_equal(em.relation_tensors[kind], single.relation_tensors[kind])
+                assert np.array_equal(em.relation_tensors[kind][0], single.relation_tensors[kind])
 
 
 def test_embed_words_slices_by_code():
@@ -552,3 +579,46 @@ def test_non_integer_relation_tensor_is_rejected():
     with pytest.raises(ClosureError, match="not a 0/1 tensor"):
         EmbeddedModel(2, {"a": np.array([0.0, 1.0])})
     assert EmbeddedModel(2, {"a": np.array([True, False])}).tensor("a", 1).tolist() == [True, False]
+
+
+# --- bool storage -----------------------------------------------------------
+
+def test_relations_are_bool_wherever_built():
+    doc = '{"domain": 3, "unary": {"a": [1, 3]}, "binary": {"r": [[1, 2]]}}'
+    models = [
+        word_model("abba", "ab", "succ"),
+        word_model("abba", "ab", "prec"),
+        build_tree_model([("", "s"), ("0", "t"), ("1", "s")], Alphabet("st")),
+        load_structure(doc),
+        StructureModel(2, {"a": [1, 0]}, {"r": np.array([[0, 1], [1, 1]])}),
+    ]
+    for m in models:
+        assert all(t.dtype == bool for t in [*m.unary.values(), *m.binary.values()]), m
+        assert all(t.dtype == bool for t in embed_model(m).relation_tensors.values()), m
+    em = embed_words(Alphabet("ab"), 3, "prec")
+    assert all(t.dtype == bool for t in em.relation_tensors.values()) and em.domain.dtype == bool
+
+
+def test_every_node_value_is_bool(monkeypatch):
+    # Plain, planned and batched evaluation of the traversal corpus: each
+    # node's value, the clamps' included, is a bool array or scalar.
+    dtypes = set()
+    scalar = _Evaluator.scalar
+
+    def recording(self, e, scope, path):
+        value = scalar(self, e, scope, path)
+        dtypes.add(value.dtype)
+        return value
+
+    monkeypatch.setattr(_Evaluator, "scalar", recording)
+    batches = {}
+    for i, formula in enumerate(traversal_corpus()):
+        symbols, kind = ("ab", "abc")[i % 2], ("succ", "prec")[i // 2 % 2]
+        plan = compile_formula(formula)
+        planned = optimize(plan)
+        em = embed_model(word_model(symbols[::-1] * 2, symbols, kind))
+        assert eval_tensor(plan, em) == eval_tensor(planned, em), str(formula)
+        if (symbols, kind) not in batches:
+            batches[symbols, kind] = embed_words(Alphabet(symbols), 3, kind)
+        eval_batch(planned, batches[symbols, kind])
+    assert dtypes == {np.dtype(bool)}
