@@ -18,7 +18,7 @@ from .diffcheck import run_differential_check
 from .errors import FotensorError, ParseError, SemanticError, StructureFormatError
 from .formulas import free_variables, predicates
 from .languages import LanguageSpec, enumerate_language
-from .models import Alphabet, build_word_model, load_structure
+from .models import MODEL_KINDS, Alphabet, build_word_model, load_structure
 from .optimize import optimize
 from .parser import parse_formula
 from .prenex import to_prenex
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="list words of a formula's language")
     add_formula_source(p_enum)
-    p_enum.add_argument("--model", choices=("succ", "prec"), default="succ")
+    p_enum.add_argument("--model", choices=MODEL_KINDS, default="succ")
     p_enum.add_argument("--alphabet", required=True)
     p_enum.add_argument("--max-len", type=int, required=True)
     p_enum.add_argument("--count", action="store_true", help="print only the number of words")
@@ -98,7 +98,7 @@ def _read_formula(args):
 
 
 def _word_alphabet(args, formula):
-    if args.alphabet:
+    if args.alphabet is not None:
         return Alphabet(args.alphabet)
     # Default: word characters plus single-character unary predicate labels.
     labels = {name for name, arity in predicates(formula).items() if arity == 1 and len(name) == 1}
@@ -152,8 +152,9 @@ def _cmd_enumerate(args) -> int:
     if args.max_len < 0:
         raise _usage_error("fotensor enumerate", "--max-len must be >= 0")
     formula = _read_formula(args)
+    alphabet = Alphabet(args.alphabet)  # a bad alphabet is a usage error
     try:
-        spec = LanguageSpec(formula, args.model, Alphabet(args.alphabet))
+        spec = LanguageSpec(formula, args.model, alphabet)
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
     words = enumerate_language(spec, args.max_len)
@@ -210,9 +211,6 @@ def main(argv=None) -> int:
     except (ParseError, StructureFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
     except FotensorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC

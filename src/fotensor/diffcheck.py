@@ -28,7 +28,7 @@ from .formulas import (
     atom,
     or_,
 )
-from .models import Alphabet, build_word_model
+from .models import MODEL_KINDS, Alphabet, build_word_model
 from .optimize import optimize
 from .oracle import tarski_eval
 from .tensors import TensorExpr, batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
@@ -191,7 +191,7 @@ class CheckReport:
 def case_from_seed(index: int, case_seed: int) -> CheckCase:
     rng = random.Random(case_seed)
     alphabet_text = "abc"[: rng.randint(1, 3)]
-    kind = rng.choice(("succ", "prec"))
+    kind = rng.choice(MODEL_KINDS)
     word = random_word(rng, Alphabet(alphabet_text))
     formula = random_formula(rng, tuple(alphabet_text), kind)
     return CheckCase(index, case_seed, kind, alphabet_text, word, formula)
@@ -212,10 +212,10 @@ def compare_paths(
 
 def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) -> int:
     """Value of the plan at the word, read from one eval_batch over a chunk
-    of words in iter_words order that starts at it and runs on over the
+    of words in shortlex order that starts at it and runs on over the
     words one letter longer, as many as one batch of those holds: padded
     past its own letters, the word relies on the domain mask."""
-    number = 0  # the word's place in iter_words order: its bijective base-|alphabet| numeral
+    number = 0  # the word's place in shortlex order: its bijective base-|alphabet| numeral
     for ch in word:
         number = number * len(alphabet) + alphabet.symbols.index(ch) + 1
     longer = len(word) + 1

@@ -9,29 +9,24 @@ The two built-in constraints are the classic subregular case studies:
   without an ``r`` in between (liquid dissimilation), stated over the
   precedence model, where the blocking effect is non-local.
 
-Membership can be decided through the compiled tensor path or the symbolic
-oracle; both must agree, and the test suite enforces that they do.
+A model kind is a word order, ``succ`` or ``prec``, and names the one binary
+predicate a language's formula may use. Membership and enumeration run the
+planned tensor plan; the test suite checks them against ``tarski_eval``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_right
-from itertools import accumulate, product
-from typing import Iterator
+from itertools import accumulate
 
 import numpy as np
 
 from .formulas import Formula, free_variables, predicates
 from .models import Alphabet, build_word_model, check_kind
 from .optimize import optimize
-from .oracle import tarski_eval
 from .parser import parse_formula
 from .tensors import batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
-
-PATHS = ("tensor", "oracle")
-
-_ORDER_RELATIONS = {"succ": ("succ",), "prec": ("prec",), "tree": ("dom", "leftof")}
 
 
 @dataclass(frozen=True)
@@ -44,11 +39,10 @@ class LanguageSpec:
         check_kind(self.model_kind)
         if free_variables(self.formula):
             raise ValueError("language formulas must be closed")
-        order = _ORDER_RELATIONS[self.model_kind]
         for name, arity in predicates(self.formula).items():
             if arity == 1 and name not in self.alphabet:
                 raise ValueError(f"unary predicate {name!r} is not an alphabet label")
-            if arity == 2 and name not in order:
+            if arity == 2 and name != self.model_kind:
                 raise ValueError(
                     f"binary predicate {name!r} is not the {self.model_kind!r} order relation"
                 )
@@ -81,44 +75,25 @@ def succ_from_prec_formula() -> Formula:
     return parse_formula(SUCC_FROM_PREC_TEXT)
 
 
-def membership(spec: LanguageSpec, word: str, path: str = "tensor") -> bool:
-    """Decide whether the word satisfies the constraint, via the chosen
-    evaluation path."""
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
+def membership(spec: LanguageSpec, word: str) -> bool:
+    """Decide whether the word satisfies the constraint, by the planned plan
+    on the word's model."""
     model = build_word_model(word, spec.alphabet, spec.model_kind)
-    if path == "oracle":
-        return tarski_eval(spec.formula, model)
     return bool(eval_tensor(optimize(compile_formula(spec.formula)), embed_model(model)))
 
 
-def iter_words(alphabet: Alphabet, max_len: int) -> Iterator[str]:
-    """All words of length <= max_len, shortest first, then lexicographic in
-    alphabet order."""
-    for length in range(max_len + 1):
-        for combo in product(alphabet.symbols, repeat=length):
-            yield "".join(combo)
+def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
+    """All accepted words of length <= max_len, in shortlex order: shortest
+    first, then lexicographic in alphabet order.
 
-
-def enumerate_language(spec: LanguageSpec, max_len: int, path: str = "tensor") -> list[str]:
-    """All accepted words of length <= max_len, in length-then-lex order.
-
-    The tensor path evaluates the planned plan on the words in iter_words
-    order in chunks, one eval_batch per chunk (see embed_words): a chunk
-    runs across lengths, as far as batch_limit allows at its longest word
-    and padding its words to that length at most doubles its cells. It
-    raises SemanticError before evaluating anything when a single word of
-    length max_len is already past the memory limit."""
+    It evaluates the planned plan on the words in that order in chunks, one
+    eval_batch per chunk (see embed_words): a chunk runs across lengths, as
+    far as batch_limit allows at its longest word and padding its words to
+    that length at most doubles its cells. It raises SemanticError before
+    evaluating anything when a single word of length max_len is already
+    past the memory limit."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
-    if path == "oracle":
-        return [
-            w
-            for w in iter_words(spec.alphabet, max_len)
-            if tarski_eval(spec.formula, build_word_model(w, spec.alphabet, spec.model_kind))
-        ]
     plan = optimize(compile_formula(spec.formula))
     batch_limit(plan, max_len)
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.

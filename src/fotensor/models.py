@@ -224,7 +224,7 @@ def build_precedence_model(word: str, alphabet: Alphabet) -> StructureModel:
     return build_word_model(word, alphabet, PREC)
 
 
-MODEL_KINDS = ("succ", "prec", "tree")
+MODEL_KINDS = (SUCC, PREC)
 
 
 def check_kind(kind: str) -> None:
@@ -232,23 +232,21 @@ def check_kind(kind: str) -> None:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
 
 
-def order_relation(length: int, kind: str) -> tuple[str, np.ndarray]:
-    """Name and boolean matrix of the order relation of every word model of
-    the given length: succ = {(i, i+1)} or prec = {(i, j) | i < j}. It does
-    not depend on the word's labels. Refused past MAX_CELLS
+def order_relation(length: int, kind: str) -> np.ndarray:
+    """Boolean matrix of the order relation, named by its kind, of every
+    word model of the given length: succ = {(i, i+1)} or prec = {(i, j) |
+    i < j}. It does not depend on the word's labels. Refused past MAX_CELLS
     (check_domain_size)."""
     check_kind(kind)
     check_domain_size(length)
-    if kind == "succ":
-        return SUCC, np.eye(length, k=1, dtype=bool)
-    if kind == "prec":
-        return PREC, np.less.outer(np.arange(length), np.arange(length))
-    raise ValueError("tree models are not built from words; use build_tree_model")
+    if kind == SUCC:
+        return np.eye(length, k=1, dtype=bool)
+    return np.less.outer(np.arange(length), np.arange(length))
 
 
 def build_word_model(word: str, alphabet: Alphabet, kind: str) -> StructureModel:
-    name, order = order_relation(len(word), kind)
-    return StructureModel(len(word), _label_vectors(word, alphabet), {name: order})
+    order = order_relation(len(word), kind)
+    return StructureModel(len(word), _label_vectors(word, alphabet), {kind: order})
 
 
 def dump_structure(m: StructureModel) -> str:

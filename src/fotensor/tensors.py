@@ -118,7 +118,8 @@ class EmbeddedModel:
     entry per structure, or of size 1, shared by all of them. For
     embed_words, `digits` holds each word's letters as alphabet positions.
     Raises ClosureError unless every tensor is 0/1, and ValueError for a
-    mask or a relation of a batch without those shapes."""
+    mask or a relation without those shapes: a relation's own axes, those
+    after any batch axis, each have basis_size elements."""
 
     def __init__(
         self,
@@ -127,20 +128,19 @@ class EmbeddedModel:
         digits: np.ndarray | None = None,
         domain: np.ndarray | None = None,
     ):
-        for name, t in relation_tensors.items():
-            if not is_zero_one(t):
-                raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
         if domain is not None:
             if not is_zero_one(domain):
                 raise ClosureError("the domain mask is not a 0/1 tensor")
             if domain.ndim != 2 or domain.shape[1] != basis_size:
                 raise ValueError(f"the domain mask has shape {domain.shape}, expected (B, {basis_size})")
-            for name, t in relation_tensors.items():
-                if t.ndim == 0 or t.shape[0] not in (1, len(domain)):
-                    raise ValueError(
-                        f"relation tensor {name!r} has no batch axis of size {len(domain)} or 1"
-                    )
             domain = domain.astype(bool, copy=False)
+        for name, t in relation_tensors.items():
+            if not is_zero_one(t):
+                raise ClosureError(f"relation tensor {name!r} is not a 0/1 tensor")
+            if domain is not None and t.shape[:1] not in ((1,), (len(domain),)):
+                raise ValueError(f"relation tensor {name!r} has no batch axis of size {len(domain)} or 1")
+            if set(t.shape[domain is not None:]) - {basis_size}:
+                raise ValueError(f"relation tensor {name!r} has shape {t.shape}, not basis_size {basis_size} per axis")
         self.basis_size = basis_size
         self.batch_size = 1 if domain is None else len(domain)
         self.relation_tensors = {name: t.astype(bool, copy=False) for name, t in relation_tensors.items()}
@@ -167,7 +167,7 @@ def embed_words(
     alphabet: Alphabet, max_len: int, kind: str, start: int = 0, stop: int | None = None
 ) -> EmbeddedModel:
     """Batched model of the words of length <= max_len numbered start to
-    stop - 1 in iter_words order (shortest first, then lexicographic in
+    stop - 1 in shortlex order (shortest first, then lexicographic in
     alphabet order), by default all of them, each padded to the longest of
     them, N letters. The labels and the domain mask are (B, N) bool tensors,
     0 past a word's own letters, and `digits` holds len(alphabet) there. The
@@ -181,7 +181,7 @@ def embed_words(
         raise ValueError(f"word numbers {start}..{stop} outside 0..{firsts[-1]}")
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     low, n = (bisect.bisect_right(firsts, k, hi=max_len + 1) - 1 for k in (start, max(stop - 1, start)))
-    name, order = order_relation(n, kind)
+    order = order_relation(n, kind)
     runs = [(length, max(firsts[length], start) - start, min(firsts[length + 1], stop) - start)
             for length in range(low, n + 1)]
     codes = np.concatenate([np.arange(a, b) + (start - firsts[length]) for length, a, b in runs])
@@ -193,7 +193,7 @@ def embed_words(
     for length, a, b in runs:
         digits[a:b, :length] = numerals[a:b, n - length:]
     labels = {sym: digits == k for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(n, {**labels, name: order[None]}, digits=digits, domain=digits != base)
+    return EmbeddedModel(n, {**labels, kind: order[None]}, digits=digits, domain=digits != base)
 
 
 # --- evaluation plans ---------------------------------------------------

@@ -217,6 +217,21 @@ def test_enumerate_rejects_tree_model(capsys):
     assert code == 1
 
 
+def test_bad_alphabet_exits_1_from_eval_and_enumerate(capsys):
+    commands = (
+        ["eval", "--expr", "exists x. a(x)", "--word", "ab"],
+        ["enumerate", "--expr", "exists x. a(x)", "--max-len", "2"],
+    )
+    messages = {
+        "aab": "error: alphabet has duplicate symbols: ('a', 'a', 'b')\n",
+        "": "error: alphabet must be nonempty\n",
+    }
+    for argv in commands:
+        for alphabet, message in messages.items():
+            assert run([*argv, "--alphabet", alphabet]) == 1, (argv, alphabet)
+            assert capsys.readouterr() == ("", message)
+
+
 def test_enumerate_word_over_the_limit_exits_2(capsys):
     expr = (
         "exists x. exists y. exists z. exists w. "
@@ -327,6 +342,31 @@ def test_malformed_structure_file_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     assert run(["eval", "--expr", "exists x. b(x)", "--structure", str(path)]) == 1
+
+
+def test_structure_documents_of_the_wrong_shape_are_refused(tmp_path, capsys):
+    cases = [
+        ('{"domain": 2, "unary": []}', 1, "'unary' must be an object"),
+        ('{"domain": 2, "unary": {"a": 1}}', 1, "unary relation 'a' must be a list"),
+        ('{"domain": 2, "binary": {"r": 3}}', 1, "binary relation 'r' must be a list of pairs"),
+        (
+            '{"domain": 2, "unary": {"a": [1]}, "binary": {"a": [[1, 2]]}}',
+            2,
+            "relation names used at two arities: ['a']",
+        ),
+    ]
+    path = tmp_path / "doc.json"
+    for doc, code, message in cases:
+        path.write_text(doc)
+        assert run(["eval", "--expr", "exists x. a(x)", "--structure", str(path)]) == code, doc
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_eval_tree_model_from_a_word_is_a_usage_error(capsys):
+    assert run(["eval", "--expr", "exists x. a(x)", "--model", "tree", "--word", "ab"]) == 1
+    assert capsys.readouterr() == (
+        "", "fotensor eval: error: tree models cannot be built from --word; pass --structure\n"
+    )
 
 
 def test_structure_with_bad_index_exits_2(tmp_path, capsys):

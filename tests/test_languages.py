@@ -13,6 +13,7 @@ from fotensor import (
     SemanticError,
     Variable,
     build_successor_model,
+    build_word_model,
     compile_formula,
     embed_model,
     enumerate_assignments,
@@ -20,7 +21,6 @@ from fotensor import (
     eval_tensor,
     formula_diss,
     formula_one_b,
-    iter_words,
     membership,
     optimize,
     parse_formula,
@@ -28,6 +28,11 @@ from fotensor import (
     tarski_eval,
 )
 from fotensor.diffcheck import random_formula
+
+
+def _oracle(spec, word):
+    """The reference: tarski_eval on the word's model."""
+    return tarski_eval(spec.formula, build_word_model(word, spec.alphabet, spec.model_kind))
 
 
 def _one_b_truth(word):
@@ -49,7 +54,8 @@ def test_one_b_membership_examples():
     assert membership(spec, "abba") is False
     assert membership(spec, "b") is True
     assert membership(spec, "") is False
-    assert membership(spec, "ba", path="oracle") is True
+    assert membership(spec, "ba") is True
+    assert _oracle(spec, "ba") is True
 
 
 def test_diss_membership_examples():
@@ -78,7 +84,7 @@ def test_diss_matches_pairwise_scan():
 def test_paths_agree():
     for spec, symbols in [(formula_one_b(), "ab"), (formula_diss(), "lra")]:
         for word in all_words(symbols, 4):
-            assert membership(spec, word, "tensor") == membership(spec, word, "oracle"), word
+            assert membership(spec, word) == _oracle(spec, word), word
 
 
 def _long_words(rng, spec, n):
@@ -153,14 +159,15 @@ def test_enumerate_zero_length():
 
 def test_enumerate_paths_agree():
     spec = formula_diss()
-    assert enumerate_language(spec, 3, "tensor") == enumerate_language(spec, 3, "oracle")
+    assert enumerate_language(spec, 3) == [w for w in all_words("lra", 3) if _oracle(spec, w)]
 
 
 def test_enumeration_follows_alphabet_order():
     # {l, r, a} is not ASCII order; length-then-lex uses the alphabet order.
     words = enumerate_language(formula_diss(), 1)
     assert words == ["", "l", "r", "a"]
-    assert list(iter_words(Alphabet("ba"), 1)) == ["", "b", "a"]
+    anything = LanguageSpec(parse_formula("forall x. x = x"), "succ", Alphabet("ba"))
+    assert enumerate_language(anything, 1) == all_words("ba", 1) == ["", "b", "a"]
 
 
 def test_one_b_insensitive_to_model_kind():
@@ -217,17 +224,9 @@ def test_membership_requires_known_symbols():
         membership(formula_one_b(), "abc")
 
 
-def test_membership_rejects_unknown_path():
-    with pytest.raises(ValueError):
-        membership(formula_one_b(), "ab", path="both")
-
-
 def test_tree_kind_has_no_word_membership():
-    spec = LanguageSpec(
-        parse_formula("exists x. exists y. dom(x, y)"), "tree", Alphabet("st")
-    )
-    with pytest.raises(ValueError):
-        membership(spec, "st")
+    with pytest.raises(ValueError, match="unknown model kind 'tree'"):
+        LanguageSpec(parse_formula("exists x. exists y. dom(x, y)"), "tree", Alphabet("st"))
 
 
 def test_enumerate_reaches_roadmap_targets():
@@ -283,7 +282,7 @@ def test_enumerate_in_chunks_equals_one_batch(monkeypatch):
     assert all(len(words) * n**2 <= 2 * sum(len(w) ** 2 for w in words) for n, words in batches)
     # The chunks cover every word once, in order, and a chunk that ends
     # inside a length is full: one more word would pass the limit.
-    assert [w for _, words in batches for w in words] == list(iter_words(spec.alphabet, 5))
+    assert [w for _, words in batches for w in words] == all_words("lra", 5)
     for (n, words), (_, after) in zip(batches, batches[1:]):
         assert len(after[0]) > n or (len(words) + 1) * n**2 > 7 * 5**2
 
@@ -313,5 +312,5 @@ def test_enumerate_tensor_path_matches_oracle_on_random_formulas():
         symbols = ("ab", "abc", "lra")[i % 3]
         kind = ("succ", "prec")[i // 3 % 2]
         spec = LanguageSpec(random_formula(rng, tuple(symbols), kind), kind, Alphabet(symbols))
-        tensor = enumerate_language(spec, 4)
-        assert tensor == enumerate_language(spec, 4, "oracle"), spec.formula
+        oracle = [w for w in all_words(symbols, 4) if _oracle(spec, w)]
+        assert enumerate_language(spec, 4) == oracle, spec.formula

@@ -216,8 +216,8 @@ def test_relations_must_be_zero_one():
 def test_order_relation_shared_by_word_models():
     for kind in ("succ", "prec"):
         for word in all_words("ab", 4):
-            name, order = order_relation(len(word), kind)
+            order = order_relation(len(word), kind)
             m = build_word_model(word, Alphabet("ab"), kind)
-            assert list(m.binary) == [name] and np.array_equal(m.binary[name], order)
-    with pytest.raises(ValueError):
+            assert list(m.binary) == [kind] and np.array_equal(m.binary[kind], order)
+    with pytest.raises(ValueError, match="unknown model kind 'tree'"):
         order_relation(3, "tree")

@@ -20,7 +20,6 @@ from fotensor import (
     enumerate_language,
     eval_batch,
     eval_tensor,
-    iter_words,
     load_structure,
     optimize,
     parse_formula,
@@ -218,10 +217,10 @@ def test_a_batch_is_any_model_with_a_domain_mask():
             tensors.EmbeddedModel(3, {}, domain=mask)
 
 
-def test_iter_words_numbers_the_batch():
-    # embed_words numbers words as iter_words orders them.
+def test_shortlex_order_numbers_the_batch():
+    # embed_words numbers words in shortlex order, in the alphabet's order.
     alphabet = Alphabet("rla")
-    words = list(iter_words(alphabet, 3))
+    words = all_words("rla", 3)
     em = embed_words(alphabet, 3, "prec")
     letters = np.array([*alphabet.symbols, ""])
     assert list(map("".join, letters[em.digits].tolist())) == words

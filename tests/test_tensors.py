@@ -581,6 +581,20 @@ def test_non_integer_relation_tensor_is_rejected():
     assert EmbeddedModel(2, {"a": np.array([True, False])}).tensor("a", 1).tolist() == [True, False]
 
 
+def test_relation_axes_must_have_basis_size():
+    # Past construction, a short relation is misread by the planned plan
+    # and crashes numpy in the plain and batched ones.
+    short = np.array([True, False])
+    cases = [
+        ({"a": short}, None, r"\(2,\)"),
+        ({"succ": np.ones((3, 2), dtype=bool)}, None, r"\(3, 2\)"),
+        ({"a": short[None]}, np.ones((1, 3), dtype=bool), r"\(1, 2\)"),
+    ]
+    for relations, domain, shape in cases:
+        with pytest.raises(ValueError, match=rf"relation tensor '\w+' has shape {shape}, not basis_size 3"):
+            EmbeddedModel(3, relations, domain=domain)
+
+
 # --- bool storage -----------------------------------------------------------
 
 def test_relations_are_bool_wherever_built():
