@@ -18,11 +18,11 @@ from .diffcheck import run_differential_check
 from .errors import FotensorError, ParseError, SemanticError, StructureFormatError
 from .formulas import free_variables, predicates
 from .languages import LanguageSpec, enumerate_language
-from .models import MODEL_KINDS, Alphabet, build_word_model, load_structure
+from .models import MODEL_KINDS, Alphabet, load_structure
 from .optimize import optimize
 from .parser import parse_formula
 from .prenex import to_prenex
-from .tensors import compile_formula, dump_expr, embed_model, eval_tensor
+from .tensors import compile_formula, dump_expr, embed_model, embed_word, eval_tensor
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,10 +102,7 @@ def _word_alphabet(args, formula):
         return Alphabet(args.alphabet)
     # Default: word characters plus single-character unary predicate labels.
     labels = {name for name, arity in predicates(formula).items() if arity == 1 and len(name) == 1}
-    symbols = sorted(set(args.word) | labels)
-    if not symbols:
-        symbols = ["a"]
-    return Alphabet(symbols)
+    return Alphabet(sorted(set(args.word) | labels) or ["a"])
 
 
 def _cmd_eval(args) -> int:
@@ -120,17 +117,17 @@ def _cmd_eval(args) -> int:
             raise _usage_error(
                 "fotensor eval", "tree models cannot be built from --word; pass --structure"
             )
-        model = build_word_model(args.word, _word_alphabet(args, formula), args.model)
+        embedded = embed_word(args.word, _word_alphabet(args, formula), args.model)
     else:
         try:
             with open(args.structure, encoding="utf-8") as fh:
-                model = load_structure(fh.read())
+                embedded = embed_model(load_structure(fh.read()))
         except OSError as exc:
             raise StructureFormatError(f"cannot read structure file: {exc}") from exc
     trace = [] if args.trace else None
     # Trace events are defined on the plain plan's quantifiers.
     plan = compile_formula(formula) if args.trace else optimize(compile_formula(formula))
-    value = eval_tensor(plan, embed_model(model), trace=trace)
+    value = eval_tensor(plan, embedded, trace=trace)
     if args.format == "json":
         doc = {"command": "eval", "value": value}
         if trace is not None:

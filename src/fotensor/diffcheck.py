@@ -28,10 +28,10 @@ from .formulas import (
     atom,
     or_,
 )
-from .models import MODEL_KINDS, Alphabet, build_word_model
+from .models import MODEL_KINDS, Alphabet, build_word_model, word_digits
 from .optimize import optimize
 from .oracle import tarski_eval
-from .tensors import TensorExpr, batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
+from .tensors import TensorExpr, batch_limit, compile_formula, embed_word, embed_words, eval_batch, eval_tensor
 
 _VAR_POOL = ("x", "y", "z")
 
@@ -202,11 +202,10 @@ def compare_paths(
     alphabet: Alphabet,
 ) -> tuple[int, int, int]:
     """Values of the compiled plan, its optimized form and the oracle."""
-    model = build_word_model(word, alphabet, kind)
-    embedded = embed_model(model)
+    embedded = embed_word(word, alphabet, kind)
     tensor_value = eval_tensor(plan, embedded)
     optimized_value = eval_tensor(optimized, embedded)
-    oracle_value = int(tarski_eval(formula, model))
+    oracle_value = int(tarski_eval(formula, build_word_model(word, alphabet, kind)))
     return tensor_value, optimized_value, oracle_value
 
 
@@ -216,8 +215,8 @@ def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) ->
     words one letter longer, as many as one batch of those holds: padded
     past its own letters, the word relies on the domain mask."""
     number = 0  # the word's place in shortlex order: its bijective base-|alphabet| numeral
-    for ch in word:
-        number = number * len(alphabet) + alphabet.symbols.index(ch) + 1
+    for digit in word_digits(word, alphabet).tolist():
+        number = number * len(alphabet) + digit + 1
     longer = len(word) + 1
     stop = min(number + batch_limit(plan, longer), sum(len(alphabet) ** k for k in range(longer + 1)))
     return int(eval_batch(plan, embed_words(alphabet, longer, kind, number, stop))[0])

@@ -10,8 +10,8 @@ The two built-in constraints are the classic subregular case studies:
   precedence model, where the blocking effect is non-local.
 
 A model kind is a word order, ``succ`` or ``prec``, and names the one binary
-predicate a language's formula may use. Membership and enumeration run the
-planned tensor plan; the test suite checks them against ``tarski_eval``.
+predicate a language's formula may use. Enumeration runs the planned tensor
+plan on batches of words; the test suite checks it against ``tarski_eval``.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from itertools import accumulate
 import numpy as np
 
 from .formulas import Formula, free_variables, predicates
-from .models import Alphabet, build_word_model, check_kind
+from .models import Alphabet, check_kind
 from .optimize import optimize
 from .parser import parse_formula
-from .tensors import batch_limit, compile_formula, embed_model, embed_words, eval_batch, eval_tensor
+from .tensors import batch_limit, compile_formula, embed_words, eval_batch
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,6 @@ def succ_from_prec_formula() -> Formula:
     """Open formula phi(x, y) defining the successor relation from
     precedence: x precedes y with nothing in between."""
     return parse_formula(SUCC_FROM_PREC_TEXT)
-
-
-def membership(spec: LanguageSpec, word: str) -> bool:
-    """Decide whether the word satisfies the constraint, by the planned plan
-    on the word's model."""
-    model = build_word_model(word, spec.alphabet, spec.model_kind)
-    return bool(eval_tensor(optimize(compile_formula(spec.formula)), embed_model(model)))
 
 
 def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:

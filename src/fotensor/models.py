@@ -203,13 +203,15 @@ def _check_index(i, domain_size, name):
         )
 
 
-def _label_vectors(word: str, alphabet: Alphabet) -> dict[str, np.ndarray]:
-    vectors = {sym: np.zeros(len(word), dtype=bool) for sym in alphabet}
-    for pos, ch in enumerate(word):
-        if ch not in alphabet:
-            raise UnknownSymbolError(f"symbol {ch!r} at position {pos + 1} not in alphabet")
-        vectors[ch][pos] = 1
-    return vectors
+def word_digits(word: str, alphabet: Alphabet) -> np.ndarray:
+    """The word's letters as alphabet positions, in embed_words' digit type.
+    Raises UnknownSymbolError at the first letter outside the alphabet."""
+    position = {sym: k for k, sym in enumerate(alphabet)}
+    try:
+        return np.fromiter(map(position.__getitem__, word), np.min_scalar_type(len(alphabet)), len(word))
+    except KeyError:
+        pos = next(p for p, ch in enumerate(word) if ch not in position)
+        raise UnknownSymbolError(f"symbol {word[pos]!r} at position {pos + 1} not in alphabet") from None
 
 
 def build_successor_model(word: str, alphabet: Alphabet) -> StructureModel:
@@ -246,7 +248,8 @@ def order_relation(length: int, kind: str) -> np.ndarray:
 
 def build_word_model(word: str, alphabet: Alphabet, kind: str) -> StructureModel:
     order = order_relation(len(word), kind)
-    return StructureModel(len(word), _label_vectors(word, alphabet), {kind: order})
+    digits = word_digits(word, alphabet)
+    return StructureModel(len(word), {sym: digits == k for k, sym in enumerate(alphabet)}, {kind: order})
 
 
 def dump_structure(m: StructureModel) -> str:

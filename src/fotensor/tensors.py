@@ -18,7 +18,8 @@ where min1(x) = min(x, 1) componentwise. A contraction is one block of
 existentials over a conjunction, a multilinear map; optimize (optimize.py)
 plans a compiled plan into contractions. An embedded model holds only its
 relation tensors: evaluation never builds the basis vectors or the
-identity.
+identity. A word is embedded from its digits, its letters' alphabet
+positions: by embed_word alone, by embed_words in a batch.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
@@ -92,19 +93,16 @@ from .models import (
     is_zero_one,
     normalize_assignment,
     order_relation,
+    word_digits,
 )
 from .prenex import EXISTS, PrenexFormula, to_prenex
 
 def min1(x):
-    """min(x, 1), componentwise on arrays and numpy scalars. Raises
+    """min(x, 1), componentwise, as a numpy array or scalar. Raises
     ClosureError on negative input."""
-    if isinstance(x, (np.ndarray, np.generic)):
-        if (x < 0).any():
-            raise ClosureError("min1 requires nonnegative input")
-        return np.minimum(x, 1)
-    if x < 0:
+    if (np.asarray(x) < 0).any():
         raise ClosureError("min1 requires nonnegative input")
-    return min(int(x), 1)
+    return np.minimum(x, 1)
 
 
 class EmbeddedModel:
@@ -115,8 +113,8 @@ class EmbeddedModel:
     same domain, each restricted to the elements where its mask row holds;
     only eval_batch takes it, and reads the mask wherever it sums a variable
     out. Every relation of a batch carries a leading axis of size B, one
-    entry per structure, or of size 1, shared by all of them. For
-    embed_words, `digits` holds each word's letters as alphabet positions.
+    entry per structure, or of size 1, shared by all of them. For word
+    models, `digits` holds each word's letters as alphabet positions.
     Raises ClosureError unless every tensor is 0/1, and ValueError for a
     mask or a relation without those shapes: a relation's own axes, those
     after any batch axis, each have basis_size elements."""
@@ -161,6 +159,16 @@ class EmbeddedModel:
 def embed_model(m: StructureModel) -> EmbeddedModel:
     """Isomorphic image of a structure in R^N (N = domain size)."""
     return EmbeddedModel(m.domain_size, {**m.unary, **m.binary})
+
+
+def embed_word(word: str, alphabet: Alphabet, kind: str) -> EmbeddedModel:
+    """embed_model(build_word_model(word, alphabet, kind)) with `digits` set,
+    built from word_digits without a StructureModel. A word past MAX_CELLS
+    is refused (check_domain_size) before its letters are read."""
+    order = order_relation(len(word), kind)
+    digits = word_digits(word, alphabet)
+    labels = {sym: digits == k for k, sym in enumerate(alphabet)}
+    return EmbeddedModel(len(word), {**labels, kind: order}, digits=digits)
 
 
 def embed_words(

@@ -156,6 +156,18 @@ def test_eval_corrupted_build_exits_2(monkeypatch, capsys):
 
 def test_eval_unknown_word_symbol_exits_2(capsys):
     assert run(["eval", "--expr", "exists x. b(x)", "--word", "abq", "--alphabet", "ab"]) == 2
+    capsys.readouterr()
+    assert run(["eval", "--expr", "exists x. b(x)", "--word", "abc", "--alphabet", "ab"]) == 2
+    assert capsys.readouterr() == ("", "error: symbol 'c' at position 3 not in alphabet\n")
+
+
+def test_eval_word_builds_no_structure_model(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("eval --word built a StructureModel")
+
+    monkeypatch.setattr(fotensor.StructureModel, "__init__", refuse)
+    assert run(["eval", "--expr", ONE_B, "--word", "abba"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_eval_requires_one_formula_source(capsys):
@@ -397,23 +409,25 @@ def test_huge_structure_domain_exits_2_before_allocating(tmp_path, capsys):
 
 
 def test_long_word_exits_2_before_allocating(capsys):
-    # The word's N x N order relation is refused before it is built.
+    # The word's N x N order relation is refused before it is built, and
+    # before its letters are read: "b" is outside the second alphabet.
     argv = ["eval", "--expr", "exists x. a(x)", "--word", "ab" * 2500]
     run(argv)  # the first call builds the argument parser
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = run(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 2 and peak < 1 << 20
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: a structure of domain size 5000 needs N x N tensors of "
-        "25000000 cells, over the limit of 16777216\n"
-    )
+    for alphabet in ([], ["--alphabet", "a"]):
+        tracemalloc.start()
+        try:
+            code = run(argv + alphabet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a structure of domain size 5000 needs N x N tensors of "
+            "25000000 cells, over the limit of 16777216\n"
+        )
 
 
 # --- deep nesting ---------------------------------------------------------

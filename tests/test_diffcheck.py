@@ -13,7 +13,7 @@ from fotensor.diffcheck import (
     random_word,
     run_differential_check,
 )
-from fotensor.models import Alphabet, build_successor_model
+from fotensor.models import Alphabet, StructureModel, build_successor_model
 from fotensor.tensors import Complement
 
 
@@ -114,6 +114,21 @@ def test_batched_value_reads_the_case_word_from_its_chunk(monkeypatch):
         em = embed_model(build_successor_model(word, alphabet))
         plan = compile_formula(formula)
         assert batched_value(plan, word, "succ", alphabet) == eval_tensor(plan, em)
+
+
+def test_tensor_paths_embed_each_word_without_embed_model(monkeypatch):
+    # Only the oracle reads the word's StructureModel.
+    def refuse(m):
+        raise RuntimeError("embed_model on a word")
+
+    for module in (tensors, diffcheck):
+        monkeypatch.setattr(module, "embed_model", refuse, raising=False)
+    models = []
+    real = diffcheck.tarski_eval
+    monkeypatch.setattr(diffcheck, "tarski_eval", lambda f, m: models.append(m) or real(f, m))
+    report = run_differential_check(20)
+    assert report.to_text() == "20/20 agree (seed 0)"
+    assert len(models) == 20 and all(isinstance(m, StructureModel) for m in models)
 
 
 def test_each_case_is_compiled_once(monkeypatch):

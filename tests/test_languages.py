@@ -16,12 +16,12 @@ from fotensor import (
     build_word_model,
     compile_formula,
     embed_model,
+    embed_word,
     enumerate_assignments,
     enumerate_language,
     eval_tensor,
     formula_diss,
     formula_one_b,
-    membership,
     optimize,
     parse_formula,
     succ_from_prec_formula,
@@ -33,6 +33,12 @@ from fotensor.diffcheck import random_formula
 def _oracle(spec, word):
     """The reference: tarski_eval on the word's model."""
     return tarski_eval(spec.formula, build_word_model(word, spec.alphabet, spec.model_kind))
+
+
+def _membership(spec, word):
+    """The planned plan on the word's embedding."""
+    plan = optimize(compile_formula(spec.formula))
+    return bool(eval_tensor(plan, embed_word(word, spec.alphabet, spec.model_kind)))
 
 
 def _one_b_truth(word):
@@ -51,20 +57,20 @@ def _diss_truth(word):
 
 def test_one_b_membership_examples():
     spec = formula_one_b()
-    assert membership(spec, "abba") is False
-    assert membership(spec, "b") is True
-    assert membership(spec, "") is False
-    assert membership(spec, "ba") is True
+    assert _membership(spec, "abba") is False
+    assert _membership(spec, "b") is True
+    assert _membership(spec, "") is False
+    assert _membership(spec, "ba") is True
     assert _oracle(spec, "ba") is True
 
 
 def test_diss_membership_examples():
     spec = formula_diss()
-    assert membership(spec, "lal") is False
-    assert membership(spec, "laral") is True
-    assert membership(spec, "rrr") is True
-    assert membership(spec, "ll") is False
-    assert membership(spec, "") is True
+    assert _membership(spec, "lal") is False
+    assert _membership(spec, "laral") is True
+    assert _membership(spec, "rrr") is True
+    assert _membership(spec, "ll") is False
+    assert _membership(spec, "") is True
 
 
 def test_one_b_matches_count_predicate():
@@ -78,13 +84,13 @@ def test_one_b_matches_count_predicate():
 def test_diss_matches_pairwise_scan():
     spec = formula_diss()
     for word in all_words("lra", 4):
-        assert membership(spec, word) == _diss_truth(word), word
+        assert _membership(spec, word) == _diss_truth(word), word
 
 
 def test_paths_agree():
     for spec, symbols in [(formula_one_b(), "ab"), (formula_diss(), "lra")]:
         for word in all_words(symbols, 4):
-            assert membership(spec, word) == _oracle(spec, word), word
+            assert _membership(spec, word) == _oracle(spec, word), word
 
 
 def _long_words(rng, spec, n):
@@ -174,7 +180,7 @@ def test_one_b_insensitive_to_model_kind():
     succ_spec = formula_one_b()
     prec_spec = LanguageSpec(succ_spec.formula, "prec", succ_spec.alphabet)
     for word in all_words("ab", 5):
-        assert membership(succ_spec, word) == membership(prec_spec, word), word
+        assert _membership(succ_spec, word) == _membership(prec_spec, word), word
 
 
 def test_succ_from_prec_recovers_successor():
@@ -217,11 +223,11 @@ def test_language_spec_validation():
         LanguageSpec(parse_formula("exists x. exists y. prec(x, y)"), "succ", Alphabet("ab"))
 
 
-def test_membership_requires_known_symbols():
+def test_embed_word_requires_known_symbols():
     from fotensor import UnknownSymbolError
 
     with pytest.raises(UnknownSymbolError):
-        membership(formula_one_b(), "abc")
+        embed_word("abc", Alphabet("ab"), "succ")
 
 
 def test_tree_kind_has_no_word_membership():

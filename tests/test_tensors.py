@@ -22,6 +22,7 @@ from fotensor import (
     compile_formula,
     dump_expr,
     embed_model,
+    embed_word,
     embed_words,
     eval_batch,
     eval_tensor,
@@ -475,6 +476,36 @@ def test_embed_words_slices_by_code():
             embed_words(Alphabet("ab"), 4, "succ", start, stop)
     with pytest.raises(ValueError):
         embed_words(Alphabet("ab"), 2, "tree")
+
+
+def test_embed_word_is_the_embedding_of_the_word_model():
+    for symbols in ("ab", "lra"):
+        for kind in ("succ", "prec"):
+            for n in range(5):
+                batch = embed_length(symbols, n, kind)
+                for b, word in enumerate(_same_length(symbols, n)):
+                    em, old = embed_word(word, Alphabet(symbols), kind), _embedded(word, symbols, kind)
+                    assert em.domain is None and em.basis_size == old.basis_size == n
+                    assert list(em.relation_tensors) == list(old.relation_tensors)
+                    for name, t in em.relation_tensors.items():
+                        assert t.dtype == old.relation_tensors[name].dtype == bool
+                        assert np.array_equal(t, old.relation_tensors[name]), (word, name)
+                    for sym in symbols:
+                        assert np.array_equal(em.relation_tensors[sym], batch.relation_tensors[sym][b])
+                    assert em.digits.dtype == batch.digits.dtype
+                    assert np.array_equal(em.digits, batch.digits[b])
+
+
+def test_embed_word_at_n_4096_allocates_only_its_order():
+    # The succ relation is 16 MiB; a StructureModel on the way would copy it.
+    word = "a" * 2048 + "b" + "a" * 2047
+    tracemalloc.start()
+    try:
+        em = embed_word(word, Alphabet("ab"), "succ")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert em.basis_size == 4096 and peak < 17 << 20
 
 
 def test_eval_batch_matches_eval_tensor_per_word():
