@@ -18,7 +18,7 @@ from .diffcheck import run_differential_check
 from .errors import FotensorError, ParseError, SemanticError, StructureFormatError
 from .formulas import free_variables, predicates
 from .languages import LanguageSpec, enumerate_language
-from .models import MODEL_KINDS, Alphabet, load_structure
+from .models import MODEL_KINDS, SUCC, Alphabet, load_structure
 from .optimize import optimize
 from .parser import parse_formula
 from .prenex import to_prenex
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target = p_eval.add_mutually_exclusive_group(required=True)
     target.add_argument("--word", help="surface string to build the model from")
     target.add_argument("--structure", help="path to a structure JSON document")
-    p_eval.add_argument("--model", choices=("succ", "prec", "tree"), default="succ")
+    p_eval.add_argument("--model", choices=MODEL_KINDS, help="word order (default: succ)")
     p_eval.add_argument("--alphabet", help="model alphabet, e.g. 'abc'")
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.add_argument("--trace", action="store_true", help="print per-quantifier partial sums")
@@ -106,6 +106,10 @@ def _word_alphabet(args, formula):
 
 
 def _cmd_eval(args) -> int:
+    for option in ("model", "alphabet"):
+        if args.structure is not None and getattr(args, option) is not None:
+            message = f"argument --{option}: not allowed with argument --structure"
+            raise _usage_error("fotensor eval", message)
     formula = _read_formula(args)
     free = free_variables(formula)
     if free:
@@ -113,11 +117,7 @@ def _cmd_eval(args) -> int:
             f"formula has free variables: {', '.join(sorted(v.name for v in free))}"
         )
     if args.word is not None:
-        if args.model == "tree":
-            raise _usage_error(
-                "fotensor eval", "tree models cannot be built from --word; pass --structure"
-            )
-        embedded = embed_word(args.word, _word_alphabet(args, formula), args.model)
+        embedded = embed_word(args.word, _word_alphabet(args, formula), args.model or SUCC)
     else:
         try:
             with open(args.structure, encoding="utf-8") as fh:

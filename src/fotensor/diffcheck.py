@@ -31,7 +31,7 @@ from .formulas import (
 from .models import MODEL_KINDS, Alphabet, build_word_model, word_digits
 from .optimize import optimize
 from .oracle import tarski_eval
-from .tensors import TensorExpr, batch_limit, compile_formula, embed_word, embed_words, eval_batch, eval_tensor
+from .tensors import batch_limit, compile_formula, embed_word, embed_words, eval_batch, eval_tensor
 
 _VAR_POOL = ("x", "y", "z")
 
@@ -198,7 +198,7 @@ def case_from_seed(index: int, case_seed: int) -> CheckCase:
 
 
 def compare_paths(
-    formula: Formula, plan: TensorExpr, optimized: TensorExpr, word: str, kind: str,
+    formula: Formula, plan: Formula, optimized: Formula, word: str, kind: str,
     alphabet: Alphabet,
 ) -> tuple[int, int, int]:
     """Values of the compiled plan, its optimized form and the oracle."""
@@ -209,7 +209,7 @@ def compare_paths(
     return tensor_value, optimized_value, oracle_value
 
 
-def batched_value(plan: TensorExpr, word: str, kind: str, alphabet: Alphabet) -> int:
+def batched_value(plan: Formula, word: str, kind: str, alphabet: Alphabet) -> int:
     """Value of the plan at the word, read from one eval_batch over a chunk
     of words in shortlex order that starts at it and runs on over the
     words one letter longer, as many as one batch of those holds: padded

@@ -2,7 +2,8 @@
 
 Terms are variables only; predicates are unary or binary. Connectives are
 negation, n-ary conjunction/disjunction and implication, sugar for !p | q
-that :func:`prenex.to_prenex` rewrites as it converts.
+that :func:`prenex.to_prenex` rewrites as it converts. A formula without
+implications is also an evaluation plan (see tensors.py).
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ class Formula(Node):
 
     def __str__(self):
         return to_text(self)
+
+    @functools.cached_property
+    def variables(self) -> frozenset[Variable]:
+        """Free variables of the formula rooted here, computed once per node
+        from its children's."""
+        if isinstance(self, Atom):
+            return frozenset(self.terms)
+        if isinstance(self, Equal):
+            return frozenset((self.left, self.right))
+        kids = children(self)
+        out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
+        if isinstance(self, (Exists, Forall)):
+            out = out - {self.var}
+        return out
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,16 @@ from itertools import accumulate
 
 import numpy as np
 
+from .errors import SemanticError
 from .formulas import Formula, free_variables, predicates
 from .models import Alphabet, check_kind
 from .optimize import optimize
 from .parser import parse_formula
-from .tensors import batch_limit, compile_formula, embed_words, eval_batch
+from .tensors import batch_limit, compile_formula, embed_words, eval_batch, plan_extent
+
+# Most words one enumeration may decide. It bounds the word count, apart
+# from MAX_CELLS, which bounds the arrays of each batch.
+MAX_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -84,15 +89,24 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
     far as batch_limit allows at its longest word and padding its words to
     that length at most doubles its cells. It raises SemanticError before
     evaluating anything when a single word of length max_len is already
-    past the memory limit."""
+    past the memory limit, or when there are more than MAX_WORDS words of
+    length <= max_len."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     plan = optimize(compile_formula(spec.formula))
     batch_limit(plan, max_len)
+    total = 0
+    for length in range(max_len + 1):  # stops once past MAX_WORDS, whatever max_len
+        total += len(spec.alphabet) ** length
+        if total > MAX_WORDS:
+            raise SemanticError(
+                f"enumeration to length {max_len} over {len(spec.alphabet)} letters decides "
+                f"at least {total} words, over the limit of {MAX_WORDS}"
+            )
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
     letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter
-    words, start, k = [], 0, plan._extent[1]
+    words, start, k = [], 0, plan_extent(plan)[1]
     while start < firsts[-1]:
         stop = own = 0  # own: the chunk's cells unpadded, L^k per word of length L
         for length in range(bisect_right(firsts, start) - 1, max_len + 1):

@@ -3,20 +3,24 @@
 Domain elements become one-hot basis vectors; a k-ary relation becomes an
 order-k 0/1 tensor whose contraction with basis vectors yields the atom's
 truth value (for binary relations, e_i . R e_j), and equality is the
-bilinear form of the identity, e_i . I e_j = [i = j]. Compiled formulas
-evaluate by exact arithmetic over these tensors:
+bilinear form of the identity, e_i . I e_j = [i = j]. A plan is a
+formula, read node by node as a tensor operation by exact arithmetic:
 
-    negative literal      compl over the literal: 1...1 - R, placed
-    negation              1 - x
-    conjunction           product of the conjuncts
-    disjunction           min1(sum of the disjuncts)
-    existential           min1(sum over the basis substitutions)
-    universal             via the dual: 1 - min1(sum of 1 - body)
-    contraction           min1(sum over the bound variables of a product)
+    Atom      rel          the relation tensor R, placed
+    Equal     eq           [i = j]
+    Not       compl        1 - x (over a literal: 1...1 - R, placed)
+    And       prod         product of the conjuncts
+    Or        min1sum      min1(sum of the disjuncts)
+    Exists    exists-sum   min1(sum over the basis substitutions)
+    Forall    forall-dual  via the dual: 1 - min1(sum of 1 - body)
+    Contract  contract     min1(sum over the bound variables of a product)
 
-where min1(x) = min(x, 1) componentwise. A contraction is one block of
-existentials over a conjunction, a multilinear map; optimize (optimize.py)
-plans a compiled plan into contractions. An embedded model holds only its
+where min1(x) = min(x, 1) componentwise, and the middle column is each
+node's tag in dump_expr. The plain plan, compile_formula's, is the prenex
+formula; Implies has no tensor operation, so a plan holds none. Contract,
+the one plan node that is not a formula node, is one block of existentials
+over a conjunction, a multilinear map; optimize (optimize.py) plans the
+plain plan into contractions. An embedded model holds only its
 relation tensors: evaluation never builds the basis vectors or the
 identity. A word is embedded from its digits, its letters' alphabet
 positions: by embed_word alone, by embed_words in a batch.
@@ -26,8 +30,8 @@ assignments to the quantified variables in its scope at the same time, as
 a bool array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
 tensor placed on its variables' axes (the diagonal for R(x, x), a row or
-column for a variable the assignment binds), and a negative literal the
-complement node over it, the placed tensor inverted. An equality x = y
+column for a variable the assignment binds), and a negative literal, a
+Not over it, the placed tensor inverted. An equality x = y
 places the index range 0..N-1 on the axis of x and on the axis of y and
 compares the two, so [i = j] comes from the indices alone. Conjunction is
 a broadcast product and disjunction a clamped sum. A quantifier sums its
@@ -84,7 +88,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Formula, Node, Not, Or, Variable, children
+from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, children
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -95,7 +99,7 @@ from .models import (
     order_relation,
     word_digits,
 )
-from .prenex import EXISTS, PrenexFormula, to_prenex
+from .prenex import PrenexFormula, to_prenex
 
 def min1(x):
     """min(x, 1), componentwise, as a numpy array or scalar. Raises
@@ -206,80 +210,17 @@ def embed_words(
 
 # --- evaluation plans ---------------------------------------------------
 
-class TensorExpr(Node):
-    """Node of a compiled evaluation plan; its value is a scalar for each
-    assignment to its free variables."""
-
-    @functools.cached_property
-    def variables(self) -> frozenset[Variable]:
-        """Free variables of the plan rooted here (bound sum variables
-        excluded), computed once per node from its children's."""
-        if isinstance(self, RelApply):
-            return frozenset(self.terms)
-        if isinstance(self, EqApply):
-            return frozenset((self.left, self.right))
-        kids = children(self)
-        out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
-        if isinstance(self, (Min1SumOverDomain, DualSumOverDomain)):
-            out = out - {self.var}
-        elif isinstance(self, Contract):
-            out = out - set(self.bound)
-        return out
-
-    @functools.cached_property
-    def _extent(self) -> tuple[int, int]:
-        """_extent of the plan rooted here, walked once per root node: plans
-        are immutable, and the cache lives outside the dataclass fields, so
-        equality and hashing ignore it."""
-        return _extent(self)
-
-
 @dataclass(frozen=True)
-class RelApply(TensorExpr):
-    predicate: str
-    terms: tuple[Variable, ...]
-
-
-@dataclass(frozen=True)
-class EqApply(TensorExpr):
-    left: Variable
-    right: Variable
-
-
-@dataclass(frozen=True)
-class Complement(TensorExpr):
-    body: TensorExpr
-
-
-@dataclass(frozen=True)
-class Product(TensorExpr):
-    factors: tuple[TensorExpr, ...]
-
-
-@dataclass(frozen=True)
-class Min1Sum(TensorExpr):
-    terms: tuple[TensorExpr, ...]
-
-
-@dataclass(frozen=True)
-class Min1SumOverDomain(TensorExpr):
-    var: Variable
-    body: TensorExpr
-
-
-@dataclass(frozen=True)
-class DualSumOverDomain(TensorExpr):
-    var: Variable
-    body: TensorExpr
-
-
-@dataclass(frozen=True)
-class Contract(TensorExpr):
+class Contract(Formula):
     """min1 of the sum, over every assignment to the bound variables, of the
     product of the factors: a block of existentials over a conjunction."""
 
     bound: tuple[Variable, ...]
-    factors: tuple[TensorExpr, ...]
+    factors: tuple[Formula, ...]
+
+    @functools.cached_property
+    def variables(self) -> frozenset[Variable]:
+        return frozenset().union(*[f.variables for f in self.factors]) - set(self.bound)
 
     @functools.cached_property
     def order(self) -> tuple:
@@ -316,33 +257,11 @@ class Contract(TensorExpr):
 
 # --- compilation --------------------------------------------------------
 
-def compile_formula(f: Formula | PrenexFormula) -> TensorExpr:
-    """Compile a formula (sugared input is fine) into an evaluation plan.
-
-    The formula is first brought into prenex normal form, unless it is a
-    PrenexFormula; the prefix becomes nested sum-over-domain nodes and the
-    NNF matrix maps literal-for-literal onto tensor operations. Compilation
+def compile_formula(f: Formula | PrenexFormula) -> Formula:
+    """The evaluation plan of a formula (sugared input is fine): its prenex
+    form, unless f is a PrenexFormula already, as one formula. Compilation
     never consults a model."""
-    pf = f if isinstance(f, PrenexFormula) else to_prenex(f)
-    expr = _compile_matrix(pf.matrix)
-    for quant, var in reversed(pf.prefix):
-        node = Min1SumOverDomain if quant == EXISTS else DualSumOverDomain
-        expr = node(var, expr)
-    return expr
-
-
-def _compile_matrix(f: Formula) -> TensorExpr:
-    if isinstance(f, Atom):
-        return RelApply(f.predicate.name, f.terms)
-    if isinstance(f, Equal):
-        return EqApply(f.left, f.right)
-    if isinstance(f, Not):
-        return Complement(_compile_matrix(f.body))
-    if isinstance(f, And):
-        return Product(tuple(_compile_matrix(g) for g in f.items))
-    if isinstance(f, Or):
-        return Min1Sum(tuple(_compile_matrix(g) for g in f.items))
-    raise TypeError(f"not a quantifier-free NNF matrix: {f!r}")
+    return (f if isinstance(f, PrenexFormula) else to_prenex(f)).to_formula()
 
 
 # --- evaluation ----------------------------------------------------------
@@ -355,7 +274,7 @@ class TraceEvent(NamedTuple):
 
 
 def eval_tensor(
-    e: TensorExpr,
+    e: Formula,
     m: EmbeddedModel,
     a: Assignment | None = None,
     trace: list[TraceEvent] | None = None,
@@ -388,7 +307,7 @@ def eval_tensor(
     return value
 
 
-def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
+def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
     """Evaluate a closed plan on each structure of a batch (see
     EmbeddedModel), each over its domain mask, at once: an array of B
     values, each exactly 0 or 1. A model without a mask is a batch of one.
@@ -399,7 +318,7 @@ def eval_batch(e: TensorExpr, m: EmbeddedModel) -> np.ndarray:
     if b > batch_limit(e, n):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
-            f"{b} * {n}^{e._extent[1]} cells, over the limit of {MAX_CELLS}"
+            f"{b} * {n}^{plan_extent(e)[1]} cells, over the limit of {MAX_CELLS}"
         )
     value = _Evaluator(m, {}, False).scalar(e, (None,), ())
     return np.broadcast_to(value, (b,)).astype(np.int64)
@@ -413,7 +332,7 @@ MAX_AXES = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 MAX_TRACE_EVENTS = 1 << 18
 
 
-def batch_limit(e: TensorExpr, n: int) -> int:
+def batch_limit(e: Formula, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
     for plan e: MAX_CELLS // N^k, N^k the planned peak of e per structure
     (the domain mask adds no variable). Raises SemanticError when one
@@ -421,10 +340,10 @@ def batch_limit(e: TensorExpr, n: int) -> int:
     return MAX_CELLS // max(_planned_cells(e, n, 1), 1)
 
 
-def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
+def _planned_cells(e: Formula, n: int, batch_axes: int) -> int:
     """The planned peak N^k of e (see _extent), checked with the axes, batch
     axes included, against MAX_CELLS and MAX_AXES."""
-    axes, depth = e._extent
+    axes, depth = plan_extent(e)
     if axes + batch_axes > MAX_AXES:
         raise SemanticError(
             f"evaluation needs arrays of {axes + batch_axes} axes, "
@@ -439,11 +358,11 @@ def _planned_cells(e: TensorExpr, n: int, batch_axes: int) -> int:
     return cells
 
 
-def _trace_events(e: TensorExpr, n: int, depth: int = 0) -> int:
+def _trace_events(e: Formula, n: int, depth: int = 0) -> int:
     """Events a trace of e records on domain size n, inside `depth`
     quantified variables: N^k for each quantifier node, k the quantified
     variables around it (a contraction's used bound ones included)."""
-    if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
+    if isinstance(e, (Exists, Forall)):
         return n**depth + _trace_events(e.body, n, depth + 1)
     if isinstance(e, Contract):
         depth += len(e.order[0])
@@ -470,22 +389,22 @@ class _Evaluator:
         self.events: list | None = [] if tracing else None
 
     def scalar(self, e, scope: tuple[str | None, ...], path: tuple) -> np.ndarray:
-        if isinstance(e, RelApply):
-            return self.place(self.m.tensor(e.predicate, len(e.terms)), e.terms, scope)
-        if isinstance(e, EqApply):
+        if isinstance(e, Atom):
+            return self.place(self.m.tensor(e.predicate.name, len(e.terms)), e.terms, scope)
+        if isinstance(e, Equal):
             left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
             return left == right
-        if isinstance(e, Complement):
+        if isinstance(e, Not):
             return ~self.scalar(e.body, scope, path + (0,))
-        if isinstance(e, Product):
-            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.factors)]
+        if isinstance(e, And):
+            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.items)]
             return functools.reduce(np.logical_and, values)
-        if isinstance(e, Min1Sum):
-            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.terms)]
+        if isinstance(e, Or):
+            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.items)]
             # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
             return _clamp(functools.reduce(np.add, values, np.int64(0)))
-        if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
-            exists, inner = isinstance(e, Min1SumOverDomain), scope + (e.var.name,)
+        if isinstance(e, (Exists, Forall)):
+            exists, inner = isinstance(e, Exists), scope + (e.var.name,)
             body = self.scalar(e.body, inner, path + (None,))
             body = body if exists else ~body
             if self.m.domain is not None:
@@ -604,11 +523,20 @@ def _clamp(total: np.ndarray) -> np.ndarray:
     return out
 
 
+def plan_extent(e: Formula) -> tuple[int, int]:
+    """_extent of the plan rooted at e, walked once per root node: plans are
+    immutable, and the result is kept in the node's __dict__, as a
+    cached_property keeps its value, so equality and hashing ignore it."""
+    if "_extent" not in e.__dict__:
+        e.__dict__["_extent"] = _extent(e)
+    return e.__dict__["_extent"]
+
+
 def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
     """(most axes, k of the most cells N^k) of the arrays evaluating e, whose
     value has `axes` axes over `depth` variables: a quantifier adds one to
     both, a contraction its order's axes and peak (Contract.order)."""
-    if isinstance(e, (Min1SumOverDomain, DualSumOverDomain)):
+    if isinstance(e, (Exists, Forall)):
         axes, depth = axes + 1, depth + 1
     elif isinstance(e, Contract):
         axes, depth = axes + len(e.order[0]), e.order[3]
@@ -625,8 +553,8 @@ def dump_expr(e) -> str:
     """Indented s-expression rendering, one node per line.
 
     Tags: rel, eq, compl, prod, min1sum, exists-sum, forall-dual, and in
-    optimized plans contract, followed by the bound variables. Negative
-    literals render as compl over the literal."""
+    optimized plans contract, followed by the bound variables (see the
+    module docstring). A node without a tag, Implies, raises TypeError."""
     lines: list[str] = []
     _dump(e, "", lines)
     return "\n".join(lines)
@@ -634,13 +562,13 @@ def dump_expr(e) -> str:
 
 # The dump line of each plan node class, without its children.
 _HEADS = {
-    RelApply: lambda e: f"rel {e.predicate} {' '.join(v.name for v in e.terms)}",
-    EqApply: lambda e: f"eq {e.left.name} {e.right.name}",
-    Complement: lambda e: "compl",
-    Product: lambda e: "prod",
-    Min1Sum: lambda e: "min1sum",
-    Min1SumOverDomain: lambda e: f"exists-sum {e.var.name}",
-    DualSumOverDomain: lambda e: f"forall-dual {e.var.name}",
+    Atom: lambda e: f"rel {e.predicate.name} {' '.join(v.name for v in e.terms)}",
+    Equal: lambda e: f"eq {e.left.name} {e.right.name}",
+    Not: lambda e: "compl",
+    And: lambda e: "prod",
+    Or: lambda e: "min1sum",
+    Exists: lambda e: f"exists-sum {e.var.name}",
+    Forall: lambda e: f"forall-dual {e.var.name}",
     Contract: lambda e: f"contract {' '.join(v.name for v in e.bound)}",
 }
 

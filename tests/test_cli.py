@@ -254,6 +254,17 @@ def test_enumerate_word_over_the_limit_exits_2(capsys):
     assert captured.out == "" and "400^3" in captured.err
 
 
+def test_enumerate_past_the_word_limit_exits_2(capsys):
+    argv = ["enumerate", "--expr", "exists x. a(x)", "--alphabet", "ab", "--max-len", "5000", "--count"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration to length 5000 over 2 letters decides at least 2097151 words, "
+        "over the limit of 1048576\n"
+    )
+
+
 def test_compile_one_b_plan(capsys):
     code = run(["compile", "--expr", ONE_B])
     assert code == 0
@@ -376,9 +387,27 @@ def test_structure_documents_of_the_wrong_shape_are_refused(tmp_path, capsys):
 
 def test_eval_tree_model_from_a_word_is_a_usage_error(capsys):
     assert run(["eval", "--expr", "exists x. a(x)", "--model", "tree", "--word", "ab"]) == 1
-    assert capsys.readouterr() == (
-        "", "fotensor eval: error: tree models cannot be built from --word; pass --structure\n"
-    )
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: fotensor eval ")
+    assert "\nfotensor eval: error: argument --model: invalid choice: 'tree'" in captured.err
+
+
+def test_word_options_with_a_structure_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(dump_structure(build_successor_model("ab", Alphabet("ab"))))
+    argv = ["eval", "--expr", "exists x. b(x)", "--structure", str(path)]
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    for extra, option in (
+        (["--model", "succ"], "model"),
+        (["--alphabet", "zz"], "alphabet"),
+        (["--model", "prec", "--alphabet", "ab"], "model"),
+    ):
+        assert run(argv + extra) == 1, extra
+        message = f"fotensor eval: error: argument --{option}: not allowed with argument --structure\n"
+        assert capsys.readouterr() == ("", message)
+    assert run(argv + ["--model", "tree", "--alphabet", "zz"]) == 1
+    assert "invalid choice: 'tree'" in capsys.readouterr().err
 
 
 def test_structure_with_bad_index_exits_2(tmp_path, capsys):

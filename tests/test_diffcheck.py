@@ -14,7 +14,7 @@ from fotensor.diffcheck import (
     run_differential_check,
 )
 from fotensor.models import Alphabet, StructureModel, build_successor_model
-from fotensor.tensors import Complement
+from fotensor.formulas import Not
 
 
 def test_random_formulas_are_closed_and_bounded():
@@ -83,7 +83,7 @@ def test_corrupted_build_fails_the_check(monkeypatch):
 
 def test_optimized_plan_disagreement_fails_the_check(monkeypatch):
     # A rewriter that negates every plan breaks only the optimized path.
-    monkeypatch.setattr(diffcheck, "optimize", lambda plan: Complement(plan))
+    monkeypatch.setattr(diffcheck, "optimize", lambda plan: Not(plan))
     report = run_differential_check(20, seed=0)
     assert len(report.failures) == 20
     for f in report.failures:

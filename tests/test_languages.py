@@ -320,3 +320,11 @@ def test_enumerate_tensor_path_matches_oracle_on_random_formulas():
         spec = LanguageSpec(random_formula(rng, tuple(symbols), kind), kind, Alphabet(symbols))
         oracle = [w for w in all_words(symbols, 4) if _oracle(spec, w)]
         assert enumerate_language(spec, 4) == oracle, spec.formula
+
+
+def test_enumerate_refuses_more_words_than_the_limit(monkeypatch):
+    spec = LanguageSpec(parse_formula("exists x. a(x)"), "succ", Alphabet("ab"))
+    monkeypatch.setattr(languages, "MAX_WORDS", 7)
+    assert enumerate_language(spec, 2) == ["a", "aa", "ab", "ba"]  # 1 + 2 + 4 = 7 words
+    with pytest.raises(SemanticError, match="at least 15 words, over the limit of 7"):
+        enumerate_language(spec, 3)

@@ -16,25 +16,15 @@ from fotensor import (
 from fotensor.diffcheck import random_formula
 from fotensor.formulas import children
 from fotensor.models import MAX_CELLS
-from fotensor.tensors import (
-    Complement,
-    Contract,
-    DualSumOverDomain,
-    EqApply,
-    Min1Sum,
-    Min1SumOverDomain,
-    Product,
-    RelApply,
-    Variable,
-    batch_limit,
-)
+from fotensor.formulas import And, Atom, Equal, Exists, Forall, Not, Or, Variable, atom
+from fotensor.tensors import Contract, batch_limit
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 
 def _rel(name, *terms, negated=False):
-    rel = RelApply(name, terms)
-    return Complement(rel) if negated else rel
+    rel = atom(name, *terms)
+    return Not(rel) if negated else rel
 
 
 def _assert_equivalent(plan, optimized, words, symbols, kind, assignment=None):
@@ -55,7 +45,7 @@ def test_exists_unary_becomes_inner_product():
 def test_unmatched_expression_unchanged():
     plan = compile_formula(parse_formula("b(x)"))
     assert optimize(plan) == plan
-    assert isinstance(optimize(plan), RelApply)
+    assert isinstance(optimize(plan), Atom)
 
 
 def test_exists_pair_becomes_bilinear_form():
@@ -77,7 +67,7 @@ def test_negated_unary_literal():
 def test_disjunctive_body_vectorizes():
     plan = compile_formula(parse_formula("exists x. (a(x) | b(x))"))
     optimized = optimize(plan)
-    assert optimized == Contract((X,), (Min1Sum((_rel("a", X), _rel("b", X))),))
+    assert optimized == Contract((X,), (Or((_rel("a", X), _rel("b", X))),))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
@@ -105,7 +95,7 @@ def test_transposed_argument_order():
 def test_equality_cross_literal_uses_identity():
     plan = compile_formula(parse_formula("exists x. exists y. (b(x) & x = y & a(y))"))
     optimized = optimize(plan)
-    assert optimized == Contract((X, Y), (_rel("b", X), EqApply(X, Y), _rel("a", Y)))
+    assert optimized == Contract((X, Y), (_rel("b", X), Equal(X, Y), _rel("a", Y)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
@@ -119,7 +109,7 @@ def test_reflexive_binary_atom_uses_diagonal():
 def test_forall_folds_through_dual():
     plan = compile_formula(parse_formula("forall x. b(x)"))
     optimized = optimize(plan)
-    assert optimized == Complement(Contract((X,), (_rel("b", X, negated=True),)))
+    assert optimized == Not(Contract((X,), (_rel("b", X, negated=True),)))
     _assert_equivalent(plan, optimized, all_words("ab", 5), "ab", "succ")
 
 
@@ -135,8 +125,8 @@ def test_nested_quantifier_keeps_outer_iteration():
     )
     optimized = optimize(plan)
     witness = Contract((Z,), (_rel("r", Z), _rel("prec", X, Z), _rel("prec", Z, Y)))
-    assert optimized == Complement(
-        Contract((X, Y), (_rel("l", X), _rel("l", Y), _rel("prec", X, Y), Complement(witness)))
+    assert optimized == Not(
+        Contract((X, Y), (_rel("l", X), _rel("l", Y), _rel("prec", X, Y), Not(witness)))
     )
     _assert_equivalent(plan, optimized, all_words("lra", 4), "lra", "prec")
 
@@ -161,7 +151,7 @@ def test_contract_over_a_variable_no_factor_uses(text):
     # the empty word.
     formula = parse_formula(text)
     optimized = optimize(compile_formula(formula))
-    contract = optimized.body if isinstance(optimized, Complement) else optimized
+    contract = optimized.body if isinstance(optimized, Not) else optimized
     assert contract.bound == (X, Y) and len(contract.factors) == 1
     for length in range(4):
         words = ["".join(w) for w in itertools.product("ab", repeat=length)]
@@ -176,26 +166,26 @@ def test_contract_over_a_variable_no_factor_uses(text):
     [
         (
             "forall x. (b(x) | (exists y. a(y)))",
-            Min1Sum(
-                (Contract((Y,), (_rel("a", Y),)), Complement(Contract((X,), (_rel("b", X, negated=True),))))
+            Or(
+                (Contract((Y,), (_rel("a", Y),)), Not(Contract((X,), (_rel("b", X, negated=True),))))
             ),
         ),
         (
             "exists x. (a(x) & (forall y. b(y)))",
-            Product(
-                (Complement(Contract((Y,), (_rel("b", Y, negated=True),))), Contract((X,), (_rel("a", X),)))
+            And(
+                (Not(Contract((Y,), (_rel("b", Y, negated=True),))), Contract((X,), (_rel("a", X),)))
             ),
         ),
         # Here the inner block stays in: on the empty word it is 1 (0) while
         # the outer exists (forall) must be 0 (1).
         (
             "exists x. (a(x) | (forall y. b(y)))",
-            Contract((X,), (Min1Sum((_rel("a", X), Complement(Contract((Y,), (_rel("b", Y, negated=True),))))),)),
+            Contract((X,), (Or((_rel("a", X), Not(Contract((Y,), (_rel("b", Y, negated=True),))))),)),
         ),
         (
             "forall x. (b(x) & (exists y. a(y)))",
-            Complement(
-                Contract((X,), (Min1Sum((_rel("b", X, negated=True), Complement(Contract((Y,), (_rel("a", Y),))))),))
+            Not(
+                Contract((X,), (Or((_rel("b", X, negated=True), Not(Contract((Y,), (_rel("a", Y),))))),))
             ),
         ),
     ],
@@ -217,7 +207,7 @@ def test_miniscoping_at_the_top_of_a_closed_plan(text, planned):
 def test_quantifier_below_another_node_keeps_its_value():
     # Only the quantifier prefix is planned; a hand-built plan with a
     # quantifier under a product is evaluated as it was built.
-    plan = Product((Min1SumOverDomain(X, _rel("a", X)), DualSumOverDomain(Y, _rel("b", Y, negated=True))))
+    plan = And((Exists(X, _rel("a", X)), Forall(Y, _rel("b", Y, negated=True))))
     formula = parse_formula("(exists x. a(x)) & (forall y. !b(y))")
     optimized = optimize(plan)
     for word in all_words("ab", 4):

@@ -26,16 +26,8 @@ from fotensor import (
     atom,
     tarski_eval,
 )
-from fotensor.tensors import (
-    Complement,
-    Contract,
-    DualSumOverDomain,
-    EqApply,
-    Min1Sum,
-    Min1SumOverDomain,
-    Product,
-    RelApply,
-)
+from fotensor.formulas import And, Equal, Forall, Not, Or
+from fotensor.tensors import Contract
 
 X, Y = Variable("x"), Variable("y")
 
@@ -56,24 +48,24 @@ def _hand_built(kind):
     """Plain plans with a quantifier under a complement or a product, as no
     compiled formula has them, and the closed formulas they stand for."""
     return [
-        (Complement(Min1SumOverDomain(X, Complement(RelApply("a", (X,))))), "forall x. a(x)"),
+        (Not(Exists(X, Not(atom("a", X)))), "forall x. a(x)"),
         (
-            Product((Complement(DualSumOverDomain(Y, RelApply("b", (Y,)))), Min1SumOverDomain(X, RelApply("a", (X,))))),
+            And((Not(Forall(Y, atom("b", Y))), Exists(X, atom("a", X)))),
             "!(forall y. b(y)) & (exists x. a(x))",
         ),
         (
-            Min1Sum((Complement(Min1SumOverDomain(X, RelApply("a", (X,)))), DualSumOverDomain(Y, RelApply("b", (Y,))))),
+            Or((Not(Exists(X, atom("a", X))), Forall(Y, atom("b", Y)))),
             "!(exists x. a(x)) | (forall y. b(y))",
         ),
         (
-            Complement(Contract((X, Y), (RelApply(kind, (X, Y)), Complement(EqApply(X, Y))))),
+            Not(Contract((X, Y), (atom(kind, X, Y), Not(Equal(X, Y))))),
             f"!(exists x. exists y. ({kind}(x, y) & !(x = y)))",
         ),
         (
-            Contract((X,), (Complement(Contract((Y,), (Complement(RelApply("b", (Y,))),))),)),
+            Contract((X,), (Not(Contract((Y,), (Not(atom("b", Y)),))),)),
             "exists x. !(exists y. !b(y))",
         ),
-        (Min1SumOverDomain(X, Contract((Y,), (RelApply("a", (X,)),))), "exists x. exists y. a(x)"),
+        (Exists(X, Contract((Y,), (atom("a", X),))), "exists x. exists y. a(x)"),
     ]
 
 

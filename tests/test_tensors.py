@@ -34,17 +34,8 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.tensors import (
-    MAX_CELLS,
-    batch_limit,
-    Complement,
-    Contract,
-    DualSumOverDomain,
-    Min1SumOverDomain,
-    Product,
-    RelApply,
-    TraceEvent,
-)
+from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, atom, contains
+from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
 from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
 ONE_B = parse_formula("exists x. forall y. (b(x) & (b(y) -> x = y))")
@@ -168,36 +159,58 @@ def test_corrupted_clamp_is_caught_under_python_O():
 
 def test_compile_one_b_plan_structure():
     plan = compile_formula(ONE_B)
-    assert isinstance(plan, Min1SumOverDomain)
-    assert isinstance(plan.body, DualSumOverDomain)
-    assert isinstance(plan.body.body, Product)
+    assert isinstance(plan, Exists)
+    assert isinstance(plan.body, Forall)
+    assert isinstance(plan.body.body, And)
 
 
 def test_compile_dissimilation_plan_structure():
     # forall-dual x (forall-dual y (exists-sum z (min1sum of a complemented
     # product and a product))): the negated antecedent compiles as a
     # complement over the whole conjunction, not literal by literal.
-    from fotensor.tensors import Min1Sum
-
     plan = compile_formula(DISS)
-    assert isinstance(plan, DualSumOverDomain)
-    assert isinstance(plan.body, DualSumOverDomain)
-    assert isinstance(plan.body.body, Min1SumOverDomain)
+    assert isinstance(plan, Forall)
+    assert isinstance(plan.body, Forall)
+    assert isinstance(plan.body.body, Exists)
     matrix = plan.body.body.body
-    assert isinstance(matrix, Min1Sum)
-    negated, witness = matrix.terms
-    assert isinstance(negated, Complement) and isinstance(negated.body, Product)
-    assert isinstance(witness, Product)
+    assert isinstance(matrix, Or)
+    negated, witness = matrix.items
+    assert isinstance(negated, Not) and isinstance(negated.body, And)
+    assert isinstance(witness, And)
+
+
+def test_a_plan_is_a_formula():
+    # A parsed formula without implications evaluates as its own plan, and
+    # the plain plan is its prenex formula: both agree with the oracle.
+    checks = 0
+    for formula, symbols, kinds in corpus_formulas():
+        if contains(formula, Implies):
+            continue
+        plan = compile_formula(formula)
+        for kind, word in itertools.product(kinds, all_words(symbols, 4)):
+            em = embed_word(word, Alphabet(symbols), kind)
+            want = int(tarski_eval(formula, word_model(word, symbols, kind)))
+            assert eval_tensor(formula, em) == eval_tensor(plan, em) == want, (str(formula), kind, word)
+            checks += 1
+    assert checks == 310
+
+
+def test_implication_is_not_a_plan_node():
+    formula = parse_formula("forall x. (a(x) -> b(x))")
+    with pytest.raises(TypeError, match="not a plan node"):
+        eval_tensor(formula, embed_word("ab", Alphabet("ab"), "succ"))
+    with pytest.raises(TypeError, match="not a plan node"):
+        dump_expr(formula)
 
 
 def test_compile_open_atom_is_a_leaf():
     plan = compile_formula(parse_formula("b(x)"))
-    assert plan == RelApply("b", (parse_formula("b(x)").terms[0],))
+    assert plan == atom("b", parse_formula("b(x)").terms[0])
 
 
 def test_negative_literal_compiles_to_complement_tensor():
     plan = compile_formula(parse_formula("!b(x)"))
-    assert plan == Complement(RelApply("b", plan.body.terms))
+    assert plan == Not(atom("b", *plan.body.terms))
     em = _embedded("ab", "ab", "succ")
     assert eval_tensor(plan, em, {"x": 1}) == 1
     assert eval_tensor(plan, em, {"x": 2}) == 0
@@ -583,10 +596,10 @@ def test_trace_under_a_contraction_with_an_unused_bound_variable():
     # The quantifier below the contraction loops over x only, so its trace
     # holds N events whichever bound variables the contraction lists.
     x, y, z = (fotensor.Variable(name) for name in "xyz")
-    body = (RelApply("a", (x,)), Min1SumOverDomain(z, RelApply("succ", (x, z))))
+    body = (atom("a", x), Exists(z, atom("succ", x, z)))
     em = _embedded("aab", "ab", "succ")
     for bound in ((x, y), (y, x), (x,)):
-        plan = Contract(bound, (Product(body),))
+        plan = Contract(bound, (And(body),))
         trace: list[TraceEvent] = []
         assert eval_tensor(plan, em, trace=trace) == 1
         assert len(trace) == _trace_events(plan, 3) == 3

@@ -10,22 +10,11 @@ from fotensor.diffcheck import random_formula
 from fotensor.formulas import Node, children, rebuild
 from fotensor.optimize import optimize
 from fotensor.prenex import to_prenex
-from fotensor.tensors import (
-    Complement,
-    Contract,
-    DualSumOverDomain,
-    EqApply,
-    Min1Sum,
-    Min1SumOverDomain,
-    Product,
-    RelApply,
-    compile_formula,
-    dump_expr,
-)
+from fotensor.tensors import Contract, compile_formula, dump_expr
 
 X, Y = Variable("x"), Variable("y")
 A, SUCC = atom("a", "x"), atom("succ", "x", "y")
-REL, NEQ = RelApply("a", (X,)), Complement(EqApply(X, Y))
+REL, NEQ = atom("a", X), Not(Equal(X, Y))
 
 # One node of every formula and plan node class.
 EXAMPLES = [
@@ -37,13 +26,6 @@ EXAMPLES = [
     Implies(A, SUCC),
     Exists(X, A),
     Forall(Y, SUCC),
-    REL,
-    EqApply(X, Y),
-    NEQ,
-    Product((REL, NEQ)),
-    Min1Sum((REL, NEQ)),
-    Min1SumOverDomain(X, REL),
-    DualSumOverDomain(Y, NEQ),
     Contract((X, Y), (REL, NEQ)),
 ]
 
@@ -80,12 +62,12 @@ def test_rebuild_with_own_children_keeps_the_node(node):
 
 
 def test_plan_variables():
-    assert Min1SumOverDomain(X, RelApply("succ", (X, Y))).variables == {Y}
-    assert DualSumOverDomain(X, Min1SumOverDomain(Y, NEQ)).variables == frozenset()
+    assert Exists(X, atom("succ", X, Y)).variables == {Y}
+    assert Forall(X, Exists(Y, NEQ)).variables == frozenset()
     assert Contract((X,), (REL, NEQ)).variables == {Y}
     assert Contract((X, Y), (REL, NEQ)).variables == frozenset()
     assert Contract((), (REL, NEQ)).variables == {X, Y}
-    assert Complement(Contract((Y,), (Min1SumOverDomain(X, REL),))).variables == frozenset()
+    assert Not(Contract((Y,), (Exists(X, REL),))).variables == frozenset()
 
 
 def _front_end_digest(passes):
