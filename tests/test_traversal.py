@@ -10,7 +10,7 @@ from fotensor.diffcheck import random_formula
 from fotensor.formulas import Node, children, rebuild
 from fotensor.optimize import optimize
 from fotensor.prenex import to_prenex
-from fotensor.tensors import Contract, compile_formula, dump_expr
+from fotensor.tensors import Contract, compile_formula, dump_expr, plan_extent
 
 X, Y = Variable("x"), Variable("y")
 A, SUCC = atom("a", "x"), atom("succ", "x", "y")
@@ -97,3 +97,26 @@ def test_optimized_plan_output_is_pinned():
     # optimize makes of a plan has to update the digest.
     digest = _front_end_digest(lambda f, plan: (dump_expr(optimize(plan)),))
     assert digest == "10e7993cccb0f45dff2fa6c83d5947acc294b04574eb49ce1e281390caf40527"
+
+
+def _contractions(e):
+    """The Contract nodes of plan e, in pre-order."""
+    found = [e] if isinstance(e, Contract) else []
+    for child in children(e):
+        found.extend(_contractions(child))
+    return found
+
+
+def _peaks(f, plan):
+    # The memory guard's inputs: each plan's planned peak (plan_extent) and
+    # each contraction's order, the plain plan's and the optimized one's.
+    for p in (plan, optimize(plan)):
+        yield repr(plan_extent(p))
+        yield from (repr(c.order) for c in _contractions(p))
+
+
+def test_planned_peaks_are_pinned():
+    # What the memory guard predicts of each plan; a change to _extent or
+    # Contract.order that moves any peak or step has to update the digest.
+    digest = _front_end_digest(lambda f, plan: tuple(_peaks(f, plan)))
+    assert digest == "262e17e632ed6ffdc61f4a8f826d9c084e2d388947417c17b620c5b1fbf41c86"
