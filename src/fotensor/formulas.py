@@ -100,13 +100,29 @@ def rebuild(node: Node, fn: typing.Callable[[Node], Node]) -> Node:
     return dataclasses.replace(node, **changes) if changes else node
 
 
+class cached:
+    """functools.cached_property without its lock, which Python before 3.12
+    takes at each first access: the method's value on first access, kept in
+    the instance __dict__, where later lookups find it directly. Plans are
+    new per request, so every node pays the first access."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, node, cls=None):
+        if node is None:
+            return self
+        value = node.__dict__[self.name] = self.method(node)
+        return value
+
+
 class Formula(Node):
     """Base class for formula nodes. Instances are immutable values."""
 
     def __str__(self):
         return to_text(self)
 
-    @functools.cached_property
+    @cached
     def variables(self) -> frozenset[Variable]:
         """Free variables of the formula rooted here, computed once per node
         from its children's."""

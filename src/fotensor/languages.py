@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SemanticError
 from .formulas import Formula, free_variables, predicates
-from .models import Alphabet, check_kind
+from .models import Alphabet, check_domain_size, check_kind
 from .optimize import optimize
 from .parser import parse_formula
 from .tensors import batch_limit, compile_formula, embed_words, eval_batch, plan_extent
@@ -88,9 +88,9 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
     eval_batch per chunk (see embed_words): a chunk runs across lengths, as
     far as batch_limit allows at its longest word and padding its words to
     that length at most doubles its cells. It raises SemanticError before
-    evaluating anything when a single word of length max_len is already
-    past the memory limit, or when there are more than MAX_WORDS words of
-    length <= max_len."""
+    evaluating anything when a single word of length max_len, or its N x N
+    order relation, is already past the memory limit, or when there are
+    more than MAX_WORDS words of length <= max_len."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     plan = optimize(compile_formula(spec.formula))
@@ -103,6 +103,7 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
                 f"enumeration to length {max_len} over {len(spec.alphabet)} letters decides "
                 f"at least {total} words, over the limit of {MAX_WORDS}"
             )
+    check_domain_size(max_len)  # the order relation embed_words builds
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
     letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter

@@ -75,7 +75,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +88,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, children
+from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, cached, children
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -104,7 +104,7 @@ from .prenex import PrenexFormula, to_prenex
 def min1(x):
     """min(x, 1), componentwise, as a numpy array or scalar. Raises
     ClosureError on negative input."""
-    if (np.asarray(x) < 0).any():
+    if np.minimum.reduce(x, axis=None, initial=0) < 0:
         raise ClosureError("min1 requires nonnegative input")
     return np.minimum(x, 1)
 
@@ -218,11 +218,11 @@ class Contract(Formula):
     bound: tuple[Variable, ...]
     factors: tuple[Formula, ...]
 
-    @functools.cached_property
+    @cached
     def variables(self) -> frozenset[Variable]:
         return frozenset().union(*[f.variables for f in self.factors]) - set(self.bound)
 
-    @functools.cached_property
+    @cached
     def order(self) -> tuple:
         """(axes, steps, rest, peak) from the factors' variable sets, for every N.
         Each step (axis, slots) eliminates the bound variable leaving fewest
@@ -231,7 +231,7 @@ class Contract(Formula):
         its axis out. axes names the bound variables some factor uses, rest
         the slots left, peak the most variables of a factor, step or output."""
         # By name: str hashing and equality run in C, Variable's in Python.
-        sets = [frozenset([v.name for v in f.variables]) for f in self.factors]
+        sets = [frozenset(map(attrgetter("name"), f.variables)) for f in self.factors]
         free = frozenset().union(*sets)
         used = [v.name for v in self.bound if v.name in free]
         live, steps, todo = list(range(len(sets))), [], list(used)
@@ -301,7 +301,7 @@ def eval_tensor(
                 f"events, over the limit of {MAX_TRACE_EVENTS}"
             )
     ev = _Evaluator(m, normalize_assignment(a), trace is not None)
-    value = int(ev.scalar(e, (), ()))
+    value = int(ev.scalar(e, (), () if trace is not None else None))
     if trace is not None:
         trace.extend(event for _, event in sorted(ev.events, key=itemgetter(0)))
     return value
@@ -320,7 +320,7 @@ def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
             f"evaluation of {b} structures needs arrays of B * N^k = "
             f"{b} * {n}^{plan_extent(e)[1]} cells, over the limit of {MAX_CELLS}"
         )
-    value = _Evaluator(m, {}, False).scalar(e, (None,), ())
+    value = _Evaluator(m, {}, False).scalar(e, (None,), None)
     return np.broadcast_to(value, (b,)).astype(np.int64)
 
 
@@ -387,55 +387,61 @@ class _Evaluator:
         self.n = m.basis_size
         self.env = env
         self.events: list | None = [] if tracing else None
+        self.range = np.arange(self.n)
 
-    def scalar(self, e, scope: tuple[str | None, ...], path: tuple) -> np.ndarray:
-        if isinstance(e, Atom):
+    def scalar(self, e, scope: tuple[str | None, ...], path: tuple | None) -> np.ndarray:
+        t = type(e)
+        if t is Atom:
             return self.place(self.m.tensor(e.predicate.name, len(e.terms)), e.terms, scope)
-        if isinstance(e, Equal):
-            left, right = (self.place(np.arange(self.n), (v,), scope) for v in (e.left, e.right))
-            return left == right
-        if isinstance(e, Not):
-            return ~self.scalar(e.body, scope, path + (0,))
-        if isinstance(e, And):
-            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.items)]
-            return functools.reduce(np.logical_and, values)
-        if isinstance(e, Or):
-            values = [self.scalar(g, scope, path + (k,)) for k, g in enumerate(e.items)]
+        if t is Not:
+            return ~self.scalar(e.body, scope, None if path is None else path + (0,))
+        if t is And or t is Or:
+            values = [self.scalar(g, scope, None if path is None else path + (k,)) for k, g in enumerate(e.items)]
+            if t is And:
+                return functools.reduce(np.logical_and, values)
             # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
-            return _clamp(functools.reduce(np.add, values, np.int64(0)))
-        if isinstance(e, (Exists, Forall)):
-            exists, inner = isinstance(e, Exists), scope + (e.var.name,)
-            body = self.scalar(e.body, inner, path + (None,))
-            body = body if exists else ~body
+            return _clamp(sum(values[1:], values[0].astype(np.int64)))
+        if t is Exists or t is Forall:
+            inner = scope + (e.var.name,)
+            body = self.scalar(e.body, inner, None if path is None else path + (None,))
+            body = body if t is Exists else ~body
             if self.m.domain is not None:
                 body = body & self.mask(len(scope), len(inner))
-            # Broadcast to N: a body that ignores the variable counts N times.
-            total = np.broadcast_to(body, body.shape[:-1] + (self.n,)).sum(-1)
-            if self.events is not None:
-                tag = "exists-sum" if exists else "forall-dual"
+            total = body.sum(-1)
+            if body.shape[-1] != self.n:
+                total = total * self.n  # a body that ignores the variable counts N times
+            if path is not None:
+                tag = "exists-sum" if t is Exists else "forall-dual"
                 self.record(tag, e.var.name, total, scope, path)
-            return _clamp(total) if exists else ~_clamp(total)
-        if isinstance(e, Contract):
-            (axes, steps, rest, _), outer = e.order, len(scope)
-            # The factors sit inside one loop per bound variable they use.
-            path += (None,) * len(axes)
-            counts = [self.scalar(g, scope + axes, path + (k,)) for k, g in enumerate(e.factors)]
-            for axis, slots in steps:
-                *head, last = (counts[k] for k in slots)
-                if self.m.domain is not None:
-                    head.insert(0, self.mask(outer + axis, outer + len(axes)))
-                counts.append(
-                    _matmul(functools.reduce(np.multiply, head), last, outer + axis)
-                    if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
-                )
-            total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
-            total = total.reshape(total.shape[:outer])
-            if len(axes) < len(e.bound):
-                # N^k for the unused bound variables: min1 sees only whether N > 0.
-                nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
-                total = total * self.place(nonempty, (), scope)
-            return _clamp(total)
+            return _clamp(total) if t is Exists else ~_clamp(total)
+        if t is Equal:
+            left, right = (self.place(self.range, (v,), scope) for v in (e.left, e.right))
+            return left == right
+        if t is Contract:
+            return self.contract(e, scope, path)
         raise TypeError(f"not a plan node: {e!r}")
+
+    def contract(self, e: Contract, scope: tuple[str | None, ...], path: tuple | None) -> np.ndarray:
+        (axes, steps, rest, _), outer = e.order, len(scope)
+        if path is not None:
+            path += (None,) * len(axes)  # one loop per bound variable the factors use
+        inner = scope + axes
+        counts = [self.scalar(g, inner, None if path is None else path + (k,)) for k, g in enumerate(e.factors)]
+        for axis, slots in steps:
+            *head, last = (counts[k] for k in slots)
+            if self.m.domain is not None:
+                head.insert(0, self.mask(outer + axis, outer + len(axes)))
+            counts.append(
+                _matmul(functools.reduce(np.multiply, head), last, outer + axis)
+                if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
+            )
+        total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
+        total = total.reshape(total.shape[:outer])
+        if len(axes) < len(e.bound):
+            # N^k for the unused bound variables: min1 sees only whether N > 0.
+            nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
+            total = total * self.place(nonempty, (), scope)
+        return _clamp(total)
 
     def place(self, t: np.ndarray, terms, scope: tuple[str | None, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
@@ -443,7 +449,10 @@ class _Evaluator:
         axis (the innermost one of that name), and a variable the assignment
         binds fixes a row or column. A batch's t, one axis more than terms,
         has its leading axis on the batch axis, scope position 0."""
-        index, axes = ([slice(None)], [0]) if t.ndim > len(terms) else ([], [])
+        shape = [1] * len(scope)
+        if t.ndim > len(terms):
+            shape[0] = len(t)
+        index, axes = [], []
         for v in terms:
             axis = _scope_axis(scope, v.name)
             if axis is None:
@@ -451,15 +460,12 @@ class _Evaluator:
             else:
                 index.append(slice(None))
                 axes.append(axis)
-        t = t[tuple(index)]
-        out = sorted(set(axes))
-        if axes != out:
-            # A repeated variable reads the diagonal (R(x, x)); the rest are
-            # permuted into axis order (R(y, x) reads the transpose).
-            t = np.einsum(t, [out.index(p) for p in axes], list(range(len(out))))
-        shape = [1] * len(scope)
-        for p, size in zip(out, t.shape):
-            shape[p] = size
+                shape[axis] = self.n
+        if len(axes) < len(terms):
+            t = t[(..., *index)]
+        if len(axes) == 2 and axes[0] >= axes[1]:
+            # R(x, x) reads the diagonal, R(y, x) the transpose.
+            t = np.einsum("...ii->...i", t) if axes[0] == axes[1] else t.swapaxes(-1, -2)
         return t.reshape(shape)
 
     def mask(self, axis: int, width: int) -> np.ndarray:
@@ -504,6 +510,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
     for k, (p, q) in enumerate(zip(a.shape, b.shape)):
         if k != v:
             (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
+    if not rows and not cols:
+        # A stack of dot products: one multiply-and-sum, no larger than a or b.
+        return (a * b).sum(v, keepdims=True, dtype=np.float64)
     lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
     x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
     y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])
@@ -518,7 +527,10 @@ def _clamp(total: np.ndarray) -> np.ndarray:
     cast alone would read any nonzero count as 1."""
     v = min1(total)
     out = v.astype(bool)
-    if not (out == v).all():
+    # Past min1 an integer count is nonnegative, so at most 1 suffices; a
+    # float one could also be a fraction.
+    ok = (out == v).all() if v.dtype.kind == "f" else np.maximum.reduce(v, axis=None, initial=0) <= 1
+    if not ok:
         raise ClosureError("plan node value outside {0, 1}")
     return out
 
@@ -536,15 +548,22 @@ def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
     """(most axes, k of the most cells N^k) of the arrays evaluating e, whose
     value has `axes` axes over `depth` variables: a quantifier adds one to
     both, a contraction its order's axes and peak (Contract.order)."""
-    if isinstance(e, (Exists, Forall)):
-        axes, depth = axes + 1, depth + 1
-    elif isinstance(e, Contract):
-        axes, depth = axes + len(e.order[0]), e.order[3]
-    most = (axes, depth)
-    for child in children(e):
-        a, d = _extent(child, axes, len(child.variables) if isinstance(e, Contract) else depth)
-        most = (max(most[0], a), max(most[1], d))
-    return most
+    t = type(e)
+    if t is Atom or t is Equal:
+        return axes, depth
+    if t is Exists or t is Forall:
+        return _extent(e.body, axes + 1, depth + 1)
+    if t is Not:
+        return _extent(e.body, axes, depth)
+    if t is Contract:
+        used, _, _, depth = e.order
+        axes += len(used)
+        kids = [_extent(f, axes, len(f.variables)) for f in e.factors]
+    else:
+        kids = [_extent(child, axes, depth) for child in children(e)]
+    for a, d in kids:
+        axes, depth = max(axes, a), max(depth, d)
+    return axes, depth
 
 
 # --- plan text format -----------------------------------------------------

@@ -510,6 +510,15 @@ def _fresh_interpreter(args):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_check_output_is_the_same_under_python_O():
+    # python -O strips asserts: were any check of the evaluator one, the
+    # differential check would run differently without it.
+    argv = ["-m", "fotensor", "check", "--random", "300", "--seed", "0", "--format", "json"]
+    normal = _fresh_interpreter(argv)
+    assert normal[0] == 0, normal[2]
+    assert _fresh_interpreter(["-O", *argv]) == normal
+
+
 def test_reused_parser_matches_fresh_interpreters(monkeypatch):
     for name, value in _FIXED_TERMINAL.items():
         monkeypatch.setenv(name, value)

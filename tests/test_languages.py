@@ -312,6 +312,19 @@ def test_enumerate_refuses_a_word_over_the_limit_before_allocating():
     assert peak < 1 << 20
 
 
+def test_enumerate_refuses_a_long_order_relation_before_evaluating(monkeypatch):
+    # The plan's peak, one variable, passes at length 5000; the order
+    # relation of the longest words, 5000 x 5000 cells, does not, and is
+    # refused before any word is embedded.
+    def embed_words(*args, **kwargs):
+        raise AssertionError("embed_words called")
+
+    monkeypatch.setattr(languages, "embed_words", embed_words)
+    spec = LanguageSpec(parse_formula("exists x. a(x)"), "succ", Alphabet("a"))
+    with pytest.raises(SemanticError, match="domain size 5000 needs N x N tensors of 25000000 cells"):
+        enumerate_language(spec, 5000)
+
+
 def test_enumerate_tensor_path_matches_oracle_on_random_formulas():
     rng = random.Random(31)
     for i in range(102):

@@ -157,6 +157,29 @@ def test_corrupted_clamp_is_caught_under_python_O():
     assert done.stdout.strip() == "raised"
 
 
+def test_corrupted_contraction_clamp_is_caught_under_python_O():
+    # The contraction of b(x) over bb counts 2.0, a float: without min1
+    # only the clamp's explicit check can catch it.
+    code = (
+        "import fotensor.tensors as tensors\n"
+        "from fotensor import Alphabet, ClosureError, compile_formula, optimize, parse_formula\n"
+        "tensors.min1 = lambda x: x\n"
+        "plan = optimize(compile_formula(parse_formula('exists x. b(x)')))\n"
+        "em = tensors.embed_word('bb', Alphabet('ab'), 'succ')\n"
+        "try:\n"
+        "    print(tensors.eval_tensor(plan, em))\n"
+        "except ClosureError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(fotensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
+
+
 def test_compile_one_b_plan_structure():
     plan = compile_formula(ONE_B)
     assert isinstance(plan, Exists)
