@@ -101,19 +101,14 @@ def rebuild(node: Node, fn: typing.Callable[[Node], Node]) -> Node:
 
 
 class cached:
-    """functools.cached_property without its lock, which Python before 3.12
-    takes at each first access: the method's value on first access, kept in
-    the instance __dict__, where later lookups find it directly. Plans are
-    new per request, so every node pays the first access."""
+    """functools.cached_property without the lock that Python before 3.12
+    takes at each first access: the value is kept in the instance __dict__."""
 
     def __init__(self, method):
         self.method, self.name = method, method.__name__
 
     def __get__(self, node, cls=None):
-        if node is None:
-            return self
-        value = node.__dict__[self.name] = self.method(node)
-        return value
+        return self if node is None else node.__dict__.setdefault(self.name, self.method(node))
 
 
 class Formula(Node):

@@ -29,18 +29,20 @@ Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
 a bool array with one axis per such variable; the axis has size 1 where
 the node does not depend on the variable. A literal is its relation
-tensor placed on its variables' axes (the diagonal for R(x, x), a row or
-column for a variable the assignment binds), and a negative literal, a
-Not over it, the placed tensor inverted. An equality x = y
-places the index range 0..N-1 on the axis of x and on the axis of y and
-compares the two, so [i = j] comes from the indices alone. Conjunction is
-a broadcast product and disjunction a clamped sum. A quantifier sums its
-body over the variable's axis after broadcasting that axis to the domain
-size N, which makes existentials 0 and universals 1 on an empty domain. A
-contraction runs its order (Contract.order): it eliminates the bound
-variables one at a time, summing an axis that one factor uses and
-contracting two or more factors with one np.matmul on float64 counts
-(exact below 2^53); a bound variable that no factor uses gets no axis.
+tensor reshaped onto its variables' axes (transposed for R(y, x), the
+diagonal for R(x, x), a row or column for a variable the assignment
+binds), and a negative literal, a Not over it, the placed tensor inverted.
+An equality x = y places the index range 0..N-1, made once per
+evaluation, on the axis of x and on the axis of y and compares the two,
+so [i = j] comes from the indices alone. Conjunction is a broadcast
+product and disjunction a clamped sum. A quantifier sums its body over
+the variable's axis, and a body without that axis counts N times, which
+makes existentials 0 and universals 1 on an empty domain. A contraction
+runs its order (Contract.order): it eliminates the bound variables one at
+a time, summing an axis that one factor uses and contracting two or more
+factors with one np.matmul on float64 counts (exact below 2^53), or, when
+no factor has an axis the others lack, as a stack of dot products by one
+multiply-and-sum; a bound variable that no factor uses gets no axis.
 Counts exist only inside a sum: int64 for a quantifier or a disjunction,
 float64 in a contraction; the clamp turns them back into bool. Before
 allocating anything, evaluation refuses a plan whose largest array, N^k
@@ -61,7 +63,7 @@ only its own positions.
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, and every clamp runs
 min1, which rejects negative input, then checks its output before the
-cast to bool. Both raise ClosureError explicitly, so the checks also run
+cast to bool: at most 1, and a float count also whole. Both raise ClosureError explicitly, so the checks also run
 under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
@@ -380,14 +382,15 @@ class _Evaluator:
     order: the path from the root, where a quantifier contributes its loop
     index (a contraction one per bound variable) and any other node the
     position of the child taken, followed by math.inf so that a node's own
-    event sorts after its descendants'."""
+    event sorts after its descendants'. The path is built only when
+    tracing; otherwise it is None."""
 
     def __init__(self, m: EmbeddedModel, env: dict[str, int], tracing: bool):
         self.m = m
         self.n = m.basis_size
         self.env = env
         self.events: list | None = [] if tracing else None
-        self.range = np.arange(self.n)
+        self.indices = np.arange(self.n)
 
     def scalar(self, e, scope: tuple[str | None, ...], path: tuple | None) -> np.ndarray:
         t = type(e)
@@ -400,7 +403,7 @@ class _Evaluator:
             if t is And:
                 return functools.reduce(np.logical_and, values)
             # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
-            return _clamp(sum(values[1:], values[0].astype(np.int64)))
+            return _clamp(functools.reduce(np.add, values, np.int64(0)))
         if t is Exists or t is Forall:
             inner = scope + (e.var.name,)
             body = self.scalar(e.body, inner, None if path is None else path + (None,))
@@ -411,37 +414,32 @@ class _Evaluator:
             if body.shape[-1] != self.n:
                 total = total * self.n  # a body that ignores the variable counts N times
             if path is not None:
-                tag = "exists-sum" if t is Exists else "forall-dual"
-                self.record(tag, e.var.name, total, scope, path)
+                self.record("exists-sum" if t is Exists else "forall-dual", e.var.name, total, scope, path)
             return _clamp(total) if t is Exists else ~_clamp(total)
         if t is Equal:
-            left, right = (self.place(self.range, (v,), scope) for v in (e.left, e.right))
-            return left == right
+            return self.place(self.indices, (e.left,), scope) == self.place(self.indices, (e.right,), scope)
         if t is Contract:
-            return self.contract(e, scope, path)
+            (axes, steps, rest, _), outer = e.order, len(scope)
+            # The factors sit inside one loop per bound variable they use.
+            path = None if path is None else path + (None,) * len(axes)
+            counts = [self.scalar(g, scope + axes, None if path is None else path + (k,))
+                      for k, g in enumerate(e.factors)]
+            for axis, slots in steps:
+                *head, last = (counts[k] for k in slots)
+                if self.m.domain is not None:
+                    head.insert(0, self.mask(outer + axis, outer + len(axes)))
+                counts.append(
+                    _matmul(functools.reduce(np.multiply, head), last, outer + axis)
+                    if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
+                )
+            total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
+            total = total.reshape(total.shape[:outer])
+            if len(axes) < len(e.bound):
+                # N^k for the unused bound variables: min1 sees only whether N > 0.
+                nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
+                total = total * self.place(nonempty, (), scope)
+            return _clamp(total)
         raise TypeError(f"not a plan node: {e!r}")
-
-    def contract(self, e: Contract, scope: tuple[str | None, ...], path: tuple | None) -> np.ndarray:
-        (axes, steps, rest, _), outer = e.order, len(scope)
-        if path is not None:
-            path += (None,) * len(axes)  # one loop per bound variable the factors use
-        inner = scope + axes
-        counts = [self.scalar(g, inner, None if path is None else path + (k,)) for k, g in enumerate(e.factors)]
-        for axis, slots in steps:
-            *head, last = (counts[k] for k in slots)
-            if self.m.domain is not None:
-                head.insert(0, self.mask(outer + axis, outer + len(axes)))
-            counts.append(
-                _matmul(functools.reduce(np.multiply, head), last, outer + axis)
-                if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
-            )
-        total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
-        total = total.reshape(total.shape[:outer])
-        if len(axes) < len(e.bound):
-            # N^k for the unused bound variables: min1 sees only whether N > 0.
-            nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
-            total = total * self.place(nonempty, (), scope)
-        return _clamp(total)
 
     def place(self, t: np.ndarray, terms, scope: tuple[str | None, ...]) -> np.ndarray:
         """Tensor t with its k-th index on the axis of terms[k], reshaped to
@@ -527,8 +525,7 @@ def _clamp(total: np.ndarray) -> np.ndarray:
     cast alone would read any nonzero count as 1."""
     v = min1(total)
     out = v.astype(bool)
-    # Past min1 an integer count is nonnegative, so at most 1 suffices; a
-    # float one could also be a fraction.
+    # Past min1 an integer count is 0 or more; a float one could be a fraction.
     ok = (out == v).all() if v.dtype.kind == "f" else np.maximum.reduce(v, axis=None, initial=0) <= 1
     if not ok:
         raise ClosureError("plan node value outside {0, 1}")
@@ -551,19 +548,15 @@ def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
     t = type(e)
     if t is Atom or t is Equal:
         return axes, depth
-    if t is Exists or t is Forall:
-        return _extent(e.body, axes + 1, depth + 1)
-    if t is Not:
-        return _extent(e.body, axes, depth)
+    if t is Not or t is Exists or t is Forall:
+        quantified = t is not Not
+        return _extent(e.body, axes + quantified, depth + quantified)
     if t is Contract:
-        used, _, _, depth = e.order
-        axes += len(used)
-        kids = [_extent(f, axes, len(f.variables)) for f in e.factors]
+        axes += len(e.order[0])
+        kids = [_extent(f, axes, len(f.variables)) for f in e.factors] + [(axes, e.order[3])]
     else:
-        kids = [_extent(child, axes, depth) for child in children(e)]
-    for a, d in kids:
-        axes, depth = max(axes, a), max(depth, d)
-    return axes, depth
+        kids = [_extent(child, axes, depth) for child in children(e)] + [(axes, depth)]
+    return tuple(map(max, zip(*kids)))
 
 
 # --- plan text format -----------------------------------------------------
