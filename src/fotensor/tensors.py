@@ -63,8 +63,8 @@ only its own positions.
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, and every clamp runs
 min1, which rejects negative input, then checks its output before the
-cast to bool: at most 1, and a float count also whole. Both raise ClosureError explicitly, so the checks also run
-under python -O.
+cast to bool: at most 1, and a float count also whole. Both raise
+ClosureError explicitly, so the checks also run under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
