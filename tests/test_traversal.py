@@ -107,7 +107,7 @@ def _contractions(e):
     return found
 
 
-def _peaks(f, plan):
+def _peaks(plan):
     # The memory guard's inputs: each plan's planned peak (plan_extent) and
     # each contraction's order, the plain plan's and the optimized one's.
     for p in (plan, optimize(plan)):
@@ -118,5 +118,5 @@ def _peaks(f, plan):
 def test_planned_peaks_are_pinned():
     # What the memory guard predicts of each plan; a change to _extent or
     # Contract.order that moves any peak or step has to update the digest.
-    digest = _front_end_digest(lambda f, plan: tuple(_peaks(f, plan)))
+    digest = _front_end_digest(lambda f, plan: tuple(_peaks(plan)))
     assert digest == "262e17e632ed6ffdc61f4a8f826d9c084e2d388947417c17b620c5b1fbf41c86"
