@@ -8,10 +8,6 @@ implications is also an evaluation plan (see tensors.py).
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import operator
-import typing
 from dataclasses import dataclass
 
 
@@ -37,69 +33,6 @@ class PredicateSymbol:
             raise ValueError(f"predicate arity must be 1 or 2, got {self.arity}")
 
 
-class Node:
-    """Base class of tree nodes. A node class is a frozen dataclass; its
-    subnodes are the fields annotated with a Node type, or else the one
-    field annotated with a tuple of one."""
-
-
-@functools.cache
-def _child_fields(cls: type) -> tuple[tuple[str, bool], ...]:
-    """(name, holds a tuple) for each subnode field of a node class, read
-    once per class from its field annotations."""
-    if not issubclass(cls, Node):
-        raise TypeError(f"not a tree node: {cls.__name__}")
-    hints = typing.get_type_hints(cls)
-    out = []
-    for field in dataclasses.fields(cls):
-        hint = hints[field.name]
-        many = typing.get_origin(hint) is tuple
-        kind = typing.get_args(hint)[0] if many else hint
-        if isinstance(kind, type) and issubclass(kind, Node):
-            out.append((field.name, many))
-    return tuple(out)
-
-
-# The children() getter of each node class, made on first use.
-_GETTERS: dict[type, typing.Callable[[Node], tuple[Node, ...]]] = {}
-
-
-def children(node: Node) -> tuple[Node, ...]:
-    """The subnodes of node, in field order."""
-    try:
-        get = _GETTERS[type(node)]
-    except KeyError:
-        get = _GETTERS[type(node)] = _child_getter(type(node))
-    return get(node)
-
-
-def _child_getter(cls: type) -> typing.Callable[[Node], tuple[Node, ...]]:
-    """children() for one class: an attrgetter, which runs in C, wherever it
-    yields the tuple, since every pass calls children() once per node."""
-    fields = _child_fields(cls)
-    names = [name for name, _ in fields]
-    if fields and fields[0][1]:
-        return operator.attrgetter(names[0])
-    if len(names) > 1:
-        return operator.attrgetter(*names)
-    if names:
-        get = operator.attrgetter(names[0])
-        return lambda node: (get(node),)
-    return lambda node: ()
-
-
-def rebuild(node: Node, fn: typing.Callable[[Node], Node]) -> Node:
-    """node with fn applied to each of its subnodes; node itself when fn
-    returns every subnode unchanged."""
-    changes = {}
-    for name, many in _child_fields(type(node)):
-        old = getattr(node, name)
-        new = tuple(map(fn, old)) if many else fn(old)
-        if any(map(operator.is_not, new, old)) if many else new is not old:
-            changes[name] = new
-    return dataclasses.replace(node, **changes) if changes else node
-
-
 class cached:
     """functools.cached_property without the lock that Python before 3.12
     takes at each first access: the value is kept in the instance __dict__."""
@@ -111,11 +44,17 @@ class cached:
         return self if node is None else node.__dict__.setdefault(self.name, self.method(node))
 
 
-class Formula(Node):
-    """Base class for formula nodes. Instances are immutable values."""
+class Formula:
+    """Base class of formula nodes, which are also plan nodes (see
+    tensors.py). A node class is a frozen dataclass whose children() lists
+    its formula-valued fields in field order."""
 
     def __str__(self):
         return to_text(self)
+
+    def children(self) -> tuple[Formula, ...]:
+        """The subformulas, in field order."""
+        return ()
 
     @cached
     def variables(self) -> frozenset[Variable]:
@@ -125,7 +64,7 @@ class Formula(Node):
             return frozenset(self.terms)
         if isinstance(self, Equal):
             return frozenset((self.left, self.right))
-        kids = children(self)
+        kids = self.children()
         out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
         if isinstance(self, (Exists, Forall)):
             out = out - {self.var}
@@ -155,15 +94,32 @@ class Equal(Formula):
 class Not(Formula):
     body: Formula
 
+    def children(self):
+        return (self.body,)
+
 
 @dataclass(frozen=True)
 class And(Formula):
     items: tuple[Formula, ...]
 
+    def __post_init__(self):
+        if not self.items:
+            raise ValueError("empty conjunction")
+
+    def children(self):
+        return self.items
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     items: tuple[Formula, ...]
+
+    def __post_init__(self):
+        if not self.items:
+            raise ValueError("empty disjunction")
+
+    def children(self):
+        return self.items
 
 
 @dataclass(frozen=True)
@@ -171,17 +127,26 @@ class Implies(Formula):
     left: Formula
     right: Formula
 
+    def children(self):
+        return (self.left, self.right)
+
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: Variable
     body: Formula
 
+    def children(self):
+        return (self.body,)
+
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: Variable
     body: Formula
+
+    def children(self):
+        return (self.body,)
 
 
 def atom(name: str, *vars: str | Variable) -> Atom:
@@ -193,23 +158,21 @@ def atom(name: str, *vars: str | Variable) -> Atom:
 def and_(items) -> Formula:
     """N-ary conjunction; flattens nested conjunctions and drops the wrapper
     around a single item."""
-    return _flatten(And, items, "conjunction")
+    return _flatten(And, items)
 
 
 def or_(items) -> Formula:
     """N-ary disjunction; flattens like :func:`and_`."""
-    return _flatten(Or, items, "disjunction")
+    return _flatten(Or, items)
 
 
-def _flatten(cls: type[And] | type[Or], items, what: str) -> Formula:
+def _flatten(cls: type[And] | type[Or], items) -> Formula:
     flat: list[Formula] = []
     for f in items:
         if isinstance(f, cls):
             flat.extend(f.items)
         else:
             flat.append(f)
-    if not flat:
-        raise ValueError(f"empty {what}")
     return flat[0] if len(flat) == 1 else cls(tuple(flat))
 
 
@@ -219,18 +182,18 @@ def free_variables(f: Formula) -> set[Variable]:
     if isinstance(f, Equal):
         return {f.left, f.right}
     out: set[Variable] = set()
-    for g in children(f):
+    for g in f.children():
         out |= free_variables(g)
     if isinstance(f, (Exists, Forall)):
         out.discard(f.var)
     return out
 
 
-def contains(f: Node, types: type | tuple[type, ...]) -> bool:
+def contains(f: Formula, types: type | tuple[type, ...]) -> bool:
     """Whether f or a node below it is an instance of types."""
     if isinstance(f, types):
         return True
-    for g in children(f):
+    for g in f.children():
         if contains(g, types):
             return True
     return False
@@ -245,7 +208,7 @@ def predicates(f: Formula) -> dict[str, int]:
     if isinstance(f, Atom):
         return {f.predicate.name: f.predicate.arity}
     out: dict[str, int] = {}
-    for g in children(f):
+    for g in f.children():
         out.update(predicates(g))
     return out
 

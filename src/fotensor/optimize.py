@@ -22,7 +22,7 @@ test suite checks this per pattern and on random plans.
 
 from __future__ import annotations
 
-from .formulas import And, Exists, Forall, Formula, Not, Or, children
+from .formulas import And, Exists, Forall, Formula, Not, Or, and_, or_
 from .tensors import Contract
 
 
@@ -46,29 +46,24 @@ def _block(bound: tuple, body: Formula, nonempty: bool, exists: bool) -> Formula
     parts of body that use none of bound outside the contraction."""
     always, guarded = (And, Or) if exists else (Or, And)
     kind = guarded if nonempty and isinstance(body, guarded) else always
+    join = and_ if kind is And else or_
     parts, inside, outside = _parts(body, kind), [], []
     for p in parts:
         # A lone part stays inside even if it ignores the run (counted N^k times).
         (outside if len(parts) > 1 and p.variables.isdisjoint(bound) else inside).append(p)
     if not inside and nonempty:
         return body
-    inner = _join(kind, inside)
-    block = Contract(bound, _parts(inner if exists else _negate(inner), And))
-    return _join(kind, outside + [block if exists else Not(block)])
+    factors = ()  # With no part inside, the block is the run alone: 1 on a nonempty domain.
+    if inside:
+        inner = join(inside)
+        factors = _parts(inner if exists else _negate(inner), And)
+    block = Contract(bound, factors)
+    return join(outside + [block if exists else Not(block)])
 
 
 def _parts(e: Formula, kind: type) -> tuple[Formula, ...]:
     """The conjuncts (kind And) or disjuncts (kind Or) of e."""
-    return children(e) if isinstance(e, kind) else (e,)
-
-
-def _join(kind: type, parts) -> Formula:
-    """The flattened conjunction or disjunction (kind) of the parts; one part
-    stands alone."""
-    flat = []
-    for p in parts:
-        flat.extend(_parts(p, kind))
-    return flat[0] if len(flat) == 1 else kind(tuple(flat))
+    return e.children() if isinstance(e, kind) else (e,)
 
 
 def _negate(e: Formula) -> Formula:
@@ -76,7 +71,7 @@ def _negate(e: Formula) -> Formula:
     if isinstance(e, Not):
         return e.body
     if isinstance(e, And):
-        return _join(Or, map(_negate, e.items))
+        return or_(map(_negate, e.items))
     if isinstance(e, Or):
-        return _join(And, map(_negate, e.items))
+        return and_(map(_negate, e.items))
     return Not(e)

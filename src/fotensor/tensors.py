@@ -90,7 +90,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, cached, children
+from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, cached
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -195,9 +195,12 @@ def embed_words(
         raise ValueError(f"word numbers {start}..{stop} outside 0..{firsts[-1]}")
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     low, n = (bisect.bisect_right(firsts, k, hi=max_len + 1) - 1 for k in (start, max(stop - 1, start)))
-    order = order_relation(n, kind)
     runs = [(length, max(firsts[length], start) - start, min(firsts[length + 1], stop) - start)
             for length in range(low, n + 1)]
+    top = max(start + b - 1 - firsts[length] for length, _, b in runs)  # int64 codes
+    if top >= 1 << 63:
+        raise ValueError(f"word code {top} within its length is over the limit of 2^63 - 1")
+    order = order_relation(n, kind)
     codes = np.concatenate([np.arange(a, b) + (start - firsts[length]) for length, a, b in runs])
     # Each code's numeral in n digits, then each word's own last L of them.
     numerals = np.empty((stop - start, n), np.min_scalar_type(base))
@@ -219,6 +222,13 @@ class Contract(Formula):
 
     bound: tuple[Variable, ...]
     factors: tuple[Formula, ...]
+
+    def __post_init__(self):
+        if len({v.name for v in self.bound}) < len(self.bound):
+            raise ValueError(f"bound variables not distinct: {[v.name for v in self.bound]}")
+
+    def children(self):
+        return self.factors
 
     @cached
     def variables(self) -> frozenset[Variable]:
@@ -368,7 +378,7 @@ def _trace_events(e: Formula, n: int, depth: int = 0) -> int:
         return n**depth + _trace_events(e.body, n, depth + 1)
     if isinstance(e, Contract):
         depth += len(e.order[0])
-    return sum(_trace_events(child, n, depth) for child in children(e))
+    return sum(_trace_events(child, n, depth) for child in e.children())
 
 
 class _Evaluator:
@@ -555,7 +565,7 @@ def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
         axes += len(e.order[0])
         kids = [_extent(f, axes, len(f.variables)) for f in e.factors] + [(axes, e.order[3])]
     else:
-        kids = [_extent(child, axes, depth) for child in children(e)] + [(axes, depth)]
+        kids = [_extent(child, axes, depth) for child in e.children()] + [(axes, depth)]
     return tuple(map(max, zip(*kids)))
 
 
@@ -592,6 +602,6 @@ def _dump(e, pad: str, out: list[str]) -> None:
     except KeyError:
         raise TypeError(f"not a plan node: {e!r}") from None
     out.append(f"{pad}({head}")
-    for child in children(e):
+    for child in e.children():
         _dump(child, pad + "  ", out)
     out[-1] += ")"

@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import random
 from itertools import product
 
-from fotensor import Alphabet, build_word_model, embed_words, parse_formula
+from fotensor import Alphabet, Formula, build_word_model, embed_words, parse_formula
 from fotensor.diffcheck import random_formula
 
 
@@ -61,3 +62,20 @@ def traversal_corpus():
         alphabet = ("ab", "abc")[i % 2]
         kind = ("succ", "prec")[i // 2 % 2]
         yield random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)
+
+
+def rebuild(node: Formula, fn) -> Formula:
+    """node with fn applied to each of its subformulas (node.children());
+    node itself when fn returns every one unchanged."""
+    changes = {}
+    for field in dataclasses.fields(node):
+        old = getattr(node, field.name)
+        if isinstance(old, Formula):
+            new = fn(old)
+            if new is not old:
+                changes[field.name] = new
+        elif isinstance(old, tuple) and old and isinstance(old[0], Formula):
+            new = tuple(map(fn, old))
+            if any(a is not b for a, b in zip(new, old)):
+                changes[field.name] = new
+    return dataclasses.replace(node, **changes) if changes else node

@@ -4,7 +4,17 @@ import pytest
 
 import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
-from fotensor import compile_formula, embed_model, eval_tensor, free_variables, optimize, parse_formula
+from fotensor import (
+    build_word_model,
+    compile_formula,
+    embed_model,
+    eval_tensor,
+    free_variables,
+    optimize,
+    parse_formula,
+    tarski_eval,
+    to_prenex,
+)
 from fotensor.diffcheck import (
     batched_value,
     case_from_seed,
@@ -14,7 +24,7 @@ from fotensor.diffcheck import (
     run_differential_check,
 )
 from fotensor.models import Alphabet, StructureModel, build_successor_model
-from fotensor.formulas import Not
+from fotensor.formulas import Atom, Equal, Not
 
 
 def test_random_formulas_are_closed_and_bounded():
@@ -142,3 +152,60 @@ def test_each_case_is_compiled_once(monkeypatch):
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         run_differential_check(0)
+
+
+# --- long words ---------------------------------------------------------
+# Random formulas whose prenex prefix alternates (two blocks or more) and
+# whose matrix relates two variables, each with a word as long as
+# N^k <= 2^12 allows for its k-quantifier prefix: N up to 64 for the plain
+# and optimized paths against the oracle, and half of that for the batched
+# path.
+_LONG_WORD_LENGTHS = {2: (64, 61, 47, 33), 3: (16, 13), 4: (8, 7)}
+
+
+def _relates_two_variables(f):
+    if isinstance(f, Atom):
+        return len(set(f.terms)) == 2
+    if isinstance(f, Equal):
+        return f.left != f.right
+    return any(map(_relates_two_variables, f.children()))
+
+
+def _long_word_cases():
+    rng = random.Random(4096)
+    wanted = {2: 20, 3: 8, 4: 4}
+    while any(wanted.values()):
+        symbols, kind = rng.choice(("ab", "abc")), rng.choice(("succ", "prec"))
+        formula = random_formula(rng, tuple(symbols), kind, max_depth=4)
+        prenex = to_prenex(formula)
+        k = len(prenex.prefix)
+        alternates = len({q for q, _ in prenex.prefix}) == 2
+        if wanted.get(k) and alternates and _relates_two_variables(prenex.matrix):
+            lengths = _LONG_WORD_LENGTHS[k]
+            n = lengths[wanted[k] % len(lengths)]
+            wanted[k] -= 1
+            word = "".join(rng.choice(symbols) for _ in range(n))
+            yield formula, Alphabet(symbols), kind, word
+
+
+LONG_WORD_CASES = list(_long_word_cases())
+
+
+def test_long_word_cases_reach_n_64():
+    assert len(LONG_WORD_CASES) == 32
+    assert max(len(word) for *_, word in LONG_WORD_CASES) == 64
+
+
+@pytest.mark.parametrize("index", range(len(LONG_WORD_CASES)))
+def test_long_words_agree_with_the_oracle(index, monkeypatch):
+    formula, alphabet, kind, word = LONG_WORD_CASES[index]
+    plan = compile_formula(formula)
+    tensor_value, optimized_value, oracle_value = compare_paths(
+        formula, plan, optimize(plan), word, kind, alphabet
+    )
+    assert tensor_value == optimized_value == oracle_value, (str(formula), word)
+    # A chunk of a few dozen words keeps the batched path's arrays small.
+    monkeypatch.setattr(tensors, "MAX_CELLS", 1 << 16)
+    half = word[: len(word) // 2]
+    want = int(tarski_eval(formula, build_word_model(half, alphabet, kind)))
+    assert batched_value(plan, half, kind, alphabet) == want, (str(formula), half)

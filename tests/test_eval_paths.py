@@ -22,7 +22,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import Equal, children, contains
+from fotensor.formulas import Equal, contains
 from fotensor.tensors import Contract
 
 
@@ -34,7 +34,7 @@ def _plans(formula):
 def _equality_in_a_contraction(plan):
     if isinstance(plan, Contract):
         return any(contains(f, Equal) for f in plan.factors)
-    return any(map(_equality_in_a_contraction, children(plan)))
+    return any(map(_equality_in_a_contraction, plan.children()))
 
 
 def _check_closed(text, kind, words, symbols="ab"):

@@ -55,6 +55,19 @@ def test_constructors_flatten():
     assert and_([a]) is a
 
 
+def test_empty_conjunction_and_disjunction_are_refused():
+    import pytest
+
+    for build, what in ((And, "conjunction"), (Or, "disjunction")):
+        with pytest.raises(ValueError, match=f"empty {what}"):
+            build(())
+    for build, what in ((and_, "conjunction"), (or_, "disjunction")):
+        with pytest.raises(ValueError, match=f"empty {what}"):
+            build([])
+        with pytest.raises(ValueError, match=f"empty {what}"):
+            build(iter(()))
+
+
 def test_predicates_collects_arities():
     f = parse_formula("exists x. forall y. (b(x) & succ(x, y))")
     assert predicates(f) == {"b": 1, "succ": 2}

@@ -14,7 +14,6 @@ from fotensor import (
     tarski_eval,
 )
 from fotensor.diffcheck import random_formula
-from fotensor.formulas import children
 from fotensor.models import MAX_CELLS
 from fotensor.formulas import And, Atom, Equal, Exists, Forall, Not, Or, Variable, atom
 from fotensor.tensors import Contract, batch_limit
@@ -164,6 +163,26 @@ def test_contract_over_a_variable_no_factor_uses(text):
 @pytest.mark.parametrize(
     ("text", "planned"),
     [
+        ("exists z. (a(x) & b(y))", And((_rel("a", X), _rel("b", Y), Contract((Z,), ())))),
+        ("forall z. (a(x) | b(y))", Or((_rel("a", X), _rel("b", Y), Not(Contract((Z,), ()))))),
+    ],
+)
+def test_a_run_no_part_uses_contracts_no_factor(text, planned):
+    # Every part leaves the block; what stays is the run's count, and no
+    # empty conjunction or disjunction is built on the way.
+    formula = parse_formula(text)
+    optimized = optimize(compile_formula(formula))
+    assert optimized == planned
+    for word in all_words("ab", 3)[1:]:
+        m = word_model(word, "ab", "succ")
+        for a in itertools.product(range(1, len(word) + 1), repeat=2):
+            env = dict(zip("xy", a))
+            assert eval_tensor(optimized, embed_model(m), env) == int(tarski_eval(formula, m, env))
+
+
+@pytest.mark.parametrize(
+    ("text", "planned"),
+    [
         (
             "forall x. (b(x) | (exists y. a(y)))",
             Or(
@@ -217,7 +236,7 @@ def test_quantifier_below_another_node_keeps_its_value():
 
 def _contracts(e):
     found = [e] if isinstance(e, Contract) else []
-    for child in children(e):
+    for child in e.children():
         found += _contracts(child)
     return found
 

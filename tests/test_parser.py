@@ -16,7 +16,7 @@ from fotensor import (
     Variable,
     parse_formula,
 )
-from fotensor.formulas import children, to_text
+from fotensor.formulas import to_text
 from fotensor.parser import MAX_NESTING
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -154,7 +154,7 @@ def test_one_parse_builds_each_symbol_once():
             found = [g.left, g.right]
         else:
             found = [g.var] if isinstance(g, (Exists, Forall)) else []
-            for child in children(g):
+            for child in g.children():
                 visit(child)
         for symbol in found:
             assert seen.setdefault((type(symbol), symbol.name), symbol) is symbol

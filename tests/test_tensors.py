@@ -34,7 +34,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, atom, contains
+from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, Variable, atom, contains
 from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
 from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
@@ -514,6 +514,24 @@ def test_embed_words_slices_by_code():
         embed_words(Alphabet("ab"), 2, "tree")
 
 
+def test_embed_words_refuses_a_code_past_int64():
+    # Codes within a length are int64. The largest that fits still embeds;
+    # a chunk reaching 2^63 is refused with ValueError, not numpy's
+    # OverflowError or a silently wrapped code.
+    first = sum(2**k for k in range(64))
+    for code in (2**63 - 2, 2**63 - 1):
+        em = embed_words(Alphabet("ab"), 64, "prec", first + code, first + code + 1)
+        assert em.digits[0].tolist() == [int(d) for d in format(code, "064b")]
+    assert em.digits[0, :4].tolist() == [0, 1, 1, 1]
+    for start, stop in ((2**63, 2**63 + 1), (2**63 - 2, 2**63 + 1)):
+        with pytest.raises(ValueError, match=r"over the limit of 2\^63 - 1"):
+            embed_words(Alphabet("ab"), 64, "prec", first + start, first + stop)
+    # Over three letters, length 40 crosses the limit part way.
+    first = sum(3**k for k in range(40))
+    with pytest.raises(ValueError, match="limit"):
+        embed_words(Alphabet("abc"), 40, "succ", first + 2**63 - 1, first + 2**63 + 1)
+
+
 def test_embed_word_is_the_embedding_of_the_word_model():
     for symbols in ("ab", "lra"):
         for kind in ("succ", "prec"):
@@ -613,6 +631,13 @@ def test_trace_size_is_counted_before_evaluating():
     assert _trace_events(compile_formula(DISS), 256) == 1 + 256 + 256**2 <= MAX_TRACE_EVENTS
     chain = parse_formula(" ".join(f"exists x{i}." for i in range(1, 25)) + " a(x1)")
     assert _trace_events(compile_formula(chain), 2) == 2**24 - 1 > MAX_TRACE_EVENTS
+
+
+def test_contract_refuses_a_repeated_bound_variable():
+    # As a prefix refuses one (PrenexFormula); optimize renames apart.
+    x = Variable("x")
+    with pytest.raises(ValueError, match="bound variables not distinct"):
+        Contract((x, x), (atom("a", "x"),))
 
 
 def test_trace_under_a_contraction_with_an_unused_bound_variable():

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from fotensor import Equal, Exists, Forall, Implies, Not, Variable, and_, atom, or_
+from conftest import rebuild
+from fotensor import Equal, Exists, Forall, Formula, Implies, Not, Variable, and_, atom, or_
 from fotensor.diffcheck import random_formula
-from fotensor.formulas import Node, children, rebuild
 from fotensor.optimize import optimize
 from fotensor.prenex import to_prenex
 from fotensor.tensors import Contract, compile_formula, dump_expr, plan_extent
@@ -30,7 +30,7 @@ EXAMPLES = [
 ]
 
 
-def _node_classes(cls=Node):
+def _node_classes(cls=Formula):
     out = set()
     for sub in cls.__subclasses__():
         if dataclasses.is_dataclass(sub):
@@ -45,19 +45,19 @@ def test_examples_cover_every_node_class():
 
 @pytest.mark.parametrize("node", EXAMPLES, ids=lambda n: type(n).__name__)
 def test_rebuild_with_own_children_keeps_the_node(node):
-    # The subnodes are exactly the Node values among the fields, in order.
+    # The subnodes are exactly the Formula values among the fields, in order.
     values = []
     for field in dataclasses.fields(node):
         value = getattr(node, field.name)
         values.extend(value if isinstance(value, tuple) else (value,))
-    kids = children(node)
-    assert [id(k) for k in kids] == [id(v) for v in values if isinstance(v, Node)]
+    kids = node.children()
+    assert [id(k) for k in kids] == [id(v) for v in values if isinstance(v, Formula)]
 
     assert rebuild(node, lambda child: child) is node
     copies = {id(k): copy.copy(k) for k in kids}
     rebuilt = rebuild(node, lambda child: copies[id(child)])
     assert rebuilt == node
-    assert [id(k) for k in children(rebuilt)] == [id(copies[id(k)]) for k in kids]
+    assert [id(k) for k in rebuilt.children()] == [id(copies[id(k)]) for k in kids]
     assert (rebuilt is node) == (not kids)
 
 
@@ -102,7 +102,7 @@ def test_optimized_plan_output_is_pinned():
 def _contractions(e):
     """The Contract nodes of plan e, in pre-order."""
     found = [e] if isinstance(e, Contract) else []
-    for child in children(e):
+    for child in e.children():
         found.extend(_contractions(child))
     return found
 
