@@ -169,7 +169,7 @@ def or_(items) -> Formula:
 def _flatten(cls: type[And] | type[Or], items) -> Formula:
     flat: list[Formula] = []
     for f in items:
-        if isinstance(f, cls):
+        if type(f) is cls:
             flat.extend(f.items)
         else:
             flat.append(f)
@@ -177,15 +177,27 @@ def _flatten(cls: type[And] | type[Or], items) -> Formula:
 
 
 def free_variables(f: Formula) -> set[Variable]:
-    if isinstance(f, Atom):
-        return set(f.terms)
-    if isinstance(f, Equal):
-        return {f.left, f.right}
-    out: set[Variable] = set()
-    for g in f.children():
-        out |= free_variables(g)
-    if isinstance(f, (Exists, Forall)):
-        out.discard(f.var)
+    return set(map(Variable, free_names(f)))
+
+
+def free_names(f: Formula) -> set[str]:
+    """The names of the free variables of f, by one walk that carries the
+    names bound around each node."""
+    out: set[str] = set()
+
+    def walk(g: Formula, bound: tuple[str, ...]) -> None:
+        t = type(g)
+        if t is Atom or t is Equal:
+            for v in g.terms if t is Atom else (g.left, g.right):
+                if v.name not in bound:
+                    out.add(v.name)
+        elif t is Exists or t is Forall:
+            walk(g.body, bound + (g.var.name,))
+        else:
+            for h in g.children():
+                walk(h, bound)
+
+    walk(f, ())
     return out
 
 
@@ -219,22 +231,22 @@ _IMPLIES, _OR, _AND, _NOT, _ATOM = 1, 2, 3, 4, 5
 
 
 def to_text(f: Formula, level: int = 0) -> str:
-    if isinstance(f, Atom):
-        return f"{f.predicate.name}({', '.join(v.name for v in f.terms)})"
-    if isinstance(f, Equal):
+    t = type(f)
+    if t is Atom:
+        return f"{f.predicate.name}({', '.join([v.name for v in f.terms])})"
+    if t is Equal:
         return _wrap(f"{f.left.name} = {f.right.name}", _ATOM, level)
-    if isinstance(f, Not):
+    if t is Not:
         return _wrap("!" + to_text(f.body, _NOT), _NOT, level)
-    if isinstance(f, And):
-        return _wrap(" & ".join(to_text(g, _NOT) for g in f.items), _AND, level)
-    if isinstance(f, Or):
-        return _wrap(" | ".join(to_text(g, _AND) for g in f.items), _OR, level)
-    if isinstance(f, Implies):
+    if t is And:
+        return _wrap(" & ".join([to_text(g, _NOT) for g in f.items]), _AND, level)
+    if t is Or:
+        return _wrap(" | ".join([to_text(g, _AND) for g in f.items]), _OR, level)
+    if t is Implies:
         text = f"{to_text(f.left, _OR)} -> {to_text(f.right, _IMPLIES)}"
         return _wrap(text, _IMPLIES, level)
-    if isinstance(f, (Exists, Forall)):
-        word = "exists" if isinstance(f, Exists) else "forall"
-        text = f"{word} {f.var.name}. {to_text(f.body, 0)}"
+    if t is Exists or t is Forall:
+        text = f"{'exists' if t is Exists else 'forall'} {f.var.name}. {to_text(f.body, 0)}"
         return f"({text})" if level > 0 else text
     raise TypeError(f"not a formula: {f!r}")
 

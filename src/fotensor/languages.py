@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import SemanticError
-from .formulas import Formula, free_variables, predicates
+from .formulas import Formula, free_names, predicates
 from .models import Alphabet, check_domain_size, check_kind
 from .optimize import optimize
 from .parser import parse_formula
@@ -42,7 +42,7 @@ class LanguageSpec:
 
     def __post_init__(self):
         check_kind(self.model_kind)
-        if free_variables(self.formula):
+        if free_names(self.formula):
             raise ValueError("language formulas must be closed")
         for name, arity in predicates(self.formula).items():
             if arity == 1 and name not in self.alphabet:

@@ -28,7 +28,7 @@ from .formulas import (
     and_,
     contains,
     contains_quantifier,
-    free_variables,
+    free_names,
     or_,
     to_text,
 )
@@ -74,7 +74,7 @@ def to_prenex(f: Formula) -> PrenexFormula:
     empty-domain value wrong, a vacuous quantifier over a fresh dummy
     variable is prepended (a no-op whenever the domain is inhabited).
     """
-    used = {v.name for v in free_variables(f)}
+    used = free_names(f)
     closed = not used
     prefix: list[tuple[str, Variable]] = []
 
@@ -83,25 +83,26 @@ def to_prenex(f: Formula) -> PrenexFormula:
         renamed apart, to prefix in pre-order. renamed maps the source name
         of each renamed binder in scope to its new variable; a binder that
         keeps its name needs no entry, as its name was never met before."""
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             if renamed:
-                g = Atom(g.predicate, tuple(renamed.get(t.name, t) for t in g.terms))
+                g = Atom(g.predicate, tuple(renamed.get(v.name, v) for v in g.terms))
             return Not(g) if negated else g
-        if isinstance(g, Equal):
+        if t is Equal:
             if renamed:
                 g = Equal(renamed.get(g.left.name, g.left), renamed.get(g.right.name, g.right))
             return Not(g) if negated else g
-        if isinstance(g, Not):
+        if t is Not:
             return walk(g.body, not negated, renamed)
-        if isinstance(g, (Exists, Forall)):
+        if t is Exists or t is Forall:
             name = g.var.name
             var = Variable(_fresh(name, used)) if name in used else g.var
             used.add(var.name)
-            prefix.append((EXISTS if isinstance(g, Exists) != negated else FORALL, var))
+            prefix.append((EXISTS if (t is Exists) != negated else FORALL, var))
             return walk(g.body, negated, renamed if var is g.var else {**renamed, name: var})
-        if not isinstance(g, (And, Or, Implies)):
+        if t is not And and t is not Or and t is not Implies:
             raise TypeError(f"not a formula: {g!r}")
-        conjunction = isinstance(g, And)
+        conjunction = t is And
         start = len(prefix)
         parts = [walk(h, negated != flip, renamed) for h, flip in _operands(g, [])]
         if negated and len(prefix) == start:
@@ -125,14 +126,15 @@ def _operands(f: Formula, out: list) -> list[tuple[Formula, bool]]:
     implication f, as (subformula, negated) pairs: a conjunct that is a
     conjunction, or a disjunct that is a disjunction or implication, is
     replaced by its own operands, and p -> q has the disjuncts !p and q."""
-    if isinstance(f, Implies):
+    t = type(f)
+    if t is Implies:
         out.append((f.left, True))
         items = (f.right,)
     else:
         items = f.items
-    nested = And if isinstance(f, And) else (Or, Implies)
+    nested = (And,) if t is And else (Or, Implies)
     for g in items:
-        if isinstance(g, nested):
+        if type(g) in nested:
             _operands(g, out)
         else:
             out.append((g, False))

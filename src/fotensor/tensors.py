@@ -77,7 +77,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -242,29 +242,37 @@ class Contract(Formula):
         list, which each step's result extends), the largest last, and sums
         its axis out. axes names the bound variables some factor uses, rest
         the slots left, peak the most variables of a factor, step or output."""
-        # By name: str hashing and equality run in C, Variable's in Python.
-        sets = [frozenset(map(attrgetter("name"), f.variables)) for f in self.factors]
-        free = frozenset().union(*sets)
-        used = [v.name for v in self.bound if v.name in free]
+        # One bit per variable name: a set of names is an int, | its union.
+        bits: dict[str, int] = {}
+        sets = []
+        for f in self.factors:
+            s = 0
+            for v in f.variables:
+                s |= bits.setdefault(v.name, 1 << len(bits))
+            sets.append(s)
+        used = [v.name for v in self.bound if v.name in bits]
         live, steps, todo = list(range(len(sets))), [], list(used)
-        peak = max(map(len, sets), default=0)
+        peak = max([s.bit_count() for s in sets], default=0)
         while todo:
             best = None
             for v in todo:
-                slots = [k for k in live if v in sets[k]]
-                left = frozenset().union(*[sets[k] for k in slots])
-                if best is None or len(left) < len(best[2]):
+                bit, slots, left = bits[v], [], 0
+                for k in live:
+                    if sets[k] & bit:
+                        slots.append(k)
+                        left |= sets[k]
+                if best is None or left.bit_count() < best[2].bit_count():
                     best = v, slots, left
             v, slots, left = best
             todo.remove(v)
             if len(slots) > 1:
-                slots.sort(key=lambda k: len(sets[k]))
-                peak = max(peak, len(frozenset().union(*[sets[k] for k in slots[:-1]])))
+                slots.sort(key=lambda k: sets[k].bit_count())
+                peak = max(peak, functools.reduce(int.__or__, [sets[k] for k in slots[:-1]]).bit_count())
             live = [k for k in live if k not in slots] + [len(sets)]
-            sets.append(left - {v})
-            peak = max(peak, len(sets[-1]))
+            sets.append(left & ~bits[v])
+            peak = max(peak, sets[-1].bit_count())
             steps.append((used.index(v), tuple(slots)))
-        return tuple(used), tuple(steps), tuple(live), max(peak, len(free) - len(used))
+        return tuple(used), tuple(steps), tuple(live), max(peak, len(bits) - len(used))
 
 
 # --- compilation --------------------------------------------------------
@@ -582,25 +590,25 @@ def dump_expr(e) -> str:
     return "\n".join(lines)
 
 
-# The dump line of each plan node class, without its children.
-_HEADS = {
-    Atom: lambda e: f"rel {e.predicate.name} {' '.join(v.name for v in e.terms)}",
-    Equal: lambda e: f"eq {e.left.name} {e.right.name}",
-    Not: lambda e: "compl",
-    And: lambda e: "prod",
-    Or: lambda e: "min1sum",
-    Exists: lambda e: f"exists-sum {e.var.name}",
-    Forall: lambda e: f"forall-dual {e.var.name}",
-    Contract: lambda e: f"contract {' '.join(v.name for v in e.bound)}",
-}
-
-
 def _dump(e, pad: str, out: list[str]) -> None:
     """Append e's lines, indented by pad, to out."""
-    try:
-        head = _HEADS[type(e)](e)
-    except KeyError:
-        raise TypeError(f"not a plan node: {e!r}") from None
+    t = type(e)
+    if t is Atom:
+        head = f"rel {e.predicate.name} {' '.join([v.name for v in e.terms])}"
+    elif t is And:
+        head = "prod"
+    elif t is Not:
+        head = "compl"
+    elif t is Or:
+        head = "min1sum"
+    elif t is Exists or t is Forall:
+        head = f"{'exists-sum' if t is Exists else 'forall-dual'} {e.var.name}"
+    elif t is Equal:
+        head = f"eq {e.left.name} {e.right.name}"
+    elif t is Contract:
+        head = f"contract {' '.join([v.name for v in e.bound])}"
+    else:
+        raise TypeError(f"not a plan node: {e!r}")
     out.append(f"{pad}({head}")
     for child in e.children():
         _dump(child, pad + "  ", out)

@@ -17,6 +17,7 @@ from fotensor import (
     parse_formula,
 )
 from fotensor.formulas import to_text
+from fotensor import parser
 from fotensor.parser import MAX_NESTING
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -143,8 +144,9 @@ def test_nesting_limit(kind):
     assert str(info.value) == f"formula nested more than 100 levels deep (at position {position})"
 
 
-def test_one_parse_builds_each_symbol_once():
-    f = parse_formula("exists x. forall y. (b(x) & succ(x, y) & (b(y) -> x = y | succ(y, x)))")
+def _assert_one_symbol_per_name(f):
+    """Every use of a variable or predicate name in f is one object; returns
+    the names."""
     seen = {}
 
     def visit(g):
@@ -160,7 +162,66 @@ def test_one_parse_builds_each_symbol_once():
             assert seen.setdefault((type(symbol), symbol.name), symbol) is symbol
 
     visit(f)
-    assert sorted(name for _, name in seen) == ["b", "succ", "x", "y"]
+    return sorted(name for _, name in seen)
+
+
+def test_one_parse_builds_each_symbol_once():
+    f = parse_formula("exists x. forall y. (b(x) & succ(x, y) & (b(y) -> x = y | succ(y, x)))")
+    assert _assert_one_symbol_per_name(f) == ["b", "succ", "x", "y"]
+    # Operands of "!", alone and in runs, share them too.
+    f = parse_formula("forall x. (!b(x) & !!(x = y | !succ(x, y)) -> !!!b(y) | !a(x))")
+    assert _assert_one_symbol_per_name(f) == ["a", "b", "succ", "x", "y"]
+
+
+def test_parses_of_the_traversal_corpus_build_each_symbol_once():
+    for f in traversal_corpus():
+        _assert_one_symbol_per_name(parse_formula(str(f)))
+
+
+def test_well_formed_input_never_computes_token_positions(monkeypatch):
+    # Positions come from parser._tokenize, which only an error may call.
+    calls = []
+    real = parser._tokenize
+    monkeypatch.setattr(parser, "_tokenize", lambda text: calls.append(text) or real(text))
+    for f in traversal_corpus():
+        parse_formula(str(f))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a(x) &",
+        "a(x y)",
+        "a(x) ? b(x)",
+        "a(x) b(x)",
+        "exists 2x. a(x)",
+        "(a(x) & b(y)",
+        "forall x a(x)",
+        "p(x, y, z)",
+        "p(x) & p(x, y)",
+        "x",
+        "exists x. " + "!" * 100 + "a(x)",
+        "exists x. " + "!" * 100 + "a(x) #",
+    ],
+)
+def test_malformed_input_raises_at_a_tokenize_position(monkeypatch, text):
+    calls = []
+    real = parser._tokenize
+    monkeypatch.setattr(parser, "_tokenize", lambda text: calls.append(text) or real(text))
+    with pytest.raises((ParseError, ArityMismatchError)) as info:
+        parse_formula(text)
+    assert calls == [text]
+    try:
+        positions = {pos for _, _, pos in real(text)}
+    except ParseError as err:
+        # An unexpected character anywhere is the error, wherever parsing stopped.
+        assert (type(info.value), str(info.value)) == (ParseError, str(err))
+    else:
+        position = getattr(info.value, "position", None)
+        if position is None:  # ArityMismatchError names its position in the message
+            position = int(str(info.value).rsplit(" ", 1)[1].rstrip(")"))
+        assert position in positions
 
 
 def test_rendering_reparses_the_traversal_corpus():
