@@ -45,10 +45,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first main() call and reused after:
-    parse_args returns a fresh namespace each time, and argparse looks up
-    sys.stdout/sys.stderr only when it prints."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its subparser by command name, built on the first
+    main() call and reused after: parsing returns a fresh namespace each
+    time, and argparse looks up sys.stdout/sys.stderr only when it prints."""
     parser = _ArgumentParser(prog="fotensor")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--random", type=int, required=True, metavar="N")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return parser, sub.choices
 
 
 def _read_formula(args):
@@ -198,8 +198,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # parse_args without its top-level scan
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, StructureFormatError, ValueError) as exc:

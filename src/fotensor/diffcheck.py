@@ -3,10 +3,10 @@
 Each case draws an alphabet, a string model kind, a word and a random
 closed formula over matching predicates, then evaluates the formula along
 every path: the compiled plan, its optimized (planned) form, the planned
-plan on a batch of words from the case word on, longer ones included, so
-that the case word is padded (read at the case word), and the oracle. Any
-disagreement (or evaluation failure, which includes a violated 0/1-closure
-check) is reported with the per-case seed so it can be replayed.
+plan on a two-word batch in which the case word is padded (read at the
+case word), and the oracle. Any disagreement (or evaluation failure, which
+includes a violated 0/1-closure check) is reported with the per-case seed
+so it can be replayed.
 Generation is fully deterministic in the base seed.
 """
 
@@ -31,7 +31,7 @@ from .formulas import (
 from .models import MODEL_KINDS, Alphabet, build_word_model, word_digits
 from .optimize import optimize
 from .oracle import tarski_eval
-from .tensors import batch_limit, compile_formula, embed_word, embed_words, eval_batch, eval_tensor
+from .tensors import compile_formula, embed_digits, embed_word, eval_batch, eval_tensor
 
 _VAR_POOL = ("x", "y", "z")
 
@@ -210,16 +210,12 @@ def compare_paths(
 
 
 def batched_value(plan: Formula, word: str, kind: str, alphabet: Alphabet) -> int:
-    """Value of the plan at the word, read from one eval_batch over a chunk
-    of words in shortlex order that starts at it and runs on over the
-    words one letter longer, as many as one batch of those holds: padded
-    past its own letters, the word relies on the domain mask."""
-    number = 0  # the word's place in shortlex order: its bijective base-|alphabet| numeral
-    for digit in word_digits(word, alphabet).tolist():
-        number = number * len(alphabet) + digit + 1
-    longer = len(word) + 1
-    stop = min(number + batch_limit(plan, longer), sum(len(alphabet) ** k for k in range(longer + 1)))
-    return int(eval_batch(plan, embed_words(alphabet, longer, kind, number, stop))[0])
+    """Value of the plan at the word, read from one eval_batch over two
+    rows: the word padded by one position, so that it relies on the domain
+    mask, and the word followed by the alphabet's first letter."""
+    rows = word_digits(word + alphabet.symbols[0], alphabet)[None].repeat(2, axis=0)
+    rows[0, -1] = len(alphabet)  # the padding digit
+    return int(eval_batch(plan, embed_digits(rows, alphabet, kind))[0])
 
 
 def run_differential_check(count: int, seed: int = 0) -> CheckReport:

@@ -182,7 +182,10 @@ def free_variables(f: Formula) -> set[Variable]:
 
 def free_names(f: Formula) -> set[str]:
     """The names of the free variables of f, by one walk that carries the
-    names bound around each node."""
+    names bound around each node, made once per root node: as `cached`
+    does, the names are kept in the node's __dict__."""
+    if "_free_names" in f.__dict__:
+        return set(f.__dict__["_free_names"])
     out: set[str] = set()
 
     def walk(g: Formula, bound: tuple[str, ...]) -> None:
@@ -198,6 +201,7 @@ def free_names(f: Formula) -> set[str]:
                 walk(h, bound)
 
     walk(f, ())
+    f.__dict__["_free_names"] = frozenset(out)
     return out
 
 

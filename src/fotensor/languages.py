@@ -103,7 +103,7 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
                 f"enumeration to length {max_len} over {len(spec.alphabet)} letters decides "
                 f"at least {total} words, over the limit of {MAX_WORDS}"
             )
-    check_domain_size(max_len)  # the order relation embed_words builds
+    check_domain_size(max_len)  # the order relation embed_words may build
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
     letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter

@@ -118,7 +118,11 @@ def to_prenex(f: Formula) -> PrenexFormula:
         if want != (prefix[0][0] == FORALL):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
             prefix.insert(0, (FORALL if want else EXISTS, dummy))
-    return PrenexFormula(tuple(prefix), matrix)
+    # No __post_init__: it would walk the matrix again for a quantifier or an
+    # implication, which the walk never puts there, or a repeated prefix name.
+    pf = object.__new__(PrenexFormula)
+    pf.__dict__.update(prefix=tuple(prefix), matrix=matrix)
+    return pf
 
 
 def _operands(f: Formula, out: list) -> list[tuple[Formula, bool]]:

@@ -23,7 +23,8 @@ over a conjunction, a multilinear map; optimize (optimize.py) plans the
 plain plan into contractions. An embedded model holds only its
 relation tensors: evaluation never builds the basis vectors or the
 identity. A word is embedded from its digits, its letters' alphabet
-positions: by embed_word alone, by embed_words in a batch.
+positions, by embed_digits (embed_word alone, embed_words in a batch),
+which builds each label, and the order, on the plan's first read of it.
 
 Evaluation works on whole arrays. Each plan node is computed once, for all
 assignments to the quantified variables in its scope at the same time, as
@@ -61,10 +62,11 @@ over a variable multiplies in the mask on its axis, so that each word sees
 only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
-tensors are checked when the model is embedded, and every clamp runs
-min1, which rejects negative input, then checks its output before the
-cast to bool: at most 1, and a float count also whole. Both raise
-ClosureError explicitly, so the checks also run under python -O.
+tensors are checked when the model is embedded, or are 0/1 by
+construction, and every clamp runs min1, which rejects negative input,
+then checks its output before the cast to bool: at most 1, and a float
+count also whole. Both raise ClosureError explicitly, so the checks also
+run under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
@@ -76,6 +78,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -96,6 +99,8 @@ from .models import (
     Alphabet,
     Assignment,
     StructureModel,
+    check_domain_size,
+    check_kind,
     is_zero_one,
     normalize_assignment,
     order_relation,
@@ -169,12 +174,10 @@ def embed_model(m: StructureModel) -> EmbeddedModel:
 
 def embed_word(word: str, alphabet: Alphabet, kind: str) -> EmbeddedModel:
     """embed_model(build_word_model(word, alphabet, kind)) with `digits` set,
-    built from word_digits without a StructureModel. A word past MAX_CELLS
-    is refused (check_domain_size) before its letters are read."""
-    order = order_relation(len(word), kind)
-    digits = word_digits(word, alphabet)
-    labels = {sym: digits == k for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(len(word), {**labels, kind: order}, digits=digits)
+    by embed_digits. A word past MAX_CELLS is refused (check_domain_size)
+    before its letters are read."""
+    check_domain_size(len(word))
+    return embed_digits(word_digits(word, alphabet), alphabet, kind)
 
 
 def embed_words(
@@ -183,11 +186,9 @@ def embed_words(
     """Batched model of the words of length <= max_len numbered start to
     stop - 1 in shortlex order (shortest first, then lexicographic in
     alphabet order), by default all of them, each padded to the longest of
-    them, N letters. The labels and the domain mask are (B, N) bool tensors,
-    0 past a word's own letters, and `digits` holds len(alphabet) there. The
-    order relation is one (N, N) matrix, shared as a (1, N, N) view. Built
-    from each word's code, its base-|alphabet| numeral, without a per-word
-    model."""
+    them, N letters: embed_digits of their (B, N) digits, which hold
+    len(alphabet) past a word's own letters. Built from each word's code,
+    its base-|alphabet| numeral, without a per-word model."""
     base = len(alphabet)
     firsts = [0, *itertools.accumulate(base**k for k in range(max_len + 1))]
     stop = firsts[-1] if stop is None else stop
@@ -200,7 +201,7 @@ def embed_words(
     top = max(start + b - 1 - firsts[length] for length, _, b in runs)  # int64 codes
     if top >= 1 << 63:
         raise ValueError(f"word code {top} within its length is over the limit of 2^63 - 1")
-    order = order_relation(n, kind)
+    check_domain_size(n)  # before the digits are allocated
     codes = np.concatenate([np.arange(a, b) + (start - firsts[length]) for length, a, b in runs])
     # Each code's numeral in n digits, then each word's own last L of them.
     numerals = np.empty((stop - start, n), np.min_scalar_type(base))
@@ -209,8 +210,46 @@ def embed_words(
     digits = np.full_like(numerals, base)
     for length, a, b in runs:
         digits[a:b, :length] = numerals[a:b, n - length:]
-    labels = {sym: digits == k for k, sym in enumerate(alphabet)}
-    return EmbeddedModel(n, {**labels, kind: order[None]}, digits=digits, domain=digits != base)
+    return embed_digits(digits, alphabet, kind)
+
+
+def embed_digits(digits: np.ndarray, alphabet: Alphabet, kind: str) -> EmbeddedModel:
+    """The model of a word from its digits, (N,), or of a batch of words from
+    their (B, N) digits, len(alphabet) past a word's own letters and in the
+    domain mask elsewhere. Its relations, unchecked as 0/1 by construction,
+    are each letter's label, digits == k, then the order of the kind, (N, N),
+    a (1, N, N) view in a batch, each built on its first read. Refused past
+    MAX_CELLS (check_domain_size) before anything is built."""
+    check_kind(kind)
+    check_domain_size(digits.shape[-1])
+    model = EmbeddedModel(digits.shape[-1], {}, digits, digits != len(alphabet) if digits.ndim == 2 else None)
+    model.relation_tensors = _WordRelations(digits, alphabet.symbols, kind)
+    return model
+
+
+class _WordRelations(Mapping):
+    """A word model's relation tensors by name: the letters' labels in
+    alphabet order, then the order relation, each built on its first read."""
+
+    def __init__(self, digits: np.ndarray, symbols: tuple[str, ...], kind: str):
+        self.digits, self.names, self.built = digits, (*symbols, kind), {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.built:
+            if name not in self.names:
+                raise KeyError(name)
+            if name == self.names[-1]:
+                order = order_relation(self.digits.shape[-1], name)
+                self.built[name] = order[None] if self.digits.ndim == 2 else order
+            else:
+                self.built[name] = self.digits == self.names.index(name)
+        return self.built[name]
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 # --- evaluation plans ---------------------------------------------------

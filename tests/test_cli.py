@@ -529,6 +529,12 @@ def test_reused_parser_matches_fresh_interpreters(monkeypatch):
         ["compile", "--expr", ONE_B, "--format", "json"],
         ["--help"],
         ["enumerate", "--help"],
+        # Argument errors, as pinned in test_cli_golden.py.
+        ["eval", "--expr", ONE_B, "--word", "ab", "--bogus"],
+        ["eval", "--expr", ONE_B, "--word", "ab", "extra"],
+        ["evaluate", "--expr", ONE_B, "--word", "ab"],
+        [],
+        ["eval", "--expr", ONE_B, "--word", "ab", "--format", "xml"],
     ]
     for argv in requests:
         out, err = io.StringIO(), io.StringIO()
@@ -554,6 +560,45 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
     assert parsers_per_build > 0
     assert run(["enumerate", "--expr", ONE_B, "--alphabet", "ab", "--max-len", "2"]) == 0
     assert len(built) == parsers_per_build
+
+
+def test_a_named_command_skips_the_top_level_parser(monkeypatch, capsys):
+    # Only the command's own parser reads the arguments after the command.
+    progs = []
+    real = cli._ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        progs.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "parse_known_args", spy)
+    requests = {
+        "eval": ["--expr", ONE_B, "--word", "ab"],
+        "enumerate": ["--expr", ONE_B, "--alphabet", "ab", "--max-len", "2"],
+        "compile": ["--expr", ONE_B],
+        "check": ["--random", "3"],
+    }
+    for command, rest in requests.items():
+        progs.clear()
+        assert run([command, *rest]) == 0
+        assert progs == [f"fotensor {command}"]
+    progs.clear()
+    assert run(["--help"]) == 0
+    assert progs == ["fotensor"]
+
+
+def test_eval_builds_only_the_relations_its_plan_reads(monkeypatch, capsys):
+    # One-b reads the label b and equality: no order relation, no label a.
+    orders, models = [], []
+    real_order, real_embed = tensors.order_relation, cli.embed_word
+    monkeypatch.setattr(tensors, "order_relation", lambda *a: orders.append(a) or real_order(*a))
+    monkeypatch.setattr(cli, "embed_word", lambda *a: models.append(real_embed(*a)) or models[-1])
+    assert run(["eval", "--expr", ONE_B, "--word", "abaa"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert orders == []
+    (model,) = models
+    assert list(model.relation_tensors) == ["a", "b", "succ"]
+    assert list(model.relation_tensors.built) == ["b"]
 
 
 def test_import_builds_no_parser():

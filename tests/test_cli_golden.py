@@ -48,7 +48,16 @@ CASES = {
     "error-foreign-letter": ["eval", *ONE_B, "--word", "abc"],
     "error-long-word": ["eval", *ONE_B, "--word", "ab" * 2500],
     "error-free-variable": ["eval", "--expr", "exists x. succ(x, y)", "--word", "ab"],
+    # Argument errors, each printed by argparse with a usage line.
+    "error-unknown-option": ["eval", *ONE_B, "--word", "ab", "--bogus"],
+    "error-extra-argument": ["eval", *ONE_B, "--word", "ab", "extra"],
+    "error-unknown-command": ["evaluate", *ONE_B, "--word", "ab"],
+    "error-no-arguments": [],
+    "error-bad-format": ["eval", *ONE_B, "--word", "ab", "--format", "xml"],
 }
+
+# argparse wraps its usage lines to the terminal width.
+FIXED_TERMINAL = {"COLUMNS": "80", "LINES": "24"}
 
 DIGESTS = {
     "check-seed-0": "2128c06526e18ab5167f14e33a5bd8913004cd10b153d07bcde56a1b43853e72",
@@ -63,9 +72,14 @@ DIGESTS = {
     "enumerate-one-b-count": "c5b9ac57712b9f5978d91488d0034a1d57e51a2c0402ded573ca9207ab354881",
     "enumerate-one-b-json": "a11dcf0fe169e7a16af915a50807cfecfa0fcd4b5deb9d6c929bc75ebb5e431d",
     "enumerate-one-b-text": "3a8da68a871a3b1723518aad100075bb98a1d21ed55491b42b926cfe7b458f27",
+    "error-bad-format": "943012563bec8f4fe9c423659600323e5f5c2c0b421d94dccf8616463b0fe5d1",
+    "error-extra-argument": "7f581543ea6eb423ae6cdaa8ee8f961dda105be81bd2fd03cef90ccebad52c33",
     "error-foreign-letter": "5ee2a9f5b2480f1e8f0614ef7872951c77a261cff15b875bb362c2530a1dec97",
     "error-free-variable": "1a0bab9d65cba6ee47b6e24f2a2444384817e3c01a9f1660c51a366fcc10afaf",
     "error-long-word": "38cb5c48f84150746f589e87e00b51e966274ee6f939d7e8aec681e1ab02ba9e",
+    "error-no-arguments": "ff54bc83039c1ea2cb36b1f71761cb6255f00fdd701f62dd0012b95dccf05d7e",
+    "error-unknown-command": "13adbfa1dc36bc2263c02b39386f0d1a6a2b1ba97889de386caca82bb0eba89e",
+    "error-unknown-option": "c5c4075de8b8bf32df79b46bad3e4f74e7061e359b7458ae87f0bdd974335abd",
     "eval-diss-json-0": "aaa784ad440a3069d46eb93e9ed2bc13ea1ac624bce7c46390353a56550dbdf7",
     "eval-diss-json-1": "cdd13471761d71bfa5ecd1b845b38c41440b8e3cf28ae8c5ec659f7f49716446",
     "eval-diss-json-128": "f9f05523eae5ddabc4ceb48c22e4cfe80b3cac59562322bbb22dccf216d996fa",
@@ -110,6 +124,8 @@ def _tree_document(tmp_path, monkeypatch):
     # A relative path, so that argv, and with it the digest, is the same in every run.
     (tmp_path / "tree.json").write_text(dump_structure(build_tree_model(TREE, Alphabet("ab"))))
     monkeypatch.chdir(tmp_path)
+    for name, value in FIXED_TERMINAL.items():
+        monkeypatch.setenv(name, value)
 
 
 def test_every_case_has_a_digest():

@@ -5,14 +5,12 @@ import pytest
 import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
 from fotensor import (
-    build_word_model,
     compile_formula,
     embed_model,
     eval_tensor,
     free_variables,
     optimize,
     parse_formula,
-    tarski_eval,
     to_prenex,
 )
 from fotensor.diffcheck import (
@@ -117,8 +115,8 @@ def test_batched_path_disagreement_fails_the_check(monkeypatch):
 def test_batched_value_reads_the_case_word_from_its_chunk(monkeypatch):
     formula = parse_formula("forall x. (b(x) -> exists y. (a(y) & succ(y, x)))")
     alphabet = Alphabet("ab")
-    # The plan peaks at N^2 cells, so at N = 5 a chunk holds 80 // 25 = 3
-    # words from the case word on.
+    # The plan peaks at N^2 cells, so at N = 5 a batch may hold 80 // 25 = 3
+    # words: the two words of batched_value's batch fit.
     monkeypatch.setattr(tensors, "MAX_CELLS", 5 * 4**2)
     for word in ("aaaa", "abab", "aabb", "baaa", "abba", "bbbb"):
         em = embed_model(build_successor_model(word, alphabet))
@@ -157,9 +155,8 @@ def test_count_must_be_positive():
 # --- long words ---------------------------------------------------------
 # Random formulas whose prenex prefix alternates (two blocks or more) and
 # whose matrix relates two variables, each with a word as long as
-# N^k <= 2^12 allows for its k-quantifier prefix: N up to 64 for the plain
-# and optimized paths against the oracle, and half of that for the batched
-# path.
+# N^k <= 2^12 allows for its k-quantifier prefix: N up to 64 for the plain,
+# optimized and batched paths against the oracle.
 _LONG_WORD_LENGTHS = {2: (64, 61, 47, 33), 3: (16, 13), 4: (8, 7)}
 
 
@@ -197,15 +194,11 @@ def test_long_word_cases_reach_n_64():
 
 
 @pytest.mark.parametrize("index", range(len(LONG_WORD_CASES)))
-def test_long_words_agree_with_the_oracle(index, monkeypatch):
+def test_long_words_agree_with_the_oracle(index):
     formula, alphabet, kind, word = LONG_WORD_CASES[index]
     plan = compile_formula(formula)
     tensor_value, optimized_value, oracle_value = compare_paths(
         formula, plan, optimize(plan), word, kind, alphabet
     )
     assert tensor_value == optimized_value == oracle_value, (str(formula), word)
-    # A chunk of a few dozen words keeps the batched path's arrays small.
-    monkeypatch.setattr(tensors, "MAX_CELLS", 1 << 16)
-    half = word[: len(word) // 2]
-    want = int(tarski_eval(formula, build_word_model(half, alphabet, kind)))
-    assert batched_value(plan, half, kind, alphabet) == want, (str(formula), half)
+    assert batched_value(plan, word, kind, alphabet) == oracle_value, (str(formula), word)

@@ -11,6 +11,7 @@ from fotensor import (
     predicates,
     to_prenex,
 )
+from fotensor.formulas import free_names
 
 
 def test_atom_arity_checked():
@@ -41,6 +42,16 @@ def test_free_variables():
     assert free_variables(parse_formula("exists x. prec(x, y)")) == {Variable("y")}
     one_b = parse_formula("exists x. forall y. (b(x) & (b(y) -> x = y))")
     assert free_variables(one_b) == set()
+
+
+def test_free_names_gives_each_caller_its_own_set():
+    # The names are kept on the root after the first walk; to_prenex adds to
+    # the set it gets.
+    f = parse_formula("exists x. prec(x, y)")
+    first = free_names(f)
+    first.add("z")
+    assert free_names(f) == {"y"} and free_names(f) is not free_names(f)
+    assert free_variables(f) == {Variable("y")}
 
 
 def test_desugar_preserves_free_variables():

@@ -132,6 +132,21 @@ def test_prenex_formula_validates():
             ((EXISTS, Variable("x")), (FORALL, Variable("x"))),
             parse_formula("b(x)"),
         )
+    with pytest.raises(ValueError, match="implication"):
+        PrenexFormula(((EXISTS, Variable("x")),), parse_formula("b(x) -> a(x)"))
+
+
+def test_to_prenex_builds_its_result_without_walking_it_again(monkeypatch):
+    # The conversion walk already makes the matrix quantifier- and
+    # implication-free; built again through the constructor, its checks pass.
+    def refuse(*args):
+        raise AssertionError("the matrix was walked again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(prenex, "contains", refuse)
+        forms = [to_prenex(formula) for formula, _, _ in corpus_formulas()]
+    for pf in forms:
+        assert PrenexFormula(pf.prefix, pf.matrix) == pf
 
 
 def test_empty_domain_value_matches_oracle():
