@@ -21,7 +21,6 @@ from .languages import LanguageSpec, enumerate_language
 from .models import MODEL_KINDS, SUCC, Alphabet, load_structure
 from .optimize import optimize
 from .parser import parse_formula
-from .prenex import to_prenex
 from .tensors import compile_formula, dump_expr, embed_model, embed_word, eval_tensor
 
 EXIT_OK = 0
@@ -164,9 +163,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_compile(args) -> int:
     formula = _read_formula(args)
-    pf = to_prenex(formula)
-    plan = compile_formula(pf)
-    sections = {"prenex": str(pf), "plan": dump_expr(plan)}
+    plan = compile_formula(formula)  # the prenex form
+    sections = {"prenex": str(plan), "plan": dump_expr(plan)}
     if args.optimized:
         sections["optimized"] = dump_expr(optimize(plan))
     if args.format == "json":

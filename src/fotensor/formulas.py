@@ -205,20 +205,6 @@ def free_names(f: Formula) -> set[str]:
     return out
 
 
-def contains(f: Formula, types: type | tuple[type, ...]) -> bool:
-    """Whether f or a node below it is an instance of types."""
-    if isinstance(f, types):
-        return True
-    for g in f.children():
-        if contains(g, types):
-            return True
-    return False
-
-
-def contains_quantifier(f: Formula) -> bool:
-    return contains(f, (Exists, Forall))
-
-
 def predicates(f: Formula) -> dict[str, int]:
     """Map every predicate name used in f to its arity."""
     if isinstance(f, Atom):

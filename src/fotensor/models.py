@@ -264,13 +264,15 @@ def dump_structure(m: StructureModel) -> str:
 
 def load_structure(text: str) -> StructureModel:
     """Parse a structure document. Raises StructureFormatError for documents
-    that do not decode, SemanticError for out-of-range or duplicate entries
-    and, before allocating any relation, for a domain whose N x N tensors
-    would exceed MAX_CELLS."""
+    that do not decode, SemanticError for non-integer, out-of-range or
+    duplicate entries and, before allocating any relation, for a domain
+    whose N x N tensors would exceed MAX_CELLS."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructureFormatError("document nests too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise StructureFormatError("document must be a JSON object")
     unknown = set(doc) - {"domain", "unary", "binary"}
@@ -285,7 +287,9 @@ def load_structure(text: str) -> StructureModel:
     for name, positions in _mapping(doc, "unary").items():
         if not isinstance(positions, list):
             raise StructureFormatError(f"unary relation {name!r} must be a list")
-        if len(set(map(_hashable, positions))) != len(positions):
+        for i in positions:
+            _check_index(i, domain, name)
+        if len(set(positions)) != len(positions):
             raise SemanticError(f"unary relation {name!r} has duplicate entries")
         unary_sets[name] = positions
     binary_sets: dict[str, list[tuple[int, int]]] = {}
@@ -298,8 +302,10 @@ def load_structure(text: str) -> StructureModel:
                 raise StructureFormatError(
                     f"binary relation {name!r}: {pair!r} is not an index pair"
                 )
+            _check_index(pair[0], domain, name)
+            _check_index(pair[1], domain, name)
             cleaned.append((pair[0], pair[1]))
-        if len(set(map(_hashable, cleaned))) != len(cleaned):
+        if len(set(cleaned)) != len(cleaned):
             raise SemanticError(f"binary relation {name!r} has duplicate entries")
         binary_sets[name] = cleaned
 
@@ -314,7 +320,3 @@ def _mapping(doc, key):
     if not isinstance(section, dict):
         raise StructureFormatError(f"'{key}' must be an object")
     return section
-
-
-def _hashable(x):
-    return tuple(x) if isinstance(x, list) else x

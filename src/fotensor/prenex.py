@@ -6,13 +6,13 @@ disjunctions, renames bound variables apart (fresh-name suffixing x, x1,
 x2, ...), moves negations down just far enough to expose every quantifier
 (!exists x G => forall x !G and dually; a negation over a quantifier-free
 subtree is left in place as a whole-subformula complement), and floats the
-quantifiers out in the order the walk meets them, left to right.
+quantifiers out in the order the walk meets them, left to right. The
+result is a formula: the quantifier chain over the matrix.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .formulas import (
     And,
@@ -26,47 +26,15 @@ from .formulas import (
     Or,
     Variable,
     and_,
-    contains,
-    contains_quantifier,
     free_names,
     or_,
-    to_text,
 )
 
-EXISTS = "exists"
-FORALL = "forall"
 
-
-@dataclass(frozen=True)
-class PrenexFormula:
-    """A quantifier prefix over a quantifier-free, implication-free matrix."""
-
-    prefix: tuple[tuple[str, Variable], ...]
-    matrix: Formula
-
-    def __post_init__(self):
-        for quant, _ in self.prefix:
-            if quant not in (EXISTS, FORALL):
-                raise ValueError(f"bad quantifier {quant!r}")
-        names = [v.name for _, v in self.prefix]
-        if len(names) != len(set(names)):
-            raise ValueError(f"prefix variables not distinct: {names}")
-        if contains(self.matrix, (Exists, Forall, Implies)):
-            what = "a quantifier" if contains_quantifier(self.matrix) else "an implication"
-            raise ValueError(f"matrix contains {what}")
-
-    def to_formula(self) -> Formula:
-        f = self.matrix
-        for quant, var in reversed(self.prefix):
-            f = Exists(var, f) if quant == EXISTS else Forall(var, f)
-        return f
-
-    def __str__(self):
-        return to_text(self.to_formula())
-
-
-def to_prenex(f: Formula) -> PrenexFormula:
-    """Convert f to an equivalent prenex formula.
+def to_prenex(f: Formula) -> Formula:
+    """Convert f to an equivalent prenex formula: a chain of Exists and
+    Forall, its variables distinct, over a matrix with no quantifier and no
+    implication.
 
     Equivalence holds on every finite model, the empty one included: pulling
     a quantifier out of a boolean combination preserves truth only on
@@ -76,7 +44,7 @@ def to_prenex(f: Formula) -> PrenexFormula:
     """
     used = free_names(f)
     closed = not used
-    prefix: list[tuple[str, Variable]] = []
+    prefix: list[tuple[type[Exists] | type[Forall], Variable]] = []
 
     def walk(g: Formula, negated: bool, renamed: dict[str, Variable]) -> Formula:
         """The matrix of g, or of !g when negated; appends g's quantifiers,
@@ -98,7 +66,7 @@ def to_prenex(f: Formula) -> PrenexFormula:
             name = g.var.name
             var = Variable(_fresh(name, used)) if name in used else g.var
             used.add(var.name)
-            prefix.append((EXISTS if (t is Exists) != negated else FORALL, var))
+            prefix.append((Exists if (t is Exists) != negated else Forall, var))
             return walk(g.body, negated, renamed if var is g.var else {**renamed, name: var})
         if t is not And and t is not Or and t is not Implies:
             raise TypeError(f"not a formula: {g!r}")
@@ -112,17 +80,15 @@ def to_prenex(f: Formula) -> PrenexFormula:
             return Not((and_ if conjunction else or_)(parts))
         return (and_ if conjunction != negated else or_)(parts)
 
-    matrix = walk(f, False, {})
+    out = walk(f, False, {})
     if closed and prefix:
         want = _empty_domain_value(f)
-        if want != (prefix[0][0] == FORALL):
+        if want != (prefix[0][0] is Forall):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
-            prefix.insert(0, (FORALL if want else EXISTS, dummy))
-    # No __post_init__: it would walk the matrix again for a quantifier or an
-    # implication, which the walk never puts there, or a repeated prefix name.
-    pf = object.__new__(PrenexFormula)
-    pf.__dict__.update(prefix=tuple(prefix), matrix=matrix)
-    return pf
+            prefix.insert(0, (Forall if want else Exists, dummy))
+    for quantifier, var in reversed(prefix):
+        out = quantifier(var, out)
+    return out
 
 
 def _operands(f: Formula, out: list) -> list[tuple[Formula, bool]]:

@@ -106,7 +106,7 @@ from .models import (
     order_relation,
     word_digits,
 )
-from .prenex import PrenexFormula, to_prenex
+from .prenex import to_prenex
 
 def min1(x):
     """min(x, 1), componentwise, as a numpy array or scalar. Raises
@@ -316,11 +316,10 @@ class Contract(Formula):
 
 # --- compilation --------------------------------------------------------
 
-def compile_formula(f: Formula | PrenexFormula) -> Formula:
+def compile_formula(f: Formula) -> Formula:
     """The evaluation plan of a formula (sugared input is fine): its prenex
-    form, unless f is a PrenexFormula already, as one formula. Compilation
-    never consults a model."""
-    return (f if isinstance(f, PrenexFormula) else to_prenex(f)).to_formula()
+    form. Compilation never consults a model."""
+    return to_prenex(f)
 
 
 # --- evaluation ----------------------------------------------------------

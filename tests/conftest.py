@@ -4,7 +4,7 @@ import dataclasses
 import random
 from itertools import product
 
-from fotensor import Alphabet, Formula, build_word_model, embed_words, parse_formula
+from fotensor import Alphabet, Exists, Forall, Formula, build_word_model, embed_words, parse_formula
 from fotensor.diffcheck import random_formula
 
 
@@ -62,6 +62,25 @@ def traversal_corpus():
         alphabet = ("ab", "abc")[i % 2]
         kind = ("succ", "prec")[i // 2 % 2]
         yield random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)
+
+
+def split_prenex(f: Formula) -> tuple[list[tuple[type, str]], Formula]:
+    """The quantifier chain at the top of f, as (Exists or Forall, variable
+    name) pairs from the outside in, and the formula below it."""
+    prefix = []
+    while isinstance(f, (Exists, Forall)):
+        prefix.append((type(f), f.var.name))
+        f = f.body
+    return prefix, f
+
+
+def contains(f: Formula, types: type | tuple[type, ...]) -> bool:
+    """Whether f or a node below it is an instance of types."""
+    return isinstance(f, types) or any(contains(g, types) for g in f.children())
+
+
+def contains_quantifier(f: Formula) -> bool:
+    return contains(f, (Exists, Forall))
 
 
 def rebuild(node: Formula, fn) -> Formula:

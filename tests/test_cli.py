@@ -298,9 +298,8 @@ def test_compile_optimized_section(capsys):
 
 def test_compile_converts_to_prenex_once(capsys, monkeypatch):
     calls = []
-    real = cli.to_prenex
+    real = tensors.to_prenex
     counting = lambda f: calls.append(f) or real(f)  # noqa: E731
-    monkeypatch.setattr(cli, "to_prenex", counting)
     monkeypatch.setattr(tensors, "to_prenex", counting)
     assert run(["compile", "--expr", DISS, "--optimized"]) == 0
     assert len(calls) == 1
@@ -377,6 +376,11 @@ def test_structure_documents_of_the_wrong_shape_are_refused(tmp_path, capsys):
             2,
             "relation names used at two arities: ['a']",
         ),
+        ('{"domain": 2, "unary": {"a": [{}]}}', 2, "relation 'a': index {} is not an integer"),
+        ('{"domain": 2, "binary": {"r": [[1, [2]]]}}', 2, "relation 'r': index [2] is not an integer"),
+        ('{"domain": 2, "unary": {"a": [1, true]}}', 2, "relation 'a': index True is not an integer"),
+        ('{"domain": 2, "unary": {"a": [1, 1.0]}}', 2, "relation 'a': index 1.0 is not an integer"),
+        ("[" * 200_000 + "]" * 200_000, 1, "document nests too deeply to decode"),
     ]
     path = tmp_path / "doc.json"
     for doc, code, message in cases:

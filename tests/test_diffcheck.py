@@ -4,9 +4,12 @@ import pytest
 
 import fotensor.diffcheck as diffcheck
 import fotensor.tensors as tensors
+from conftest import split_prenex
 from fotensor import (
     compile_formula,
     embed_model,
+    embed_words,
+    eval_batch,
     eval_tensor,
     free_variables,
     optimize,
@@ -31,9 +34,7 @@ def test_random_formulas_are_closed_and_bounded():
         f = random_formula(rng, ("a", "b"), "succ")
         assert not free_variables(f)
         # The quantifier budget bounds the prenex prefix at three.
-        from fotensor import to_prenex
-
-        assert len(to_prenex(f).prefix) <= 4  # + one possible padding quantifier
+        assert len(split_prenex(to_prenex(f))[0]) <= 4  # + one possible padding quantifier
 
 
 def test_random_words_respect_bounds():
@@ -174,10 +175,10 @@ def _long_word_cases():
     while any(wanted.values()):
         symbols, kind = rng.choice(("ab", "abc")), rng.choice(("succ", "prec"))
         formula = random_formula(rng, tuple(symbols), kind, max_depth=4)
-        prenex = to_prenex(formula)
-        k = len(prenex.prefix)
-        alternates = len({q for q, _ in prenex.prefix}) == 2
-        if wanted.get(k) and alternates and _relates_two_variables(prenex.matrix):
+        prefix, matrix = split_prenex(to_prenex(formula))
+        k = len(prefix)
+        alternates = len({q for q, _ in prefix}) == 2
+        if wanted.get(k) and alternates and _relates_two_variables(matrix):
             lengths = _LONG_WORD_LENGTHS[k]
             n = lengths[wanted[k] % len(lengths)]
             wanted[k] -= 1
@@ -202,3 +203,38 @@ def test_long_words_agree_with_the_oracle(index):
     )
     assert tensor_value == optimized_value == oracle_value, (str(formula), word)
     assert batched_value(plan, word, kind, alphabet) == oracle_value, (str(formula), word)
+
+
+# The deep tier: formulas of 4 to 6 quantifiers over x, y and z, so that a
+# variable is bound again below its own binder and the rank can pass the
+# number of variables. A formula is kept only if it tells some two words of
+# at most 4 letters over ab apart.
+_DEEP_BUDGET, _DEEP_LEAST = 6, 4
+
+
+def _deep_cases(kind, count):
+    rng = random.Random(f"deep-{kind}")
+    short_words = embed_words(Alphabet("ab"), 4, kind)
+    cases = []
+    while len(cases) < count:
+        formula, rest = diffcheck._gen(rng, [], ("a", "b"), kind, 6, _DEEP_BUDGET)
+        if _DEEP_BUDGET - rest < _DEEP_LEAST:
+            continue
+        plan = compile_formula(formula)
+        # Filtered on the batched path; the oracle decides each kept case.
+        if len(set(eval_batch(plan, short_words).tolist())) < 2:
+            continue
+        words = ["".join(rng.choices("ab", k=n)) for n in rng.sample(range(7), 3)]
+        cases.append((formula, plan, words))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ("succ", "prec"))
+def test_deep_formulas_agree_with_the_oracle(kind):
+    alphabet = Alphabet("ab")
+    for formula, plan, words in _deep_cases(kind, 100):
+        planned = optimize(plan)
+        for word in words:
+            tensor, optimized, oracle = compare_paths(formula, plan, planned, word, kind, alphabet)
+            batched = batched_value(planned, word, kind, alphabet)
+            assert tensor == optimized == batched == oracle, (str(formula), word)

@@ -7,7 +7,7 @@ contraction, and a contraction step that is a stack of dot products."""
 import pytest
 
 import fotensor.tensors as tensors
-from conftest import all_words, word_model
+from conftest import all_words, contains, word_model
 from fotensor import (
     Alphabet,
     compile_formula,
@@ -22,7 +22,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import Equal, contains
+from fotensor.formulas import Equal
 from fotensor.tensors import Contract
 
 

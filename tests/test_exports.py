@@ -42,3 +42,53 @@ def test_unused_import_check_sees_one():
         "os (line 1)",
         "c (line 3)",
     ]
+
+
+def _unreferenced(sources: dict[str, str], exported=frozenset()) -> list[str]:
+    """Module-level functions, classes and constants of the modules (module
+    name -> source), as module.name, that no other statement of theirs reads
+    and exported does not list. A module reads another's name through
+    `from .module import name`, save __init__, which imports to re-export."""
+    defined = {}
+    readers = {}
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined[module, statement.name] = statement
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name):
+                            defined[module, node.id] = statement
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    readers.setdefault((module, node.id), set()).add(statement)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and module != "__init__":
+                    for alias in node.names:
+                        readers.setdefault((node.module, alias.name), set()).add(statement)
+    return [
+        f"{module}.{name}"
+        for (module, name), statement in defined.items()
+        if not (name.startswith("__") or name in exported)
+        and not readers.get((module, name), set()) - {statement}
+    ]
+
+
+def test_every_definition_is_read_in_the_package_or_exported():
+    # No code that only its own tests reach: a definition that nothing in
+    # src/ reads, and that the package does not export, is dead.
+    package = Path(fotensor.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert _unreferenced(sources, set(fotensor.__all__)) == []
+
+
+def test_dead_code_check_sees_one():
+    sources = {
+        "a": "X, Y = 1, 2\ndef f(t):\n    return f(t)\ndef g():\n    return X\nclass C:\n    pass\n",
+        "b": "from .a import g\nprint(g())\n",
+        "__init__": "from .a import C, f\n",
+    }
+    # f reads only itself, Y nothing, and C only __init__ imports.
+    assert _unreferenced(sources) == ["a.Y", "a.f", "a.C"]
+    assert _unreferenced(sources, {"C", "f"}) == ["a.Y"]

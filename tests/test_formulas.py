@@ -29,7 +29,7 @@ def test_desugar_matches_truth_table():
     from fotensor import StructureModel, tarski_eval
 
     sugar = parse_formula("p(x) -> q(x)")
-    plain = to_prenex(sugar).to_formula()
+    plain = to_prenex(sugar)
     for p in (0, 1):
         for q in (0, 1):
             m = StructureModel(1, {"p": [p], "q": [q]})
@@ -56,7 +56,7 @@ def test_free_names_gives_each_caller_its_own_set():
 
 def test_desugar_preserves_free_variables():
     f = parse_formula("a(x) -> exists y. succ(x, y)")
-    assert free_variables(to_prenex(f).to_formula()) == free_variables(f) == {Variable("x")}
+    assert free_variables(to_prenex(f)) == free_variables(f) == {Variable("x")}
 
 
 def test_constructors_flatten():

@@ -196,11 +196,20 @@ def test_load_rejects_malformed_documents():
         load_structure('{"domain": 2, "unary": {"a": [[1]]}, "extra": 1}')
     with pytest.raises(StructureFormatError):
         load_structure('{"domain": 2, "binary": {"r": [1, 2]}}')
+    with pytest.raises(StructureFormatError, match="nests too deeply"):
+        load_structure("[" * 200_000 + "]" * 200_000)
 
 
 def test_load_rejects_non_integer_entries():
     with pytest.raises(SemanticError):
         load_structure('{"domain": 2, "unary": {"a": [1.5]}, "binary": {}}')
+    # Each entry's type is checked before duplicates: true and 1.0 equal 1.
+    for entries in ('[{}]', '[1, true]', '[1, 1.0]'):
+        with pytest.raises(SemanticError, match="is not an integer"):
+            load_structure('{"domain": 2, "unary": {"a": %s}}' % entries)
+    for pairs in ('[[1, [2]]]', '[[1, 2], [1, true]]', '[[1, 2], [1.0, 2]]'):
+        with pytest.raises(SemanticError, match="is not an integer"):
+            load_structure('{"domain": 2, "binary": {"r": %s}}' % pairs)
 
 
 def test_relations_must_be_zero_one():

@@ -36,22 +36,23 @@ from fotensor import (
     to_prenex,
 )
 from fotensor.formulas import Formula
-from fotensor.prenex import EXISTS, FORALL, PrenexFormula
 
 # --- reference passes -------------------------------------------------------
 
 
-def reference_prenex(f: Formula) -> PrenexFormula:
+def reference_prenex(f: Formula) -> Formula:
     used = {v.name for v in _free_variables(f)}
     closed = not used
     g = _standardize(f, used)
     prefix, matrix = _pull(_nnf(g)[0])
     if closed and prefix:
         want = _empty_domain_value(g)
-        if want != (prefix[0][0] == FORALL):
+        if want != (prefix[0][0] is Forall):
             dummy = Variable("v" if "v" not in used else _fresh("v", used))
-            prefix = [(FORALL if want else EXISTS, dummy)] + prefix
-    return PrenexFormula(tuple(prefix), matrix)
+            prefix = [(Forall if want else Exists, dummy)] + prefix
+    for quantifier, var in reversed(prefix):
+        matrix = quantifier(var, matrix)
+    return matrix
 
 
 def _free_variables(f):
@@ -118,7 +119,7 @@ def _pull(f):
         return [], f
     if isinstance(f, (Exists, Forall)):
         p, m = _pull(f.body)
-        return [(EXISTS if isinstance(f, Exists) else FORALL, f.var)] + p, m
+        return [(type(f), f.var)] + p, m
     prefix, matrices = [], []
     for g in f.items:
         p, m = _pull(g)
@@ -204,7 +205,7 @@ def _agree_on_small_words(f, g):
 @given(TREES)
 @settings(max_examples=150, deadline=None)
 def test_one_walk_preserves_truth_on_node_trees(f):
-    _agree_on_small_words(f, to_prenex(f).to_formula())
+    _agree_on_small_words(f, to_prenex(f))
 
 
 def test_renaming_does_not_capture_a_free_occurrence():
@@ -213,7 +214,7 @@ def test_renaming_does_not_capture_a_free_occurrence():
     f = parse_formula("a(x) & (exists x. exists x1. succ(x, x1))")
     pf = to_prenex(f)
     assert str(pf) == "exists x1. exists x2. a(x) & succ(x1, x2)"
-    _agree_on_small_words(f, pf.to_formula())
+    _agree_on_small_words(f, pf)
 
 
 def test_negation_over_nested_conjunction_is_pushed_flat():

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_words, word_model
+from conftest import all_words, contains_quantifier, split_prenex, word_model
 from fotensor import (
     compile_formula,
     embed_model,
@@ -17,7 +17,6 @@ from fotensor import (
     to_prenex,
 )
 from fotensor.diffcheck import random_formula, random_word
-from fotensor.formulas import contains_quantifier
 from fotensor.models import Alphabet
 
 SMALL_WORDS = all_words("ab", 3) + ["abab", "bbaa"]
@@ -42,15 +41,15 @@ def test_rendering_round_trips(seed):
 def test_prenex_matrix_is_quantifier_free(seed):
     formula, _ = _formula_from(seed)
     pf = to_prenex(formula)
-    assert not contains_quantifier(pf.matrix)
-    assert free_variables(pf.to_formula()) == free_variables(formula)
+    assert not contains_quantifier(split_prenex(pf)[1])
+    assert free_variables(pf) == free_variables(formula)
 
 
 @given(st.integers(0, 10**9))
 @settings(max_examples=60, deadline=None)
 def test_prenex_preserves_truth(seed):
     formula, kind = _formula_from(seed)
-    prenexed = to_prenex(formula).to_formula()
+    prenexed = to_prenex(formula)
     for word in SMALL_WORDS:
         m = word_model(word, "ab", kind)
         assert tarski_eval(formula, m) == tarski_eval(prenexed, m), word

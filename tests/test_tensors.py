@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fotensor
-from conftest import all_words, corpus_formulas, embed_length, traversal_corpus, word_model
+from conftest import all_words, contains, corpus_formulas, embed_length, traversal_corpus, word_model
 from fotensor import (
     Alphabet,
     ArityMismatchError,
@@ -34,7 +34,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, Variable, atom, contains
+from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, Variable, atom
 from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
 from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
@@ -634,7 +634,7 @@ def test_trace_size_is_counted_before_evaluating():
 
 
 def test_contract_refuses_a_repeated_bound_variable():
-    # As a prefix refuses one (PrenexFormula); optimize renames apart.
+    # As a prenex prefix never holds one; optimize renames apart.
     x = Variable("x")
     with pytest.raises(ValueError, match="bound variables not distinct"):
         Contract((x, x), (atom("a", "x"),))
