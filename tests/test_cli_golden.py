@@ -38,6 +38,15 @@ CASES = {
         for lang, flags, max_len in (("one-b", ONE_B, "12"), ("diss", DISS, "6"))
         for fmt, extra in (("text", []), ("json", ["--format", "json"]), ("count", ["--count"]))
     },
+    # Letters JSON escapes or encodes as non-ASCII, and a language with no word.
+    **{
+        f"enumerate-{lang}-{fmt}": ["enumerate", "--expr", text, "--alphabet", alphabet, "--max-len", "3", *extra]
+        for lang, text, alphabet in (
+            ("escapes", "forall x. forall y. (succ(x, y) -> !(a(x) & a(y)))", 'a"\\\u00e9'),
+            ("empty", "exists x. (a(x) & !a(x))", "ab"),
+        )
+        for fmt, extra in (("text", []), ("json", ["--format", "json"]))
+    },
     **{
         f"compile-{lang}-{fmt}": ["compile", "--expr", text, "--optimized", *extra]
         for lang, text in (("one-b", ONE_B_TEXT), ("diss", DISS_TEXT))
@@ -69,6 +78,10 @@ DIGESTS = {
     "enumerate-diss-count": "a858ebcc23f929eee77e10dc7871cd0f35832c244bbd08109da4d84064b6d63c",
     "enumerate-diss-json": "3b56fe1a6e5d0ef839aa97d2561975d7881d3dbb61db62a9c3e42cd9e5f26d17",
     "enumerate-diss-text": "308e49c2a7ab8061057f5b57b5f55f6cd4bba7bd92090fece5734ea5656ad373",
+    "enumerate-empty-json": "fddf648f55853b0205765efbb3c7653c438f4555c67c4809f74170764b76ae0a",
+    "enumerate-empty-text": "93d9da2cc6e8ad103dd5660886f6ddb942b6d7a9c8434a6881759a02f2364f63",
+    "enumerate-escapes-json": "47ac8d62b5882451acfa7838f71e9d687344d8ec1ea9522c754b5874165b034d",
+    "enumerate-escapes-text": "9a7c5064179ab6864a19ea379e28c655354406e3270e1d94eafff826eb4b8820",
     "enumerate-one-b-count": "c5b9ac57712b9f5978d91488d0034a1d57e51a2c0402ded573ca9207ab354881",
     "enumerate-one-b-json": "a11dcf0fe169e7a16af915a50807cfecfa0fcd4b5deb9d6c929bc75ebb5e431d",
     "enumerate-one-b-text": "3a8da68a871a3b1723518aad100075bb98a1d21ed55491b42b926cfe7b458f27",
