@@ -152,12 +152,15 @@ def _cmd_enumerate(args) -> int:
         raise SemanticError(str(exc)) from exc
     words = enumerate_language(spec, args.max_len)
     if args.format == "json":
-        print(json.dumps({"command": "enumerate", "count": len(words), "words": words}, indent=2))
+        # json.dumps(..., indent=2) of the document, its words by the C
+        # encoder, which runs only without indent: one word a line, as indent
+        # would place them.
+        listed = "[\n    " + json.dumps(words, separators=(",\n    ", ": "))[1:-1] + "\n  ]" if words else "[]"
+        print(f'{{\n  "command": "enumerate",\n  "count": {len(words)},\n  "words": {listed}\n}}')
     elif args.count:
         print(len(words))
-    else:
-        for w in words:
-            print(w)
+    elif words:
+        print("\n".join(words))
     return EXIT_OK
 
 

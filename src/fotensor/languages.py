@@ -106,7 +106,6 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
     check_domain_size(max_len)  # the order relation embed_words may build
     # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
     firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
-    letters = np.array([*spec.alphabet.symbols, ""])  # a padding digit reads as no letter
     words, start, k = [], 0, plan_extent(plan)[1]
     while start < firsts[-1]:
         stop = own = 0  # own: the chunk's cells unpadded, L^k per word of length L
@@ -118,7 +117,21 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
             if stop < firsts[length + 1]:  # no longer word joins the chunk
                 break
         model = embed_words(spec.alphabet, max_len, spec.model_kind, start, stop)
-        accepted = model.digits[eval_batch(plan, model).nonzero()[0]]
-        words.extend(map("".join, letters[accepted].tolist()))
+        words.extend(_spell(model.digits[eval_batch(plan, model).nonzero()[0]], spec.alphabet.symbols))
         start = stop
+    return words
+
+
+def _spell(digits: np.ndarray, symbols: tuple[str, ...]) -> list[str]:
+    """The words of (B, N) digits, len(symbols) past a word's letters, read
+    at once as B strings of N code points: numpy drops the trailing NULs
+    that stand for the padding, and with them any NUL letters that end a
+    word, which are put back when the alphabet holds NUL."""
+    if not digits.shape[1]:
+        return [""] * len(digits)
+    points = np.array([*map(ord, symbols), 0], np.uint32)  # a padding digit reads as NUL
+    words = points.take(digits).view(f"U{digits.shape[1]}")[:, 0].tolist()
+    if "\0" in symbols:
+        lengths = (digits < len(symbols)).sum(1).tolist()
+        return [w.ljust(n, "\0") for w, n in zip(words, lengths)]
     return words

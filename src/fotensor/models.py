@@ -132,19 +132,32 @@ class StructureModel:
     ) -> "StructureModel":
         """Build from 1-based position sets / pair sets (see check_domain_size)."""
         check_domain_size(domain_size)
-        uvecs = {}
-        for name, positions in (unary or {}).items():
-            vec = np.zeros(domain_size, dtype=bool)
+        unary = {name: list(positions) for name, positions in (unary or {}).items()}
+        binary = {name: list(pairs) for name, pairs in (binary or {}).items()}
+        for name, positions in unary.items():
             for i in positions:
                 _check_index(i, domain_size, name)
-                vec[i - 1] = 1
-            uvecs[name] = vec
-        bmats = {}
-        for name, pairs in (binary or {}).items():
-            mat = np.zeros((domain_size, domain_size), dtype=bool)
+        for name, pairs in binary.items():
             for i, j in pairs:
                 _check_index(i, domain_size, name)
                 _check_index(j, domain_size, name)
+        return cls._from_checked_sets(domain_size, unary, binary)
+
+    @classmethod
+    def _from_checked_sets(
+        cls, domain_size: int, unary: Mapping[str, list[int]], binary: Mapping[str, list[tuple[int, int]]]
+    ) -> "StructureModel":
+        """from_sets of indices already checked to be integers in range."""
+        uvecs = {}
+        for name, positions in unary.items():
+            vec = np.zeros(domain_size, dtype=bool)
+            for i in positions:
+                vec[i - 1] = 1
+            uvecs[name] = vec
+        bmats = {}
+        for name, pairs in binary.items():
+            mat = np.zeros((domain_size, domain_size), dtype=bool)
+            for i, j in pairs:
                 mat[i - 1, j - 1] = 1
             bmats[name] = mat
         return cls(domain_size, uvecs, bmats)
@@ -310,7 +323,7 @@ def load_structure(text: str) -> StructureModel:
         binary_sets[name] = cleaned
 
     try:
-        return StructureModel.from_sets(domain, unary_sets, binary_sets)
+        return StructureModel._from_checked_sets(domain, unary_sets, binary_sets)
     except ValueError as exc:
         raise SemanticError(str(exc)) from exc
 

@@ -202,15 +202,34 @@ def embed_words(
     if top >= 1 << 63:
         raise ValueError(f"word code {top} within its length is over the limit of 2^63 - 1")
     check_domain_size(n)  # before the digits are allocated
-    codes = np.concatenate([np.arange(a, b) + (start - firsts[length]) for length, a, b in runs])
-    # Each code's numeral in n digits, then each word's own last L of them.
-    numerals = np.empty((stop - start, n), np.min_scalar_type(base))
-    for i in reversed(range(n)):
-        codes, numerals[:, i] = np.divmod(codes, base)
-    digits = np.full_like(numerals, base)
+    table = _numerals(base)
+    width = table.shape[1]
+    digits = np.full((stop - start, n), base, table.dtype)
     for length, a, b in runs:
-        digits[a:b, :length] = numerals[a:b, n - length:]
+        first = start + a - firsts[length]  # the code of the run's first word
+        if length <= width:  # consecutive codes: consecutive rows of the table
+            digits[a:b, :length] = table[first : first + b - a, width - length:]
+            continue
+        codes = np.arange(b - a) + first
+        for end in range(length, 0, -width):  # `width` digits at a time, from the last
+            k = min(end, width)
+            low = codes
+            if end > k:
+                codes, low = np.divmod(codes, base**k)
+            digits[a:b, end - k:end] = table.take(low, axis=0)[:, width - k:]
     return embed_digits(digits, alphabet, kind)
+
+
+@functools.cache
+def _numerals(base: int) -> np.ndarray:
+    """Every numeral of m digits in base `base`, row r holding the digits of
+    r, for the largest m up to 12 with base^m rows at most 4096 (m = 1 past
+    that): the last k columns of row r < base^k are r's numeral in k digits."""
+    m = 1
+    while m < 12 and base ** (m + 1) <= 1 << 12:
+        m += 1
+    rows = np.arange(base**m)
+    return (rows[:, None] // base ** np.arange(m - 1, -1, -1) % base).astype(np.min_scalar_type(base))
 
 
 def embed_digits(digits: np.ndarray, alphabet: Alphabet, kind: str) -> EmbeddedModel:
@@ -565,8 +584,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
         if k != v:
             (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
     if not rows and not cols:
-        # A stack of dot products: one multiply-and-sum, no larger than a or b.
-        return (a * b).sum(v, keepdims=True, dtype=np.float64)
+        # A stack of dot products, no larger than a or b: the products, as
+        # float64 counts, summed by einsum, which numpy's sum is slower than
+        # over a short or inner axis.
+        both = a & b if a.dtype == b.dtype == bool else np.multiply(a, b, dtype=np.float64)
+        axes = range(both.ndim)
+        counts = np.einsum(both.astype(np.float64, copy=False), axes, [k for k in axes if k != v])
+        return counts[(slice(None),) * v + (None,)]
     lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
     x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
     y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])
@@ -581,9 +605,8 @@ def _clamp(total: np.ndarray) -> np.ndarray:
     cast alone would read any nonzero count as 1."""
     v = min1(total)
     out = v.astype(bool)
-    # Past min1 an integer count is 0 or more; a float one could be a fraction.
-    ok = (out == v).all() if v.dtype.kind == "f" else np.maximum.reduce(v, axis=None, initial=0) <= 1
-    if not ok:
+    # An entry neither 0 nor 1, a fraction past min1, casts to True but is not 1.
+    if np.count_nonzero(out) != np.count_nonzero(v == 1):
         raise ClosureError("plan node value outside {0, 1}")
     return out
 

@@ -523,6 +523,17 @@ def test_check_output_is_the_same_under_python_O():
     assert _fresh_interpreter(["-O", *argv]) == normal
 
 
+def test_enumerate_output_is_the_same_under_python_O():
+    # The batched path's checks (embedding, contraction steps, clamps) are
+    # explicit raises, so enumeration runs the same without asserts.
+    for flags in (["--expr", ONE_B, "--alphabet", "ab", "--max-len", "9"],
+                  ["--expr", DISS, "--alphabet", "lra", "--max-len", "5", "--model", "prec"]):
+        argv = ["-m", "fotensor", "enumerate", *flags, "--format", "json"]
+        normal = _fresh_interpreter(argv)
+        assert normal[0] == 0 and json.loads(normal[1])["count"] > 0, normal[2]
+        assert _fresh_interpreter(["-O", *argv]) == normal
+
+
 def test_reused_parser_matches_fresh_interpreters(monkeypatch):
     for name, value in _FIXED_TERMINAL.items():
         monkeypatch.setenv(name, value)

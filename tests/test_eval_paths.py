@@ -4,6 +4,7 @@ an assigned variable, a transposed or diagonal binary literal, a
 quantifier whose body ignores its variable, an equality inside a
 contraction, and a contraction step that is a stack of dot products."""
 
+import numpy as np
 import pytest
 
 import fotensor.tensors as tensors
@@ -23,7 +24,8 @@ from fotensor import (
     tarski_eval,
 )
 from fotensor.formulas import Equal
-from fotensor.tensors import Contract
+from fotensor.models import word_digits
+from fotensor.tensors import Contract, embed_digits
 
 
 def _plans(formula):
@@ -137,3 +139,28 @@ def test_a_stacked_dot_step_in_a_padded_batch(monkeypatch):
     want = [w for w in all_words("lra", 5) if tarski_eval(spec.formula, word_model(w, "lra", "prec"))]
     assert enumerate_language(spec, 5) == want
     assert any(calls) and not all(calls)
+
+
+@pytest.mark.parametrize("text", ["exists x. a(x)", "forall x. a(x)"])
+def test_a_stacked_dot_step_counts_past_255(text, monkeypatch):
+    # Over a batch, each plan contracts the domain mask with a(x), or with
+    # !a(x), as a stack of dot products, one per word. 256 letters count
+    # 256, which an 8-bit count would read as 0.
+    calls = []
+    matmul = tensors._matmul
+
+    def spy(a, b, v):
+        calls.append(all(p == q for k, (p, q) in enumerate(zip(a.shape, b.shape)) if k != v))
+        return matmul(a, b, v)
+
+    monkeypatch.setattr(tensors, "_matmul", spy)
+    formula = parse_formula(text)
+    alphabet = Alphabet("ab")
+    words = ["a" * 256 + "b" * 44, "b" * 256 + "a" * 44, "ab" * 150, "b" * 256]
+    digits = np.full((len(words), 300), len(alphabet), np.uint8)
+    for row, word in zip(digits, words):
+        row[: len(word)] = word_digits(word, alphabet)
+    batch = embed_digits(digits, alphabet, "succ")
+    want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
+    assert eval_batch(optimize(compile_formula(formula)), batch).tolist() == want
+    assert calls and all(calls)

@@ -176,6 +176,18 @@ def test_enumeration_follows_alphabet_order():
     assert enumerate_language(anything, 1) == all_words("ba", 1) == ["", "b", "a"]
 
 
+@pytest.mark.parametrize("symbols", ["\x00b", "b\x00", "\U0001f600a", "a\U0001f600"])
+@pytest.mark.parametrize("text", ["forall x. x = x", "exists x. {c}(x)", "forall x. (succ(x, x) | !{c}(x))"])
+def test_enumerate_spells_nul_and_non_bmp_letters(symbols, text):
+    # Words are read from code points, where numpy drops a string's trailing
+    # NULs: a word that ends in a NUL letter keeps it, and a letter past
+    # U+FFFF is one letter.
+    letter = symbols.replace("\x00", "").replace("\U0001f600", "")
+    spec = LanguageSpec(parse_formula(text.format(c=letter)), "succ", Alphabet(symbols))
+    words = enumerate_language(spec, 3)
+    assert words == [w for w in all_words(symbols, 3) if _oracle(spec, w)]
+
+
 def test_one_b_insensitive_to_model_kind():
     succ_spec = formula_one_b()
     prec_spec = LanguageSpec(succ_spec.formula, "prec", succ_spec.alphabet)

@@ -212,6 +212,18 @@ def test_load_rejects_non_integer_entries():
             load_structure('{"domain": 2, "binary": {"r": %s}}' % pairs)
 
 
+def test_load_checks_each_index_once(monkeypatch):
+    checked = []
+    real = models._check_index
+    monkeypatch.setattr(models, "_check_index", lambda i, n, name: checked.append((i, name)) or real(i, n, name))
+    m = load_structure('{"domain": 3, "unary": {"a": [1, 3], "b": []}, "binary": {"r": [[1, 2], [3, 1]]}}')
+    assert checked == [(1, "a"), (3, "a"), (1, "r"), (2, "r"), (3, "r"), (1, "r")]
+    assert m == StructureModel.from_sets(3, {"a": {1, 3}, "b": set()}, {"r": {(1, 2), (3, 1)}})
+    checked.clear()
+    StructureModel.from_sets(3, {"a": iter([2])}, {"r": iter([(2, 3)])})
+    assert checked == [(2, "a"), (2, "r"), (3, "r")]
+
+
 def test_relations_must_be_zero_one():
     for bad in ([0, 2], [-1, 1], [1, 3], [0.5, 1]):
         with pytest.raises(ValueError, match=r"entries outside \{0, 1\}"):
