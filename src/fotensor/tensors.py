@@ -584,13 +584,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
         if k != v:
             (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
     if not rows and not cols:
-        # A stack of dot products, no larger than a or b: the products, as
-        # float64 counts, summed by einsum, which numpy's sum is slower than
-        # over a short or inner axis.
-        both = a & b if a.dtype == b.dtype == bool else np.multiply(a, b, dtype=np.float64)
-        axes = range(both.ndim)
-        counts = np.einsum(both.astype(np.float64, copy=False), axes, [k for k in axes if k != v])
-        return counts[(slice(None),) * v + (None,)]
+        # A stack of dot products, no larger than a or b. numpy's sum is
+        # quick over the outermost axis or one row, but slow over an inner
+        # axis of many rows, as in a batch: there einsum sums the products,
+        # of bools in uint8 (a view, so the axis must be shorter than 256 for
+        # every count to fit), and only the counts are cast to float64.
+        if v == 0 or not stack:
+            return (a * b).sum(v, keepdims=True, dtype=np.float64)
+        if a.dtype == b.dtype == bool and a.shape[v] < 256:
+            both = (a & b).view(np.uint8)
+        else:
+            both = np.multiply(a, b, dtype=np.float64)
+        shape = both.shape[:v] + (1,) + both.shape[v + 1:]
+        counts = np.einsum("ijk->ik", both.reshape(math.prod(shape[:v]), both.shape[v], math.prod(shape[v:])))
+        return counts.astype(np.float64, copy=False).reshape(shape)
     lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
     x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
     y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])

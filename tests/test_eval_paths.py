@@ -141,11 +141,12 @@ def test_a_stacked_dot_step_in_a_padded_batch(monkeypatch):
     assert any(calls) and not all(calls)
 
 
+@pytest.mark.parametrize("n", [255, 256, 300])
 @pytest.mark.parametrize("text", ["exists x. a(x)", "forall x. a(x)"])
-def test_a_stacked_dot_step_counts_past_255(text, monkeypatch):
+def test_a_stacked_dot_step_counts_past_255(text, n, monkeypatch):
     # Over a batch, each plan contracts the domain mask with a(x), or with
-    # !a(x), as a stack of dot products, one per word. 256 letters count
-    # 256, which an 8-bit count would read as 0.
+    # !a(x), as a stack of dot products, one per word. n letters count n:
+    # past 255, an 8-bit count would wrap, 256 to 0.
     calls = []
     matmul = tensors._matmul
 
@@ -156,8 +157,8 @@ def test_a_stacked_dot_step_counts_past_255(text, monkeypatch):
     monkeypatch.setattr(tensors, "_matmul", spy)
     formula = parse_formula(text)
     alphabet = Alphabet("ab")
-    words = ["a" * 256 + "b" * 44, "b" * 256 + "a" * 44, "ab" * 150, "b" * 256]
-    digits = np.full((len(words), 300), len(alphabet), np.uint8)
+    words = ["a" * n, "b" * n, "ab" * (n // 2), "b" * 200]
+    digits = np.full((len(words), n), len(alphabet), np.uint8)
     for row, word in zip(digits, words):
         row[: len(word)] = word_digits(word, alphabet)
     batch = embed_digits(digits, alphabet, "succ")
