@@ -42,10 +42,13 @@ makes existentials 0 and universals 1 on an empty domain. A contraction
 runs its order (Contract.order): it eliminates the bound variables one at
 a time, summing an axis that one factor uses and contracting two or more
 factors with one np.matmul on float64 counts (exact below 2^53), or, when
-no factor has an axis the others lack, as a stack of dot products by one
-multiply-and-sum; a bound variable that no factor uses gets no axis.
-Counts exist only inside a sum: int64 for a quantifier or a disjunction,
-float64 in a contraction; the clamp turns them back into bool. Before
+no factor has an axis the others lack, as a stack of dot products: one
+multiply-and-sum over the outermost axis or one row, and in a batch an
+einsum of the products, counted in uint8 when both factors are bool and
+the axis is shorter than 256; a bound variable that no factor uses gets
+no axis. Counts exist only inside a sum: int64 for a quantifier or a
+disjunction, and every count a contraction step leaves is float64; the
+clamp turns them back into bool. Before
 allocating anything, evaluation refuses a plan whose largest array, N^k
 cells, is past MAX_CELLS, where k counts the quantifiers around a node of
 a plain plan, or a contraction's variables in its largest factor, step or
@@ -54,7 +57,10 @@ output.
 A batch is a model with a (B, N) domain mask. embed_words builds one for
 B words, each padded to the longest, N letters: (B, N) labels and the mask
 of each word's own positions, next to the order tensor as a (1, N, N)
-view, which on a word's first L positions is the order of that word.
+view, which on a word's first L positions is the order of that word. Its
+digits are rows of a cached table of base-|alphabet| numerals: a slice
+for the words of one length up to the table's width, a lookup per group
+of that many digits past it.
 eval_batch evaluates a closed plan on all of them at once: the batch is
 one more axis in front of the quantified variables', carried by every
 relation (size 1 when shared), so arrays grow to B * N^k cells. Each sum
@@ -64,9 +70,9 @@ only its own positions.
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, or are 0/1 by
 construction, and every clamp runs min1, which rejects negative input,
-then checks its output before the cast to bool: at most 1, and a float
-count also whole. Both raise ClosureError explicitly, so the checks also
-run under python -O.
+then checks its output before the cast to bool: each entry is 0 or 1, so
+as many entries equal 1 as cast to True. Both raise ClosureError
+explicitly, so the checks also run under python -O.
 
 Plans are model-independent: the quantifier nodes carry the domain
 iteration symbolically and bind its size only at evaluation time.
@@ -398,7 +404,7 @@ def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
             f"{b} * {n}^{plan_extent(e)[1]} cells, over the limit of {MAX_CELLS}"
         )
     value = _Evaluator(m, {}, False).scalar(e, (None,), None)
-    return np.broadcast_to(value, (b,)).astype(np.int64)
+    return value + np.zeros(b, np.int64)  # one value per structure, or one for all
 
 
 # numpy's limit on the axes of an array (NPY_MAXDIMS).
