@@ -152,9 +152,9 @@ def _cmd_enumerate(args) -> int:
         raise SemanticError(str(exc)) from exc
     words = enumerate_language(spec, args.max_len)
     if args.format == "json":
-        # json.dumps(..., indent=2) of the document, its words by the C
-        # encoder, which runs only without indent: one word a line, as indent
-        # would place them.
+        # The bytes of json.dumps(doc, indent=2), the words encoded by the C
+        # encoder, which runs only without indent: the separator puts each
+        # word on its own line, as indent does.
         listed = "[\n    " + json.dumps(words, separators=(",\n    ", ": "))[1:-1] + "\n  ]" if words else "[]"
         print(f'{{\n  "command": "enumerate",\n  "count": {len(words)},\n  "words": {listed}\n}}')
     elif args.count:

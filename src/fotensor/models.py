@@ -133,7 +133,7 @@ class StructureModel:
         """Build from 1-based position sets / pair sets (see check_domain_size)."""
         check_domain_size(domain_size)
         unary = {name: list(positions) for name, positions in (unary or {}).items()}
-        binary = {name: list(pairs) for name, pairs in (binary or {}).items()}
+        binary = {name: [(i, j) for i, j in pairs] for name, pairs in (binary or {}).items()}
         for name, positions in unary.items():
             for i in positions:
                 _check_index(i, domain_size, name)

@@ -230,12 +230,15 @@ def embed_words(
 def _numerals(base: int) -> np.ndarray:
     """Every numeral of m digits in base `base`, row r holding the digits of
     r, for the largest m up to 12 with base^m rows at most 4096 (m = 1 past
-    that): the last k columns of row r < base^k are r's numeral in k digits."""
+    that): the last k columns of row r < base^k are r's numeral in k digits.
+    Read-only, as every caller shares it."""
     m = 1
     while m < 12 and base ** (m + 1) <= 1 << 12:
         m += 1
     rows = np.arange(base**m)
-    return (rows[:, None] // base ** np.arange(m - 1, -1, -1) % base).astype(np.min_scalar_type(base))
+    table = (rows[:, None] // base ** np.arange(m - 1, -1, -1) % base).astype(np.min_scalar_type(base))
+    table.flags.writeable = False
+    return table
 
 
 def embed_digits(digits: np.ndarray, alphabet: Alphabet, kind: str) -> EmbeddedModel:
@@ -601,9 +604,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
             both = (a & b).view(np.uint8)
         else:
             both = np.multiply(a, b, dtype=np.float64)
-        shape = both.shape[:v] + (1,) + both.shape[v + 1:]
-        counts = np.einsum("ijk->ik", both.reshape(math.prod(shape[:v]), both.shape[v], math.prod(shape[v:])))
-        return counts.astype(np.float64, copy=False).reshape(shape)
+        outer, inner = both.shape[:v], both.shape[v + 1:]
+        counts = np.einsum("ijk->ik", both.reshape(math.prod(outer), both.shape[v], math.prod(inner)))
+        return counts.astype(np.float64, copy=False).reshape(outer + (1,) + inner)
     lead, r, c = [a.shape[k] for k in stack], [a.shape[k] for k in rows], [b.shape[k] for k in cols]
     x = a.transpose(stack + rows + [v] + cols + ones).reshape(lead + [math.prod(r), a.shape[v]])
     y = b.transpose(stack + [v] + cols + rows + ones).reshape(lead + [b.shape[v], math.prod(c)])
