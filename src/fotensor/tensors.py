@@ -235,8 +235,7 @@ def _numerals(base: int) -> np.ndarray:
     m = 1
     while m < 12 and base ** (m + 1) <= 1 << 12:
         m += 1
-    rows = np.arange(base**m)
-    table = (rows[:, None] // base ** np.arange(m - 1, -1, -1) % base).astype(np.min_scalar_type(base))
+    table = np.ascontiguousarray(np.indices((base,) * m, np.min_scalar_type(base)).reshape(m, -1).T)
     table.flags.writeable = False
     return table
 
