@@ -132,16 +132,20 @@ class StructureModel:
     ) -> "StructureModel":
         """Build from 1-based position sets / pair sets (see check_domain_size)."""
         check_domain_size(domain_size)
-        unary = {name: list(positions) for name, positions in (unary or {}).items()}
-        binary = {name: [(i, j) for i, j in pairs] for name, pairs in (binary or {}).items()}
-        for name, positions in unary.items():
+        # Each entry is checked as it is read, in order, so the first bad one is reported.
+        checked_unary, checked_binary = {}, {}
+        for name, positions in (unary or {}).items():
+            checked = checked_unary[name] = []
             for i in positions:
                 _check_index(i, domain_size, name)
-        for name, pairs in binary.items():
+                checked.append(i)
+        for name, pairs in (binary or {}).items():
+            checked = checked_binary[name] = []
             for i, j in pairs:
                 _check_index(i, domain_size, name)
                 _check_index(j, domain_size, name)
-        return cls._from_checked_sets(domain_size, unary, binary)
+                checked.append((i, j))
+        return cls._from_checked_sets(domain_size, checked_unary, checked_binary)
 
     @classmethod
     def _from_checked_sets(

@@ -213,7 +213,9 @@ def embed_words(
     digits = np.full((stop - start, n), base, table.dtype)
     for length, a, b in runs:
         first = start + a - firsts[length]  # the code of the run's first word
-        if length <= width:  # consecutive codes: consecutive rows of the table
+        # Consecutive codes up to the table's width are consecutive rows: a
+        # slice, which halves the digits' cost of a short enumeration.
+        if length <= width:
             digits[a:b, :length] = table[first : first + b - a, width - length:]
             continue
         codes = np.arange(b - a) + first
@@ -592,11 +594,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
         if k != v:
             (stack if p != 1 and q != 1 else rows if p != 1 else cols if q != 1 else ones).append(k)
     if not rows and not cols:
-        # A stack of dot products, no larger than a or b. numpy's sum is
-        # quick over the outermost axis or one row, but slow over an inner
-        # axis of many rows, as in a batch: there einsum sums the products,
-        # of bools in uint8 (a view, so the axis must be shorter than 256 for
-        # every count to fit), and only the counts are cast to float64.
+        # A stack of dot products, no larger than a or b. Over the outermost
+        # axis or one row, as in a single word, numpy's sum is quick and
+        # einsum's setup costs more: about 2 us a step, 2-4% of a long-words
+        # or check request. Over an inner axis of many rows, as in a batch,
+        # numpy's sum is slow: there einsum sums the products, of bools in
+        # uint8 (a view, so the axis must be shorter than 256 for every
+        # count to fit), and only the counts are cast to float64.
         if v == 0 or not stack:
             return (a * b).sum(v, keepdims=True, dtype=np.float64)
         if a.dtype == b.dtype == bool and a.shape[v] < 256:

@@ -222,6 +222,12 @@ def test_load_checks_each_index_once(monkeypatch):
     checked.clear()
     StructureModel.from_sets(3, {"a": iter([2])}, {"r": iter([(2, 3)])})
     assert checked == [(2, "a"), (2, "r"), (3, "r")]
+    # A bad unary index is reported before any binary pair is read.
+    for pairs in ([(1, 2, 3)], [1]):
+        with pytest.raises(SemanticError, match="index 7 out of range"):
+            StructureModel.from_sets(3, {"a": [7]}, {"r": pairs})
+    with pytest.raises(SemanticError, match="index 4 out of range"):
+        StructureModel.from_sets(3, {}, {"r": [(1, 4), (1, 2, 3)]})
 
 
 def test_relations_must_be_zero_one():
