@@ -21,7 +21,6 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     Variable,
     and_,
@@ -106,7 +105,7 @@ def _gen(rng, scope, labels, order, depth, budget) -> tuple[Formula, int]:
         return and_([left, right]), rest
     if op == "or":
         return or_([left, right]), rest
-    return Implies(left, right), rest
+    return or_([Not(left), right]), rest
 
 
 @dataclass(frozen=True)

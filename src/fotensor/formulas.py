@@ -1,9 +1,9 @@
 """First-order formula ASTs over a relational signature.
 
 Terms are variables only; predicates are unary or binary. Connectives are
-negation, n-ary conjunction/disjunction and implication, sugar for !p | q
-that :func:`prenex.to_prenex` rewrites as it converts. A formula without
-implications is also an evaluation plan (see tensors.py).
+negation and n-ary conjunction and disjunction; the parser reads the
+implication p -> q as the disjunction !p | q, so no node stands for it.
+Every formula is also an evaluation plan (see tensors.py).
 """
 
 from __future__ import annotations
@@ -123,15 +123,6 @@ class Or(Formula):
 
 
 @dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
-
-
-@dataclass(frozen=True)
 class Exists(Formula):
     var: Variable
     body: Formula
@@ -215,9 +206,9 @@ def predicates(f: Formula) -> dict[str, int]:
     return out
 
 
-# Rendering. Levels mirror the surface grammar: -> binds loosest, then |, &, !.
+# Rendering. Levels mirror the surface grammar: | binds loosest, then &, !.
 # Output re-parses to the same AST (for ASTs built through and_/or_).
-_IMPLIES, _OR, _AND, _NOT, _ATOM = 1, 2, 3, 4, 5
+_OR, _AND, _NOT, _ATOM = 1, 2, 3, 4
 
 
 def to_text(f: Formula, level: int = 0) -> str:
@@ -232,9 +223,6 @@ def to_text(f: Formula, level: int = 0) -> str:
         return _wrap(" & ".join([to_text(g, _NOT) for g in f.items]), _AND, level)
     if t is Or:
         return _wrap(" | ".join([to_text(g, _AND) for g in f.items]), _OR, level)
-    if t is Implies:
-        text = f"{to_text(f.left, _OR)} -> {to_text(f.right, _IMPLIES)}"
-        return _wrap(text, _IMPLIES, level)
     if t is Exists or t is Forall:
         text = f"{'exists' if t is Exists else 'forall'} {f.var.name}. {to_text(f.body, 0)}"
         return f"({text})" if level > 0 else text

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -95,17 +94,15 @@ def enumerate_language(spec: LanguageSpec, max_len: int) -> list[str]:
         raise ValueError("max_len must be nonnegative")
     plan = optimize(compile_formula(spec.formula))
     batch_limit(plan, max_len)
-    total = 0
+    firsts = [0]  # the words of length L are numbered firsts[L] to firsts[L + 1] - 1
     for length in range(max_len + 1):  # stops once past MAX_WORDS, whatever max_len
-        total += len(spec.alphabet) ** length
-        if total > MAX_WORDS:
+        firsts.append(firsts[-1] + len(spec.alphabet) ** length)
+        if firsts[-1] > MAX_WORDS:
             raise SemanticError(
                 f"enumeration to length {max_len} over {len(spec.alphabet)} letters decides "
-                f"at least {total} words, over the limit of {MAX_WORDS}"
+                f"at least {firsts[-1]} words, over the limit of {MAX_WORDS}"
             )
     check_domain_size(max_len)  # the order relation embed_words may build
-    # The words of length L are numbered firsts[L] to firsts[L + 1] - 1.
-    firsts = [0, *accumulate(len(spec.alphabet) ** n for n in range(max_len + 1))]
     words, start, k = [], 0, plan_extent(plan)[1]
     while start < firsts[-1]:
         stop = own = 0  # own: the chunk's cells unpadded, L^k per word of length L

@@ -23,7 +23,6 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     Or,
     Variable,
@@ -72,8 +71,6 @@ def _eval(f: Formula, m: StructureModel, env: dict[str, int]) -> bool:
         return all(_eval(g, m, env) for g in f.items)
     if isinstance(f, Or):
         return any(_eval(g, m, env) for g in f.items)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, m, env)) or _eval(f.right, m, env)
     if isinstance(f, (Exists, Forall)):
         name = f.var.name
         saved = env.get(name)

@@ -26,6 +26,8 @@ an error, by _tokenize over the same pattern; it raises the "unexpected
 character" error first if some token is no identifier. One loop in _formula
 covers the operator levels: a run of "!" before each atom, runs of "&"
 joined by and_, "|" between them, and "->" recursing for its right side.
+No node stands for an implication: p -> q is built as or_([Not(p), q]),
+the disjunction !p | q, so every parsed formula is a plan (tensors.py).
 
 Each "(", "!", quantifier and "->" opens one level of nesting until what it
 scopes over ends; a formula nested deeper than MAX_NESTING levels is
@@ -43,7 +45,6 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     PredicateSymbol,
     Variable,
@@ -151,10 +152,10 @@ class FormulaParser:
             return left
         self._open()
         # Right-associative; the consequent may open a quantifier whose
-        # scope then extends maximally right.
+        # scope then extends maximally right. p -> q is read as !p | q.
         right = self._formula()
         self._depth -= 1
-        return Implies(left, right)
+        return or_([Not(left), right])
 
     def _atom(self) -> Formula:
         if self._tokens[self._pos] == "(":

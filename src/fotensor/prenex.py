@@ -1,13 +1,13 @@
 """Prenex normal form conversion.
 
-One walk of the tree does the whole conversion. It removes implications
-(p -> q becomes the disjunction !p | q), flattens nested conjunctions and
-disjunctions, renames bound variables apart (fresh-name suffixing x, x1,
-x2, ...), moves negations down just far enough to expose every quantifier
-(!exists x G => forall x !G and dually; a negation over a quantifier-free
-subtree is left in place as a whole-subformula complement), and floats the
-quantifiers out in the order the walk meets them, left to right. The
-result is a formula: the quantifier chain over the matrix.
+One walk of the tree does the whole conversion. It flattens nested
+conjunctions and disjunctions, renames bound variables apart (fresh-name
+suffixing x, x1, x2, ...), moves negations down just far enough to expose
+every quantifier (!exists x G => forall x !G and dually; a negation over a
+quantifier-free subtree is left in place as a whole-subformula
+complement), and floats the quantifiers out in the order the walk meets
+them, left to right. The result is a formula: the quantifier chain over
+the matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     Or,
     Variable,
@@ -33,8 +32,7 @@ from .formulas import (
 
 def to_prenex(f: Formula) -> Formula:
     """Convert f to an equivalent prenex formula: a chain of Exists and
-    Forall, its variables distinct, over a matrix with no quantifier and no
-    implication.
+    Forall, its variables distinct, over a matrix with no quantifier.
 
     Equivalence holds on every finite model, the empty one included: pulling
     a quantifier out of a boolean combination preserves truth only on
@@ -68,11 +66,11 @@ def to_prenex(f: Formula) -> Formula:
             used.add(var.name)
             prefix.append((Exists if (t is Exists) != negated else Forall, var))
             return walk(g.body, negated, renamed if var is g.var else {**renamed, name: var})
-        if t is not And and t is not Or and t is not Implies:
+        if t is not And and t is not Or:
             raise TypeError(f"not a formula: {g!r}")
         conjunction = t is And
         start = len(prefix)
-        parts = [walk(h, negated != flip, renamed) for h, flip in _operands(g, [])]
+        parts = [walk(h, negated, renamed) for h in _operands(g, [])]
         if negated and len(prefix) == start:
             # No quantifier below: the negation stays over the whole subtree,
             # whose parts were normalized negated and differ by one Not.
@@ -91,23 +89,14 @@ def to_prenex(f: Formula) -> Formula:
     return out
 
 
-def _operands(f: Formula, out: list) -> list[tuple[Formula, bool]]:
-    """out extended by the operands of the conjunction, disjunction or
-    implication f, as (subformula, negated) pairs: a conjunct that is a
-    conjunction, or a disjunct that is a disjunction or implication, is
-    replaced by its own operands, and p -> q has the disjuncts !p and q."""
-    t = type(f)
-    if t is Implies:
-        out.append((f.left, True))
-        items = (f.right,)
-    else:
-        items = f.items
-    nested = (And,) if t is And else (Or, Implies)
-    for g in items:
-        if type(g) in nested:
+def _operands(f: And | Or, out: list) -> list[Formula]:
+    """out extended by the operands of the conjunction or disjunction f: an
+    operand of f's own class is replaced by its own operands."""
+    for g in f.items:
+        if type(g) is type(f):
             _operands(g, out)
         else:
-            out.append((g, False))
+            out.append(g)
     return out
 
 
@@ -126,8 +115,6 @@ def _empty_domain_value(f: Formula) -> bool:
         return all(_empty_domain_value(g) for g in f.items)
     if isinstance(f, Or):
         return any(_empty_domain_value(g) for g in f.items)
-    if isinstance(f, Implies):
-        return not _empty_domain_value(f.left) or _empty_domain_value(f.right)
     raise ValueError(f"formula is not closed: atom {f} outside every quantifier")
 
 

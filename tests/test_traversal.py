@@ -6,7 +6,24 @@ import random
 import pytest
 
 from conftest import rebuild
-from fotensor import Equal, Exists, Forall, Formula, Implies, Not, Variable, and_, atom, or_
+from fotensor import (
+    Alphabet,
+    Equal,
+    Exists,
+    Forall,
+    Formula,
+    Not,
+    Variable,
+    and_,
+    atom,
+    build_word_model,
+    embed_model,
+    eval_tensor,
+    or_,
+    parse_formula,
+    tarski_eval,
+    to_text,
+)
 from fotensor.diffcheck import random_formula
 from fotensor.optimize import optimize
 from fotensor.prenex import to_prenex
@@ -23,7 +40,6 @@ EXAMPLES = [
     Not(A),
     and_([A, SUCC]),
     or_([A, Equal(X, Y)]),
-    Implies(A, SUCC),
     Exists(X, A),
     Forall(Y, SUCC),
     Contract((X, Y), (REL, NEQ)),
@@ -59,6 +75,25 @@ def test_rebuild_with_own_children_keeps_the_node(node):
     assert rebuilt == node
     assert [id(k) for k in rebuilt.children()] == [id(copies[id(k)]) for k in kids]
     assert (rebuilt is node) == (not kids)
+
+
+@pytest.mark.parametrize("node", EXAMPLES, ids=lambda n: type(n).__name__)
+def test_every_walk_takes_every_node_class(node):
+    # Each walk has a branch for each node class it may meet, so a class
+    # added without its branches fails here. A Contract is a plan node and
+    # no formula; its value is checked against the formula it stands for.
+    model = build_word_model("ab", Alphabet("ab"), "succ")
+    env = {"x": 1, "y": 2}
+    value = eval_tensor(node, embed_model(model), env)
+    assert dump_expr(node).startswith("(")
+    formula = node
+    if isinstance(node, Contract):
+        formula = and_(node.factors)
+        for var in reversed(node.bound):
+            formula = Exists(var, formula)
+    else:
+        assert parse_formula(to_text(node)) == node
+    assert tarski_eval(formula, model, env) == tarski_eval(to_prenex(formula), model, env) == value
 
 
 def test_plan_variables():
