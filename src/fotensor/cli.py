@@ -16,7 +16,7 @@ import sys
 
 from .diffcheck import run_differential_check
 from .errors import FotensorError, ParseError, SemanticError, StructureFormatError
-from .formulas import free_names, predicates
+from .formulas import predicates
 from .languages import LanguageSpec, enumerate_language
 from .models import MODEL_KINDS, SUCC, Alphabet, load_structure
 from .optimize import optimize
@@ -110,7 +110,7 @@ def _cmd_eval(args) -> int:
             message = f"argument --{option}: not allowed with argument --structure"
             raise _usage_error("fotensor eval", message)
     formula = _read_formula(args)
-    if free := free_names(formula):
+    if free := formula.free_names:
         raise SemanticError(f"formula has free variables: {', '.join(sorted(free))}")
     if args.word is not None:
         embedded = embed_word(args.word, _word_alphabet(args, formula), args.model or SUCC)

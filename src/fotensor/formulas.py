@@ -47,7 +47,7 @@ class cached:
 class Formula:
     """Base class of formula nodes, which are also plan nodes (see
     tensors.py). A node class is a frozen dataclass whose children() lists
-    its formula-valued fields in field order."""
+    its formula-valued fields in field order; free_names is kept per node."""
 
     def __str__(self):
         return to_text(self)
@@ -57,18 +57,11 @@ class Formula:
         return ()
 
     @cached
-    def variables(self) -> frozenset[Variable]:
-        """Free variables of the formula rooted here, computed once per node
-        from its children's."""
-        if isinstance(self, Atom):
-            return frozenset(self.terms)
-        if isinstance(self, Equal):
-            return frozenset((self.left, self.right))
+    def free_names(self) -> frozenset[str]:
+        """Names of the free variables of the formula rooted here, computed
+        once per node from its fields: by default, its children's names."""
         kids = self.children()
-        out = kids[0].variables if len(kids) == 1 else frozenset().union(*[k.variables for k in kids])
-        if isinstance(self, (Exists, Forall)):
-            out = out - {self.var}
-        return out
+        return kids[0].free_names if len(kids) == 1 else frozenset().union(*[k.free_names for k in kids])
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,19 @@ class Atom(Formula):
                 f"arguments, got {len(self.terms)}"
             )
 
+    @cached
+    def free_names(self):
+        return frozenset([v.name for v in self.terms])
+
 
 @dataclass(frozen=True)
 class Equal(Formula):
     left: Variable
     right: Variable
+
+    @cached
+    def free_names(self):
+        return frozenset((self.left.name, self.right.name))
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,10 @@ class Exists(Formula):
     def children(self):
         return (self.body,)
 
+    @cached
+    def free_names(self):
+        return self.body.free_names - {self.var.name}
+
 
 @dataclass(frozen=True)
 class Forall(Formula):
@@ -138,6 +143,8 @@ class Forall(Formula):
 
     def children(self):
         return (self.body,)
+
+    free_names = Exists.free_names
 
 
 def atom(name: str, *vars: str | Variable) -> Atom:
@@ -168,32 +175,7 @@ def _flatten(cls: type[And] | type[Or], items) -> Formula:
 
 
 def free_variables(f: Formula) -> set[Variable]:
-    return set(map(Variable, free_names(f)))
-
-
-def free_names(f: Formula) -> set[str]:
-    """The names of the free variables of f, by one walk that carries the
-    names bound around each node, made once per root node: as `cached`
-    does, the names are kept in the node's __dict__."""
-    if "_free_names" in f.__dict__:
-        return set(f.__dict__["_free_names"])
-    out: set[str] = set()
-
-    def walk(g: Formula, bound: tuple[str, ...]) -> None:
-        t = type(g)
-        if t is Atom or t is Equal:
-            for v in g.terms if t is Atom else (g.left, g.right):
-                if v.name not in bound:
-                    out.add(v.name)
-        elif t is Exists or t is Forall:
-            walk(g.body, bound + (g.var.name,))
-        else:
-            for h in g.children():
-                walk(h, bound)
-
-    walk(f, ())
-    f.__dict__["_free_names"] = frozenset(out)
-    return out
+    return set(map(Variable, f.free_names))
 
 
 def predicates(f: Formula) -> dict[str, int]:

@@ -22,7 +22,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import SemanticError
-from .formulas import Formula, free_names, predicates
+from .formulas import Formula, predicates
 from .models import Alphabet, check_domain_size, check_kind
 from .optimize import optimize
 from .parser import parse_formula
@@ -41,7 +41,7 @@ class LanguageSpec:
 
     def __post_init__(self):
         check_kind(self.model_kind)
-        if free_names(self.formula):
+        if self.formula.free_names:
             raise ValueError("language formulas must be closed")
         for name, arity in predicates(self.formula).items():
             if arity == 1 and name not in self.alphabet:

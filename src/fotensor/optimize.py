@@ -50,7 +50,7 @@ def _block(bound: tuple, body: Formula, nonempty: bool, exists: bool) -> Formula
     parts, inside, outside = _parts(body, kind), [], []
     for p in parts:
         # A lone part stays inside even if it ignores the run (counted N^k times).
-        (outside if len(parts) > 1 and p.variables.isdisjoint(bound) else inside).append(p)
+        (outside if len(parts) > 1 and p.free_names.isdisjoint(v.name for v in bound) else inside).append(p)
     if not inside and nonempty:
         return body
     factors = ()  # With no part inside, the block is the run alone: 1 on a nonempty domain.

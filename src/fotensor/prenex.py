@@ -25,7 +25,6 @@ from .formulas import (
     Or,
     Variable,
     and_,
-    free_names,
     or_,
 )
 
@@ -40,7 +39,7 @@ def to_prenex(f: Formula) -> Formula:
     empty-domain value wrong, a vacuous quantifier over a fresh dummy
     variable is prepended (a no-op whenever the domain is inhabited).
     """
-    used = free_names(f)
+    used = set(f.free_names)
     closed = not used
     prefix: list[tuple[type[Exists] | type[Forall], Variable]] = []
 

@@ -300,12 +300,12 @@ class Contract(Formula):
         return self.factors
 
     @cached
-    def variables(self) -> frozenset[Variable]:
-        return frozenset().union(*[f.variables for f in self.factors]) - set(self.bound)
+    def free_names(self):
+        return frozenset().union(*[f.free_names for f in self.factors]) - {v.name for v in self.bound}
 
     @cached
     def order(self) -> tuple:
-        """(axes, steps, rest, peak) from the factors' variable sets, for every N.
+        """(axes, steps, rest, peak) from the factors' free_names, for every N.
         Each step (axis, slots) eliminates the bound variable leaving fewest
         variables: it multiplies the factors using it (slots of the factor
         list, which each step's result extends), the largest last, and sums
@@ -316,8 +316,8 @@ class Contract(Formula):
         sets = []
         for f in self.factors:
             s = 0
-            for v in f.variables:
-                s |= bits.setdefault(v.name, 1 << len(bits))
+            for name in f.free_names:
+                s |= bits.setdefault(name, 1 << len(bits))
             sets.append(s)
         used = [v.name for v in self.bound if v.name in bits]
         live, steps, todo = list(range(len(sets))), [], list(used)
@@ -376,11 +376,16 @@ def eval_tensor(
     variables around it, in the order of a nested-loop walk of the plan:
     inner quantifiers before outer ones, outer variables counting up.
 
-    Raises SemanticError, before allocating anything, when the plan's
-    largest array would exceed MAX_CELLS cells or MAX_AXES axes, or a trace
-    would hold more than MAX_TRACE_EVENTS events."""
+    Raises AssignmentError, as tarski_eval does, for any binding outside the
+    domain, read or not; SemanticError, before allocating anything, when the
+    plan's largest array would exceed MAX_CELLS cells or MAX_AXES axes, or a
+    trace would hold more than MAX_TRACE_EVENTS events."""
     if m.domain is not None:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
+    env = normalize_assignment(a)
+    for name, i in env.items():
+        if not 1 <= i <= m.basis_size:
+            raise AssignmentError(f"assignment binds {name} to {i}, outside domain of size {m.basis_size}")
     _planned_cells(e, m.basis_size, 0)
     if trace is not None:
         events = _trace_events(e, m.basis_size)
@@ -389,7 +394,7 @@ def eval_tensor(
                 f"a trace of this plan on domain size {m.basis_size} holds {events} "
                 f"events, over the limit of {MAX_TRACE_EVENTS}"
             )
-    ev = _Evaluator(m, normalize_assignment(a), trace is not None)
+    ev = _Evaluator(m, env, trace is not None)
     value = int(ev.scalar(e, (), () if trace is not None else None))
     if trace is not None:
         trace.extend(event for _, event in sorted(ev.events, key=itemgetter(0)))
@@ -562,12 +567,9 @@ class _Evaluator:
     def index(self, var: Variable) -> int:
         """0-based domain position the assignment gives var."""
         try:
-            i = self.env[var.name]
+            return self.env[var.name] - 1
         except KeyError:
             raise UnboundVariableError(f"variable {var.name!r} is not bound") from None
-        if not 1 <= i <= self.n:
-            raise AssignmentError(f"index {i} outside domain of size {self.n}")
-        return i - 1
 
     def record(self, tag: str, variable: str, total: np.ndarray, scope: tuple[str, ...], path):
         totals = np.broadcast_to(total, (self.n,) * len(scope))
@@ -635,7 +637,10 @@ def _clamp(total: np.ndarray) -> np.ndarray:
 def plan_extent(e: Formula) -> tuple[int, int]:
     """_extent of the plan rooted at e, walked once per root node: plans are
     immutable, and the result is kept in the node's __dict__, as a
-    cached_property keeps its value, so equality and hashing ignore it."""
+    cached_property keeps its value, so equality and hashing ignore it.
+    An object that is no plan node raises TypeError."""
+    if not isinstance(e, Formula):
+        raise TypeError(f"not a plan node: {e!r}")
     if "_extent" not in e.__dict__:
         e.__dict__["_extent"] = _extent(e)
     return e.__dict__["_extent"]
@@ -653,7 +658,7 @@ def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
         return _extent(e.body, axes + quantified, depth + quantified)
     if t is Contract:
         axes += len(e.order[0])
-        kids = [_extent(f, axes, len(f.variables)) for f in e.factors] + [(axes, e.order[3])]
+        kids = [_extent(f, axes, len(f.free_names)) for f in e.factors] + [(axes, e.order[3])]
     else:
         kids = [_extent(child, axes, depth) for child in e.children()] + [(axes, depth)]
     return tuple(map(max, zip(*kids)))

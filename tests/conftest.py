@@ -55,10 +55,11 @@ def corpus_formulas():
         yield parse_formula(text), symbols, kinds
 
 
-def traversal_corpus():
-    """The 3,000 random formulas whose front-end output test_traversal pins."""
+def traversal_corpus(count: int = 3000):
+    """count random formulas; the first 3,000 are those whose front-end
+    output test_traversal pins."""
     rng = random.Random(20191)
-    for i in range(3000):
+    for i in range(count):
         alphabet = ("ab", "abc")[i % 2]
         kind = ("succ", "prec")[i // 2 % 2]
         yield random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)

@@ -47,10 +47,15 @@ def test_unused_import_check_sees_one():
 def _unreferenced(sources: dict[str, str], exported=frozenset()) -> list[str]:
     """Module-level functions, classes and constants of the modules (module
     name -> source), as module.name, that no other statement of theirs reads
-    and exported does not list. A module reads another's name through
-    `from .module import name`, save __init__, which imports to re-export."""
+    and exported does not list, then the methods and properties of the
+    classes it does not list, as module.Class.name, whose name no attribute
+    access in the modules reads (dunder methods aside). A module reads
+    another's name through `from .module import name`, save __init__, which
+    imports to re-export."""
     defined = {}
     readers = {}
+    methods = []
+    attributes = set()
     for module, source in sources.items():
         for statement in ast.parse(source).body:
             if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -61,9 +66,17 @@ def _unreferenced(sources: dict[str, str], exported=frozenset()) -> list[str]:
                     for node in ast.walk(target):
                         if isinstance(node, ast.Name):
                             defined[module, node.id] = statement
+            if isinstance(statement, ast.ClassDef) and statement.name not in exported:
+                methods.extend(
+                    (module, statement.name, item.name)
+                    for item in statement.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                )
             for node in ast.walk(statement):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     readers.setdefault((module, node.id), set()).add(statement)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
                 elif isinstance(node, ast.ImportFrom) and node.level == 1 and module != "__init__":
                     for alias in node.names:
                         readers.setdefault((node.module, alias.name), set()).add(statement)
@@ -72,7 +85,7 @@ def _unreferenced(sources: dict[str, str], exported=frozenset()) -> list[str]:
         for (module, name), statement in defined.items()
         if not (name.startswith("__") or name in exported)
         and not readers.get((module, name), set()) - {statement}
-    ]
+    ] + [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in attributes]
 
 
 def test_every_definition_is_read_in_the_package_or_exported():
@@ -92,3 +105,20 @@ def test_dead_code_check_sees_one():
     # f reads only itself, Y nothing, and C only __init__ imports.
     assert _unreferenced(sources) == ["a.Y", "a.f", "a.C"]
     assert _unreferenced(sources, {"C", "f"}) == ["a.Y"]
+
+
+def test_dead_code_check_sees_an_unread_method():
+    sources = {
+        "a": (
+            "class C:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def f(self):\n        return self.g\n"
+            "    @property\n    def g(self):\n        return 1\n"
+            "    def h(self):\n        return 2\n"
+            "class D:\n    def h(self):\n        return 3\n"
+        ),
+        "b": "from .a import C, D\nprint(C().f(), D())\n",
+    }
+    # f and g are read as attributes; h nowhere, and D is exported.
+    assert _unreferenced(sources) == ["a.C.h", "a.D.h"]
+    assert _unreferenced(sources, {"D"}) == ["a.C.h"]

@@ -11,7 +11,6 @@ from fotensor import (
     predicates,
     to_prenex,
 )
-from fotensor.formulas import free_names
 
 
 def test_atom_arity_checked():
@@ -21,6 +20,30 @@ def test_atom_arity_checked():
         from fotensor import PredicateSymbol
 
         Atom(PredicateSymbol("b", 1), (Variable("x"), Variable("y")))
+
+
+def test_symbols_are_checked():
+    import pytest
+
+    from fotensor import PredicateSymbol
+
+    with pytest.raises(ValueError, match="variable name must be nonempty"):
+        Variable("")
+    with pytest.raises(ValueError, match="predicate arity must be 1 or 2, got 3"):
+        PredicateSymbol("p", 3)
+
+
+def test_an_optimized_plan_with_a_contraction_is_no_formula():
+    # A Contract is a plan node only: the formula walks refuse it.
+    import pytest
+
+    from fotensor import StructureModel, compile_formula, optimize, tarski_eval
+
+    plan = optimize(compile_formula(parse_formula("exists x. a(x)")))
+    model = StructureModel(1, {"a": [1]})
+    for walk in (str, lambda f: tarski_eval(f, model), to_prenex):
+        with pytest.raises(TypeError, match="not a formula"):
+            walk(plan)
 
 
 def test_desugar_matches_truth_table():
@@ -45,13 +68,14 @@ def test_free_variables():
 
 
 def test_free_names_gives_each_caller_its_own_set():
-    # The names are kept on the root after the first walk; to_prenex adds to
-    # the set it gets.
+    # The names are kept on each node, immutable; free_variables hands each
+    # caller a set of its own, which it may change.
     f = parse_formula("exists x. prec(x, y)")
-    first = free_names(f)
-    first.add("z")
-    assert free_names(f) == {"y"} and free_names(f) is not free_names(f)
-    assert free_variables(f) == {Variable("y")}
+    assert type(f.free_names) is frozenset and f.free_names is f.free_names
+    first = free_variables(f)
+    first.add(Variable("z"))
+    assert free_variables(f) == {Variable("y")} and free_variables(f) is not free_variables(f)
+    assert f.free_names == {"y"}
 
 
 def test_desugar_preserves_free_variables():

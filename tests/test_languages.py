@@ -161,6 +161,8 @@ def test_enumerate_diss_excludes_only_ll_up_to_2():
 def test_enumerate_zero_length():
     assert enumerate_language(formula_one_b(), 0) == []
     assert enumerate_language(formula_diss(), 0) == [""]
+    with pytest.raises(ValueError, match="max_len must be nonnegative"):
+        enumerate_language(formula_one_b(), -1)
 
 
 def test_enumerate_paths_agree():

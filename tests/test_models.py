@@ -30,6 +30,13 @@ def test_alphabet_validation():
     assert list(Alphabet("ab")) == ["a", "b"]
 
 
+def test_alphabets_compare_by_symbols():
+    assert Alphabet("ab") == Alphabet(["a", "b"]) != Alphabet("ba")
+    assert Alphabet("ab") != "ab"
+    assert len({Alphabet("ab"), Alphabet("ab"), Alphabet("ba")}) == 2
+    assert repr(Alphabet("ab")) == "Alphabet('ab')"
+
+
 def test_successor_model_of_abba():
     m = build_successor_model("abba", ABC)
     assert m.domain_size == 4
@@ -99,6 +106,8 @@ def test_each_position_has_exactly_one_label():
 
 
 def test_structure_rejects_bad_entries():
+    with pytest.raises(ValueError, match="domain size must be nonnegative"):
+        StructureModel(-1)
     with pytest.raises(ValueError):
         StructureModel(2, {"a": [0, 2]})
     with pytest.raises(ValueError):
@@ -119,6 +128,13 @@ def test_structures_are_immutable():
     assert m.unary["a"].tolist() == [1, 0]
     with pytest.raises(ValueError):
         m.unary["a"][0] = 0
+
+
+def test_structure_equality_and_repr():
+    m = build_successor_model("ab", Alphabet("ab"))
+    assert m == build_successor_model("ab", Alphabet("ab")) != build_successor_model("ba", Alphabet("ab"))
+    assert m != "ab" and m.__eq__("ab") is NotImplemented
+    assert repr(m) == "StructureModel(N=2, unary=['a', 'b'], binary=['succ'])"
 
 
 def test_dump_matches_documented_format():

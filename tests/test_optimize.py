@@ -74,7 +74,7 @@ def test_open_body_uses_basis_vector():
     plan = compile_formula(parse_formula("exists x. (succ(y, x) & b(x))"))
     optimized = optimize(plan)
     assert optimized == Contract((X,), (_rel("succ", Y, X), _rel("b", X)))
-    assert optimized.variables == {Y}
+    assert optimized.free_names == {"y"}
     for word in all_words("ab", 5):
         if not word:
             continue

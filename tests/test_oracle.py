@@ -59,6 +59,8 @@ def test_unbound_variable_error():
 def test_unknown_predicate_error():
     with pytest.raises(UnknownPredicateError):
         tarski_eval(parse_formula("exists x. q(x)"), word_model("ab", "ab", "succ"))
+    with pytest.raises(UnknownPredicateError, match="no binary relation 'prec'"):
+        tarski_eval(parse_formula("exists x. prec(x, x)"), word_model("ab", "ab", "succ"))
 
 
 def test_arity_mismatch_error():

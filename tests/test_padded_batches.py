@@ -12,6 +12,7 @@ import fotensor.tensors as tensors
 from conftest import all_words, word_model
 from fotensor import (
     Alphabet,
+    ClosureError,
     Exists,
     LanguageSpec,
     Variable,
@@ -217,6 +218,8 @@ def test_a_batch_is_any_model_with_a_domain_mask():
     for mask in (domain[0], domain[:, :2], domain[None]):
         with pytest.raises(ValueError, match=r"expected \(B, 3\)"):
             tensors.EmbeddedModel(3, {}, domain=mask)
+    with pytest.raises(ClosureError, match="the domain mask is not a 0/1 tensor"):
+        tensors.EmbeddedModel(3, {}, domain=np.array([[1, 2, 0]]))
 
 
 def test_shortlex_order_numbers_the_batch():

@@ -13,6 +13,7 @@ from conftest import all_words, corpus_formulas, embed_length, traversal_corpus,
 from fotensor import (
     Alphabet,
     ArityMismatchError,
+    AssignmentError,
     ClosureError,
     SemanticError,
     StructureModel,
@@ -34,7 +35,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import And, Exists, Forall, Formula, Not, Or, Variable, atom
+from fotensor.formulas import And, Exists, Forall, Not, Or, Variable, atom
 from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
 from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
 
@@ -225,7 +226,7 @@ def test_a_plan_is_a_formula():
 
 def test_implication_is_its_disjunction():
     # p -> q is parsed as !p | q, so it evaluates and dumps as that
-    # disjunction. The bare base class is no plan node, and is refused.
+    # disjunction. A variable is no plan node, and is refused.
     implication = parse_formula("forall x. (a(x) -> exists y. succ(x, y))")
     disjunction = parse_formula("forall x. (!a(x) | (exists y. succ(x, y)))")
     assert dump_expr(implication) == dump_expr(disjunction)
@@ -233,9 +234,24 @@ def test_implication_is_its_disjunction():
         em = embed_word(word, Alphabet("ab"), "succ")
         assert eval_tensor(implication, em) == eval_tensor(disjunction, em), word
     with pytest.raises(TypeError, match="not a plan node"):
-        eval_tensor(Formula(), embed_word("ab", Alphabet("ab"), "succ"))
+        eval_tensor(Variable("x"), embed_word("ab", Alphabet("ab"), "succ"))
     with pytest.raises(TypeError, match="not a plan node"):
-        dump_expr(Formula())
+        dump_expr(Variable("x"))
+
+
+@pytest.mark.parametrize("thing", [Variable("x"), "a(x)"], ids=repr)
+def test_every_entry_point_refuses_what_is_no_plan_node(thing):
+    # The same TypeError from each, raised before any guard reads the plan.
+    alphabet = Alphabet("ab")
+    calls = [
+        lambda: eval_tensor(thing, embed_word("ab", alphabet, "succ")),
+        lambda: eval_batch(thing, embed_words(alphabet, 2, "succ")),
+        lambda: batch_limit(thing, 2),
+        lambda: dump_expr(thing),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="not a plan node"):
+            call()
 
 
 def test_compile_open_atom_is_a_leaf():
@@ -314,6 +330,27 @@ def test_eval_requires_bindings():
     plan = compile_formula(parse_formula("b(x)"))
     with pytest.raises(UnboundVariableError):
         eval_tensor(plan, _embedded("ab", "ab", "succ"))
+
+
+@pytest.mark.parametrize(
+    "text, word, env",
+    [
+        ("a(x)", "ab", {"x": 0}),
+        ("a(x)", "ab", {"x": 3}),
+        ("a(x)", "ab", {"x": 1, "y": 9}),  # y is read nowhere
+        ("exists x. a(x)", "", {"x": 1}),
+    ],
+)
+def test_out_of_range_bindings_are_refused_on_both_paths(text, word, env):
+    # Each binding is checked before evaluation, read or not, with one message.
+    formula = parse_formula(text)
+    bad = next(name for name, i in env.items() if not 1 <= i <= len(word))
+    message = f"assignment binds {bad} to {env[bad]}, outside domain of size {len(word)}"
+    with pytest.raises(AssignmentError, match=message):
+        tarski_eval(formula, word_model(word, "ab", "succ"), env)
+    for plan in (compile_formula(formula), optimize(compile_formula(formula))):
+        with pytest.raises(AssignmentError, match=message):
+            eval_tensor(plan, _embedded(word, "ab", "succ"), env)
 
 
 def test_plan_too_large_is_refused_before_allocating():

@@ -1,13 +1,13 @@
 import copy
 import dataclasses
 import hashlib
-import random
 
 import pytest
 
-from conftest import rebuild
+from conftest import rebuild, traversal_corpus
 from fotensor import (
     Alphabet,
+    Atom,
     Equal,
     Exists,
     Forall,
@@ -19,12 +19,12 @@ from fotensor import (
     build_word_model,
     embed_model,
     eval_tensor,
+    free_variables,
     or_,
     parse_formula,
     tarski_eval,
     to_text,
 )
-from fotensor.diffcheck import random_formula
 from fotensor.optimize import optimize
 from fotensor.prenex import to_prenex
 from fotensor.tensors import Contract, compile_formula, dump_expr, plan_extent
@@ -94,28 +94,67 @@ def test_every_walk_takes_every_node_class(node):
     else:
         assert parse_formula(to_text(node)) == node
     assert tarski_eval(formula, model, env) == tarski_eval(to_prenex(formula), model, env) == value
+    assert node.free_names == _reference_names(node)
+
+
+def _reference_variables(e) -> frozenset[Variable]:
+    """The free variables of plan e, bottom-up from its children's, by the
+    rule of the former Formula.variables and Contract.variables, after
+    checking e.free_names against their names at every node of e."""
+    if isinstance(e, Atom):
+        out = frozenset(e.terms)
+    elif isinstance(e, Equal):
+        out = frozenset((e.left, e.right))
+    else:
+        out = frozenset().union(*[_reference_variables(k) for k in e.children()])
+        if isinstance(e, (Exists, Forall)):
+            out -= {e.var}
+        elif isinstance(e, Contract):
+            out -= set(e.bound)
+    assert e.free_names == {v.name for v in out}, e
+    return out
+
+
+def _reference_names(e) -> set[str]:
+    return {v.name for v in _reference_variables(e)}
 
 
 def test_plan_variables():
-    assert Exists(X, atom("succ", X, Y)).variables == {Y}
-    assert Forall(X, Exists(Y, NEQ)).variables == frozenset()
-    assert Contract((X,), (REL, NEQ)).variables == {Y}
-    assert Contract((X, Y), (REL, NEQ)).variables == frozenset()
-    assert Contract((), (REL, NEQ)).variables == {X, Y}
-    assert Not(Contract((Y,), (Exists(X, REL),))).variables == frozenset()
+    assert Exists(X, atom("succ", X, Y)).free_names == {"y"}
+    assert Forall(X, Exists(Y, NEQ)).free_names == frozenset()
+    assert Contract((X,), (REL, NEQ)).free_names == {"y"}
+    assert Contract((X, Y), (REL, NEQ)).free_names == frozenset()
+    assert Contract((), (REL, NEQ)).free_names == {"x", "y"}
+    assert Contract((X,), ()).free_names == frozenset()
+    assert Not(Contract((Y,), (Exists(X, REL),))).free_names == frozenset()
+    hand_built = [
+        Contract((X, Y), (Contract((Y,), (SUCC,)), Equal(X, Y))),
+        or_([Contract((Y,), (A, Not(SUCC))), Exists(Y, Contract((X,), (SUCC,)))]),
+        Forall(X, Not(Contract((), (REL, Contract((X,), (NEQ,)))))),
+    ]
+    assert [_reference_names(e) for e in hand_built] == [set(), {"x"}, {"y"}]
+
+
+def test_free_names_match_the_reference_on_every_node():
+    # Every node of each formula, of its prenex form, of its compiled plan
+    # and of the optimized plan: a closed formula's plans are closed too,
+    # contractions included.
+    for f in traversal_corpus(6000):
+        plan = compile_formula(f)
+        optimized = optimize(plan)
+        for e in (f, to_prenex(f), plan, optimized):
+            _reference_variables(e)
+        assert free_variables(f) == free_variables(optimized) == set()
+    f = parse_formula("exists x. (a(x) & (exists y. succ(x, y)))")
+    assert free_variables(optimize(compile_formula(f))) == set()
 
 
 def _front_end_digest(passes):
     """SHA-256 of the texts that passes make of 3,000 random formulas; each
     pass maps a formula and its compiled plan to a text."""
-    rng = random.Random(20191)
     digest = hashlib.sha256()
-    for i in range(3000):
-        alphabet = ("ab", "abc")[i % 2]
-        kind = ("succ", "prec")[i // 2 % 2]
-        f = random_formula(rng, tuple(alphabet), kind, max_depth=2 + i // 4 % 4)
-        plan = compile_formula(f)
-        for text in passes(f, plan):
+    for f in traversal_corpus():
+        for text in passes(f, compile_formula(f)):
             digest.update(text.encode() + b"\0")
     return digest.hexdigest()
 

@@ -59,10 +59,21 @@ def test_gorn_address_parsing_and_display():
     assert GornAddress.parse("1.10.2").digits == (1, 10, 2)
     assert str(GornAddress((1, 1, 1, 0))) == "1110"
     assert str(GornAddress(())) == "ε"
+    assert str(GornAddress((1, 10, 2))) == "1.10.2"
+
+
+def test_gorn_address_errors():
+    with pytest.raises(ValueError, match="address digits must be nonnegative"):
+        GornAddress((0, -1))
+    with pytest.raises(ValueError, match="not a Gorn address: '1.x'"):
+        GornAddress.parse("1.x")
+    with pytest.raises(ValueError, match="the root has no parent"):
+        GornAddress(()).parent()
 
 
 def test_example_tree_domain_is_valid():
     assert validate_gorn_domain(TREE_ADDRESSES).ok
+    assert bool(validate_gorn_domain(TREE_ADDRESSES)) and not validate_gorn_domain(["00"])
 
 
 def test_missing_left_sibling_rejected():
