@@ -8,7 +8,7 @@ Every formula is also an evaluation plan (see tensors.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,10 @@ class Formula:
     def children(self) -> tuple[Formula, ...]:
         """The subformulas, in field order."""
         return ()
+
+    def __getstate__(self):
+        """The fields alone, for pickling: cached values are rebuilt on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached
     def free_names(self) -> frozenset[str]:

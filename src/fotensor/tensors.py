@@ -27,33 +27,34 @@ identity. A word is embedded from its digits, its letters' alphabet
 positions, by embed_digits (embed_word alone, embed_words in a batch),
 which builds each label, and the order, on the plan's first read of it.
 
-Evaluation works on whole arrays. Each plan node is computed once, for all
-assignments to the quantified variables in its scope at the same time, as
-a bool array with one axis per such variable; the axis has size 1 where
-the node does not depend on the variable. A literal is its relation
-tensor reshaped onto its variables' axes (transposed for R(y, x), the
-diagonal for R(x, x), a row or column for a variable the assignment
-binds), and a negative literal, a Not over it, the placed tensor inverted.
-An equality x = y places the index range 0..N-1, made once per
-evaluation, on the axis of x and on the axis of y and compares the two,
-so [i = j] comes from the indices alone. Conjunction is a broadcast
-product and disjunction a clamped sum. A quantifier sums its body over
-the variable's axis, and a body without that axis counts N times, which
-makes existentials 0 and universals 1 on an empty domain. A contraction
-runs its order (Contract.order): it eliminates the bound variables one at
-a time, summing an axis that one factor uses and contracting two or more
-factors with one np.matmul on float64 counts (exact below 2^53), or, when
-no factor has an axis the others lack, as a stack of dot products: one
-multiply-and-sum over the outermost axis or one row, and in a batch an
-einsum of the products, counted in uint8 when both factors are bool and
-the axis is shorter than 256; a bound variable that no factor uses gets
-no axis. Counts exist only inside a sum: int64 for a quantifier or a
-disjunction, and every count a contraction step leaves is float64; the
-clamp turns them back into bool. Before
+Evaluation works on whole arrays. Each plan node computes its value for
+all assignments to the quantified variables in its scope at once, as a
+bool array with one axis per such variable, of size 1 where the node does
+not depend on the variable. A literal is its relation tensor placed on
+its variables' axes: transposed for R(y, x), the diagonal for R(x, x), a
+row or column for a variable the assignment binds; a negative literal, a
+Not over it, is the placed tensor inverted. An equality x = y compares
+the index range 0..N-1 placed on the axis of x and on the axis of y, so
+[i = j] comes from the indices alone. Conjunction is a broadcast product
+and disjunction a clamped sum. A quantifier sums its body over the
+variable's axis, and a body without that axis counts N times, which makes
+existentials 0 and universals 1 on an empty domain. A contraction runs
+its order (Contract.order): it eliminates the bound variables one at a
+time, summing an axis that one factor uses and contracting two or more
+factors by _matmul on float64 counts (exact below 2^53); a bound variable
+that no factor uses gets no axis. Counts exist only inside a sum: int64
+for a quantifier or a disjunction, float64 for a contraction; the clamp
+turns them back into bool.
+
+A plan is lowered once per mode (one structure, a traced one, a batch),
+on its first evaluation, by one walk into a program kept on its root
+node: a step per node, with every index decision above, the contraction
+steps and the trace's loop positions fixed, so that a run only binds the
+model, N and the assignment. The same walk finds the planned peak: before
 allocating anything, evaluation refuses a plan whose largest array, N^k
 cells, is past MAX_CELLS, where k counts the quantifiers around a node of
-a plain plan, or a contraction's variables in its largest factor, step or
-output.
+a plain plan, or the axes of a contraction's largest factor, step or
+output (a variable the assignment binds has none).
 
 A batch is a model with a (B, N) domain mask. embed_words builds one for
 B words, each padded to the longest, N letters: (B, N) labels and the mask
@@ -74,9 +75,6 @@ construction, and every clamp runs min1, which rejects negative input,
 then checks its output before the cast to bool: each entry is 0 or 1, so
 as many entries equal 1 as cast to True. Both raise ClosureError
 explicitly, so the checks also run under python -O.
-
-Plans are model-independent: the quantifier nodes carry the domain
-iteration symbolically and bind its size only at evaluation time.
 """
 
 from __future__ import annotations
@@ -305,8 +303,14 @@ class Contract(Formula):
 
     @cached
     def order(self) -> tuple:
-        """(axes, steps, rest, peak) from the factors' free_names, for every N.
-        Each step (axis, slots) eliminates the bound variable leaving fewest
+        """plan(frozenset()): the contraction's order, for every N, when no
+        name a factor uses is bound by an assignment."""
+        return self.plan(frozenset())
+
+    def plan(self, rows: frozenset) -> tuple:
+        """(axes, steps, rest, peak) from the factors' free_names less rows,
+        names an assignment binds, which read a row and have no axis. Each
+        step (axis, slots) eliminates the bound variable leaving fewest
         variables: it multiplies the factors using it (slots of the factor
         list, which each step's result extends), the largest last, and sums
         its axis out. axes names the bound variables some factor uses, rest
@@ -316,7 +320,7 @@ class Contract(Formula):
         sets = []
         for f in self.factors:
             s = 0
-            for name in f.free_names:
+            for name in f.free_names - rows:
                 s |= bits.setdefault(name, 1 << len(bits))
             sets.append(s)
         used = [v.name for v in self.bound if v.name in bits]
@@ -383,39 +387,37 @@ def eval_tensor(
     if m.domain is not None:
         raise ValueError("eval_tensor takes a model of one structure; use eval_batch")
     env = normalize_assignment(a)
+    n = m.basis_size
     for name, i in env.items():
-        if not 1 <= i <= m.basis_size:
-            raise AssignmentError(f"assignment binds {name} to {i}, outside domain of size {m.basis_size}")
-    _planned_cells(e, m.basis_size, 0)
+        if not 1 <= i <= n:
+            raise AssignmentError(f"assignment binds {name} to {i}, outside domain of size {n}")
+    program = _program(e, "one" if trace is None else "trace")
+    program.cells(n)
+    run = _Run(m, env, None if trace is None else [])
+    value = int(program.step(run))
     if trace is not None:
-        events = _trace_events(e, m.basis_size)
-        if events > MAX_TRACE_EVENTS:
-            raise SemanticError(
-                f"a trace of this plan on domain size {m.basis_size} holds {events} "
-                f"events, over the limit of {MAX_TRACE_EVENTS}"
-            )
-    ev = _Evaluator(m, env, trace is not None)
-    value = int(ev.scalar(e, (), () if trace is not None else None))
-    if trace is not None:
-        trace.extend(event for _, event in sorted(ev.events, key=itemgetter(0)))
+        trace.extend(event for _, event in sorted(run.events, key=itemgetter(0)))
     return value
 
 
 def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
     """Evaluate a closed plan on each structure of a batch (see
     EmbeddedModel), each over its domain mask, at once: an array of B
-    values, each exactly 0 or 1. A model without a mask is a batch of one.
+    values, each exactly 0 or 1. A model without a mask is a batch of one,
+    evaluated by eval_tensor.
 
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
+    if m.domain is None:
+        return np.array([eval_tensor(e, m)], np.int64)
     b, n = m.batch_size, m.basis_size
+    program = _program(e, "batch")
     if b > batch_limit(e, n):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
-            f"{b} * {n}^{plan_extent(e)[1]} cells, over the limit of {MAX_CELLS}"
+            f"{b} * {n}^{program.peak} cells, over the limit of {MAX_CELLS}"
         )
-    value = _Evaluator(m, {}, False).scalar(e, (None,), None)
-    return value + np.zeros(b, np.int64)  # one value per structure, or one for all
+    return program.step(_Run(m, {}, None)) + np.zeros(b, np.int64)  # one value per structure, or one for all
 
 
 # numpy's limit on the axes of an array (NPY_MAXDIMS).
@@ -431,162 +433,185 @@ def batch_limit(e: Formula, n: int) -> int:
     for plan e: MAX_CELLS // N^k, N^k the planned peak of e per structure
     (the domain mask adds no variable). Raises SemanticError when one
     structure is past MAX_CELLS or MAX_AXES."""
-    return MAX_CELLS // max(_planned_cells(e, n, 1), 1)
+    return MAX_CELLS // max(_program(e, "batch").cells(n), 1)
 
 
-def _planned_cells(e: Formula, n: int, batch_axes: int) -> int:
-    """The planned peak N^k of e (see _extent), checked with the axes, batch
-    axes included, against MAX_CELLS and MAX_AXES."""
-    axes, depth = plan_extent(e)
-    if axes + batch_axes > MAX_AXES:
-        raise SemanticError(
-            f"evaluation needs arrays of {axes + batch_axes} axes, "
-            f"over numpy's limit of {MAX_AXES}"
-        )
-    cells = n**depth
-    if cells > MAX_CELLS:
-        raise SemanticError(
-            f"evaluation needs arrays of N^k = {n}^{depth} cells "
-            f"(domain size {n}, k = {depth} variables), over the limit of {MAX_CELLS}"
-        )
-    return cells
+def plan_extent(e: Formula) -> tuple[int, int]:
+    """(most axes, k of the most cells N^k) of the arrays evaluating plan e
+    on one structure: its eval_batch program's, the batch axis aside."""
+    program = _program(e, "batch")
+    return program.axes - 1, program.peak
 
 
-def _trace_events(e: Formula, n: int, depth: int = 0) -> int:
-    """Events a trace of e records on domain size n, inside `depth`
-    quantified variables: N^k for each quantifier node, k the quantified
-    variables around it (a contraction's used bound ones included)."""
-    if isinstance(e, (Exists, Forall)):
-        return n**depth + _trace_events(e.body, n, depth + 1)
-    if isinstance(e, Contract):
-        depth += len(e.order[0])
-    return sum(_trace_events(child, n, depth) for child in e.children())
-
-
-class _Evaluator:
-    """One evaluation of a plan. Each node value is a bool array with one
-    axis per quantified variable in scope (outermost first), of size 1
-    where the node does not depend on that variable. eval_batch opens the
-    scope with the batch axis, named None as no variable can be, and
-    multiplies in the domain mask, if any, at every sum over a variable.
-
-    Trace events are recorded with a sort key that restores the nested-loop
-    order: the path from the root, where a quantifier contributes its loop
-    index (a contraction one per bound variable) and any other node the
-    position of the child taken, followed by math.inf so that a node's own
-    event sorts after its descendants'. The path is built only when
-    tracing; otherwise it is None."""
-
-    def __init__(self, m: EmbeddedModel, env: dict[str, int], tracing: bool):
-        self.m = m
-        self.n = m.basis_size
-        self.env = env
-        self.events: list | None = [] if tracing else None
-        self.indices = np.arange(self.n)
-
-    def scalar(self, e, scope: tuple[str | None, ...], path: tuple | None) -> np.ndarray:
-        t = type(e)
-        if t is Atom:
-            return self.place(self.m.tensor(e.predicate.name, len(e.terms)), e.terms, scope)
-        if t is Not:
-            return ~self.scalar(e.body, scope, None if path is None else path + (0,))
-        if t is And or t is Or:
-            values = [self.scalar(g, scope, None if path is None else path + (k,)) for k, g in enumerate(e.items)]
-            if t is And:
-                return functools.reduce(np.logical_and, values)
-            # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
-            return _clamp(functools.reduce(np.add, values, np.int64(0)))
-        if t is Exists or t is Forall:
-            inner = scope + (e.var.name,)
-            body = self.scalar(e.body, inner, None if path is None else path + (None,))
-            body = body if t is Exists else ~body
-            if self.m.domain is not None:
-                body = body & self.mask(len(scope), len(inner))
-            total = body.sum(-1)
-            if body.shape[-1] != self.n:
-                total = total * self.n  # a body that ignores the variable counts N times
-            if path is not None:
-                self.record("exists-sum" if t is Exists else "forall-dual", e.var.name, total, scope, path)
-            return _clamp(total) if t is Exists else ~_clamp(total)
-        if t is Equal:
-            return self.place(self.indices, (e.left,), scope) == self.place(self.indices, (e.right,), scope)
-        if t is Contract:
-            (axes, steps, rest, _), outer = e.order, len(scope)
-            # The factors sit inside one loop per bound variable they use.
-            path = None if path is None else path + (None,) * len(axes)
-            counts = [self.scalar(g, scope + axes, None if path is None else path + (k,))
-                      for k, g in enumerate(e.factors)]
-            for axis, slots in steps:
-                *head, last = (counts[k] for k in slots)
-                if self.m.domain is not None:
-                    head.insert(0, self.mask(outer + axis, outer + len(axes)))
-                counts.append(
-                    _matmul(functools.reduce(np.multiply, head), last, outer + axis)
-                    if head else last.sum(axis=outer + axis, keepdims=True, dtype=np.float64)
-                )
-            total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
-            total = total.reshape(total.shape[:outer])
-            if len(axes) < len(e.bound):
-                # N^k for the unused bound variables: min1 sees only whether N > 0.
-                nonempty = np.array(self.n > 0) if self.m.domain is None else self.m.domain.any(-1)
-                total = total * self.place(nonempty, (), scope)
-            return _clamp(total)
+def _program(e: Formula, mode: str) -> _Program:
+    """The program of plan e for mode "one", "trace" or "batch", lowered on
+    first use and kept in the root's __dict__, as a cached_property keeps
+    its value. An object that is no plan node raises TypeError."""
+    if not isinstance(e, Formula):
         raise TypeError(f"not a plan node: {e!r}")
+    programs = e.__dict__.setdefault("_programs", {})
+    return programs.get(mode) or programs.setdefault(mode, _Program(e, mode))
 
-    def place(self, t: np.ndarray, terms, scope: tuple[str | None, ...]) -> np.ndarray:
-        """Tensor t with its k-th index on the axis of terms[k], reshaped to
-        one axis per scope variable. A quantified variable takes its scope
-        axis (the innermost one of that name), and a variable the assignment
-        binds fixes a row or column. A batch's t, one axis more than terms,
-        has its leading axis on the batch axis, scope position 0."""
-        shape = [1] * len(scope)
-        if t.ndim > len(terms):
-            shape[0] = len(t)
-        index, axes = [], []
-        for v in terms:
-            axis = _scope_axis(scope, v.name)
-            if axis is None:
-                index.append(self.index(v))
-            else:
-                index.append(slice(None))
-                axes.append(axis)
-                shape[axis] = self.n
-        if len(axes) < len(terms):
-            t = t[(..., *index)]
-        if len(axes) == 2 and axes[0] >= axes[1]:
-            # R(x, x) reads the diagonal, R(y, x) the transpose.
-            t = np.einsum("...ii->...i", t) if axes[0] == axes[1] else t.swapaxes(-1, -2)
-        return t.reshape(shape)
 
-    def mask(self, axis: int, width: int) -> np.ndarray:
-        """The (B, N) domain mask on the batch axis and on `axis` of `width`."""
-        shape = [1] * width
-        shape[0], shape[axis] = self.m.domain.shape
-        return self.m.domain.reshape(shape)
+class _Run:
+    """A program's run: the model, N, the mask, the assignment and, when
+    tracing, the (sort key, event) pairs recorded."""
 
-    def index(self, var: Variable) -> int:
-        """0-based domain position the assignment gives var."""
-        try:
-            return self.env[var.name] - 1
-        except KeyError:
-            raise UnboundVariableError(f"variable {var.name!r} is not bound") from None
+    def __init__(self, m: EmbeddedModel, env: dict[str, int], events: list | None):
+        self.m, self.n, self.domain, self.env, self.events = m, m.basis_size, m.domain, env, events
 
-    def record(self, tag: str, variable: str, total: np.ndarray, scope: tuple[str, ...], path):
-        totals = np.broadcast_to(total, (self.n,) * len(scope))
+    def record(self, tag: str, variable: str, total, where: dict[str, int], path: tuple):
+        """An event per entry of a quantifier's sums, on the axes of `where`,
+        keyed by path with each loop (None) its index, then math.inf."""
+        totals = np.broadcast_to(total, (self.n,) * np.ndim(total))
         for idx in np.ndindex(totals.shape):
             loops = iter(idx)
             key = tuple(next(loops) if p is None else p for p in path) + (math.inf,)
-            bindings = dict(self.env)
-            bindings.update(zip(scope, (i + 1 for i in idx)))
-            event = TraceEvent(tag, variable, tuple(sorted(bindings.items())), int(totals[idx]))
-            self.events.append((key, event))
+            bindings = {**self.env, **{name: idx[axis] + 1 for name, axis in where.items()}}
+            self.events.append((key, TraceEvent(tag, variable, tuple(sorted(bindings.items())), int(totals[idx]))))
 
 
-def _scope_axis(scope: tuple[str | None, ...], name: str) -> int | None:
-    for p in range(len(scope) - 1, -1, -1):
-        if scope[p] == name:
-            return p
-    return None
+class _Program:
+    """A plan lowered for one mode by one walk: step(run) computes its value.
+    Its arrays have at most `axes` axes, a batch's included, and N^peak
+    cells per structure; a trace records sum(N^k for k in events) events.
+
+    lower(e, where, width, depth, path) returns e's step. e's value has
+    `width` axes: a batch's, then one per quantified variable in scope
+    (where: name -> innermost axis). depth is the planned k at e; path, None
+    unless tracing, has a loop (None) per quantified variable around e and
+    the position of the child taken at each other node."""
+
+    def __init__(self, e: Formula, mode: str):
+        self.batch, self.axes, self.peak, self.events = mode == "batch", 0, 0, []
+        self.step = self.lower(e, {}, int(self.batch), 0, () if mode == "trace" else None)
+
+    def cells(self, n: int) -> int:
+        """N^peak, checked with the axes and events on domain size n."""
+        cells, events = n**self.peak, sum([n**k for k in self.events])
+        if self.axes > MAX_AXES:
+            raise SemanticError(f"evaluation needs arrays of {self.axes} axes, over numpy's limit of {MAX_AXES}")
+        if cells > MAX_CELLS:
+            raise SemanticError(
+                f"evaluation needs arrays of N^k = {n}^{self.peak} cells "
+                f"(domain size {n}, k = {self.peak} variables), over the limit of {MAX_CELLS}"
+            )
+        if events > MAX_TRACE_EVENTS:
+            raise SemanticError(
+                f"a trace of this plan on domain size {n} holds {events} events, over the limit of {MAX_TRACE_EVENTS}"
+            )
+        return cells
+
+    def lower(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None):
+        t = type(e)
+        if t is Atom or t is Equal:
+            self.axes, self.peak = max(self.axes, width), max(self.peak, depth)
+            if t is Atom:
+                return self.place(e.predicate.name, e.terms, where, width, self.batch)
+            # The index range 0..N-1 placed on each side: [i = j] from the indices alone.
+            left, right = [self.place(None, (v,), where, width, False) for v in (e.left, e.right)]
+            return lambda run: left(run) == right(run)
+        if t is Not:
+            body = self.lower(e.body, where, width, depth, None if path is None else path + (0,))
+            return lambda run: ~body(run)
+        if t is And or t is Or:
+            steps = [self.lower(g, where, width, depth, None if path is None else path + (k,))
+                     for k, g in enumerate(e.items)]
+            if t is And:
+                return lambda run: functools.reduce(np.logical_and, [s(run) for s in steps])
+            # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
+            return lambda run: _clamp(functools.reduce(np.add, [s(run) for s in steps], np.int64(0)))
+        if t is Exists or t is Forall:
+            return self.quantifier(e, where, width, depth, path)
+        if t is Contract:
+            return self.contract(e, where, width, path)
+        raise TypeError(f"not a plan node: {e!r}")
+
+    def place(self, name: str | None, terms, where: dict[str, int], width: int, batched: bool):
+        """The step of relation `name` over terms, or of the index range if
+        None, after a batch's axis if batched, its k-th axis on terms[k]'s:
+        a row for a variable the assignment binds."""
+        axes = tuple([where.get(v.name) for v in terms])
+        rows = tuple([v.name if p is None else None for v, p in zip(terms, axes)]) if None in axes else ()
+        spread, diagonal, swap = _placement(width, axes, batched)
+
+        def view(run):
+            t = run.m.tensor(name, len(terms)) if name else np.arange(run.n)
+            if rows:
+                try:
+                    t = t[(..., *[slice(None) if v is None else run.env[v] - 1 for v in rows])]
+                except KeyError as unbound:
+                    raise UnboundVariableError(f"variable {unbound.args[0]!r} is not bound") from None
+            if swap:
+                t = t.swapaxes(-1, -2)
+            elif diagonal:
+                t = np.einsum("...ii->...i", t)
+            return t[spread]
+
+        return view
+
+    def quantifier(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None):
+        exists, var, batch = type(e) is Exists, e.var.name, self.batch
+        body = self.lower(e.body, {**where, var: width}, width + 1, depth + 1, None if path is None else path + (None,))
+        mask = _placement(width + 1, (width,), True)[0]  # a batch's domain mask, on the variable's axis
+        if path is not None:
+            self.events.append(width)
+
+        def quantifier(run):
+            value = body(run) if exists else ~body(run)
+            if batch:
+                value = value & run.domain[mask]
+            total = value.sum(-1)
+            if value.shape[-1] != run.n:
+                total = total * run.n  # a body without the variable's axis counts N times
+            if path is not None:
+                run.record("exists-sum" if exists else "forall-dual", var, total, where, path)
+            return _clamp(total) if exists else ~_clamp(total)
+
+        return quantifier
+
+    def contract(self, e: Contract, where: dict[str, int], outer: int, path: tuple | None):
+        rows = e.free_names.difference(where)  # bound by the assignment
+        (axes, order, rest, peak), batch = e.plan(rows) if rows else e.order, self.batch
+        width = outer + len(axes)
+        inner = {**where, **dict(zip(axes, range(outer, width)))}
+        # The factors sit inside one loop per bound variable they use.
+        path = None if path is None else path + (None,) * len(axes)
+        factors = [self.lower(g, inner, width, len(g.free_names - rows), None if path is None else path + (k,))
+                   for k, g in enumerate(e.factors)]
+        self.axes, self.peak = max(self.axes, width), max(self.peak, peak)
+        steps = [(outer + axis, slots, _placement(width, (outer + axis,), True)[0]) for axis, slots in order]
+        unused, nonempty = len(axes) < len(e.bound), _placement(outer, (), batch)[0]
+
+        def contract(run):
+            counts = [f(run) for f in factors]
+            for v, slots, mask in steps:
+                *head, last = (counts[k] for k in slots)
+                if batch:
+                    head.insert(0, run.domain[mask])
+                counts.append(
+                    _matmul(functools.reduce(np.multiply, head), last, v)
+                    if head else last.sum(axis=v, keepdims=True, dtype=np.float64)
+                )
+            total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
+            total = total.reshape(total.shape[:outer])
+            if unused:
+                # N^k for the unused bound variables: min1 sees only whether N > 0.
+                total = total * (run.domain.any(-1) if batch else np.array(run.n > 0))[nonempty]
+            return _clamp(total)
+
+        return contract
+
+
+@functools.cache
+def _placement(width: int, axes: tuple, batched: bool) -> tuple[tuple, bool, bool]:
+    """(index, diagonal, swap) that puts the axes of an array, one per entry
+    of axes (None for a row read before), after a batch's axis if batched,
+    on those axes of `width`: its diagonal for (x, x), swapped for (y, x)."""
+    axes = [p for p in axes if p is not None]
+    diagonal, swap = len(axes) == 2 and axes[0] == axes[1], len(axes) == 2 and axes[0] > axes[1]
+    axes = {0, *axes} if batched else set(axes)
+    return tuple([slice(None) if k in axes else None for k in range(width)]), diagonal, swap
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
@@ -632,36 +657,6 @@ def _clamp(total: np.ndarray) -> np.ndarray:
     if np.count_nonzero(out) != np.count_nonzero(v == 1):
         raise ClosureError("plan node value outside {0, 1}")
     return out
-
-
-def plan_extent(e: Formula) -> tuple[int, int]:
-    """_extent of the plan rooted at e, walked once per root node: plans are
-    immutable, and the result is kept in the node's __dict__, as a
-    cached_property keeps its value, so equality and hashing ignore it.
-    An object that is no plan node raises TypeError."""
-    if not isinstance(e, Formula):
-        raise TypeError(f"not a plan node: {e!r}")
-    if "_extent" not in e.__dict__:
-        e.__dict__["_extent"] = _extent(e)
-    return e.__dict__["_extent"]
-
-
-def _extent(e, axes: int = 0, depth: int = 0) -> tuple[int, int]:
-    """(most axes, k of the most cells N^k) of the arrays evaluating e, whose
-    value has `axes` axes over `depth` variables: a quantifier adds one to
-    both, a contraction its order's axes and peak (Contract.order)."""
-    t = type(e)
-    if t is Atom or t is Equal:
-        return axes, depth
-    if t is Not or t is Exists or t is Forall:
-        quantified = t is not Not
-        return _extent(e.body, axes + quantified, depth + quantified)
-    if t is Contract:
-        axes += len(e.order[0])
-        kids = [_extent(f, axes, len(f.free_names)) for f in e.factors] + [(axes, e.order[3])]
-    else:
-        kids = [_extent(child, axes, depth) for child in e.children()] + [(axes, depth)]
-    return tuple(map(max, zip(*kids)))
 
 
 # --- plan text format -----------------------------------------------------

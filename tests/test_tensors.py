@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -36,8 +37,9 @@ from fotensor import (
     tarski_eval,
 )
 from fotensor.formulas import And, Exists, Forall, Not, Or, Variable, atom
-from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit
-from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Evaluator, _trace_events
+from fotensor.diffcheck import run_differential_check
+from fotensor.tensors import MAX_CELLS, Contract, TraceEvent, batch_limit, plan_extent
+from fotensor.tensors import MAX_TRACE_EVENTS, EmbeddedModel, _Program, _program
 
 ONE_B = parse_formula("exists x. forall y. (b(x) & (b(y) -> x = y))")
 DISS = parse_formula(
@@ -135,6 +137,18 @@ def test_min1_check_survives_python_O():
     assert done.stdout.strip() == "raised"
 
 
+# Each mode's program has its own clamps, so each is run: a single
+# structure, a batch holding the same word, and a traced evaluation.
+_EACH_MODE = (
+    "for run in (lambda: tensors.eval_tensor(plan, em), lambda: tensors.eval_batch(plan, batch),\n"
+    "            lambda: tensors.eval_tensor(plan, em, trace=[])):\n"
+    "    try:\n"
+    "        print(run())\n"
+    "    except ClosureError:\n"
+    "        print('raised')\n"
+)
+
+
 def test_corrupted_clamp_is_caught_under_python_O():
     # Without min1, b(x) | b(x) sums to 2 at the b; the cast to bool would
     # read that as 1, so only the clamp's explicit check can catch it.
@@ -144,18 +158,15 @@ def test_corrupted_clamp_is_caught_under_python_O():
         "tensors.min1 = lambda x: x\n"
         "plan = compile_formula(parse_formula('exists x. (b(x) | b(x))'))\n"
         "em = tensors.embed_model(build_word_model('b', Alphabet('ab'), 'succ'))\n"
-        "try:\n"
-        "    print(tensors.eval_tensor(plan, em))\n"
-        "except ClosureError:\n"
-        "    print('raised')\n"
-    )
+        "batch = tensors.embed_words(Alphabet('ab'), 1, 'succ')\n"
+    ) + _EACH_MODE
     src = str(Path(fotensor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.split() == ["raised"] * 3
 
 
 def test_corrupted_contraction_clamp_is_caught_under_python_O():
@@ -167,18 +178,15 @@ def test_corrupted_contraction_clamp_is_caught_under_python_O():
         "tensors.min1 = lambda x: x\n"
         "plan = optimize(compile_formula(parse_formula('exists x. b(x)')))\n"
         "em = tensors.embed_word('bb', Alphabet('ab'), 'succ')\n"
-        "try:\n"
-        "    print(tensors.eval_tensor(plan, em))\n"
-        "except ClosureError:\n"
-        "    print('raised')\n"
-    )
+        "batch = tensors.embed_words(Alphabet('ab'), 2, 'succ')\n"
+    ) + _EACH_MODE
     src = str(Path(fotensor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.split() == ["raised"] * 3
 
 
 def test_compile_one_b_plan_structure():
@@ -666,6 +674,11 @@ def test_corrupted_clamp_breaks_the_batched_path(monkeypatch):
         eval_batch(plan, em)
 
 
+def _trace_size(plan, n):
+    """The events a trace of plan records on domain size n, as its lowering counts them."""
+    return sum(n**k for k in _program(plan, "trace").events)
+
+
 def test_trace_size_is_counted_before_evaluating():
     # The count matches the events recorded, plain and planned; dissimilation
     # at N = 256 stays traceable, a chain of 24 existentials on "ab" (2^24
@@ -676,10 +689,84 @@ def test_trace_size_is_counted_before_evaluating():
             for plan in (compile_formula(formula), optimize(compile_formula(formula))):
                 trace: list[TraceEvent] = []
                 eval_tensor(plan, em, trace=trace)
-                assert len(trace) == _trace_events(plan, 4), str(formula)
-    assert _trace_events(compile_formula(DISS), 256) == 1 + 256 + 256**2 <= MAX_TRACE_EVENTS
+                assert len(trace) == _trace_size(plan, 4), str(formula)
+    assert _trace_size(compile_formula(DISS), 256) == 1 + 256 + 256**2 <= MAX_TRACE_EVENTS
     chain = parse_formula(" ".join(f"exists x{i}." for i in range(1, 25)) + " a(x1)")
-    assert _trace_events(compile_formula(chain), 2) == 2**24 - 1 > MAX_TRACE_EVENTS
+    assert _trace_size(compile_formula(chain), 2) == 2**24 - 1 > MAX_TRACE_EVENTS
+
+
+def test_planned_peak_counts_no_variable_the_assignment_binds():
+    # x, bound by the assignment, reads a row: the optimized plan's arrays
+    # have N^2 cells, as the plain plan's do, not the N^3 of {x, y, z}.
+    formula = parse_formula("exists y. exists z. (succ(x, y) & succ(x, z) & (succ(y, z) | a(x)))")
+    word, at = "a" * 300, {"x": 1}
+    plan = compile_formula(formula)
+    em = embed_word(word, Alphabet("ab"), "succ")
+    want = int(tarski_eval(formula, word_model(word, "ab", "succ"), at))
+    assert eval_tensor(plan, em, at) == eval_tensor(optimize(plan), em, at) == want == 1
+    assert plan_extent(plan)[1] == plan_extent(optimize(plan))[1] == 2
+
+
+def _lowerings(monkeypatch) -> list:
+    """(plan, mode) of every lowering from here on."""
+    made, init = [], _Program.__init__
+
+    def counting(self, e, mode):
+        made.append((e, mode))
+        init(self, e, mode)
+
+    monkeypatch.setattr(_Program, "__init__", counting)
+    return made
+
+
+def test_an_enumeration_lowers_its_plan_once(monkeypatch):
+    # One-b to length 5 in batches of at most 4 words: many eval_batch
+    # calls, one program.
+    made, calls = _lowerings(monkeypatch), []
+    eval_batch_ = fotensor.languages.eval_batch
+    monkeypatch.setattr(fotensor.languages, "eval_batch", lambda e, m: calls.append(e) or eval_batch_(e, m))
+    monkeypatch.setattr(fotensor.tensors, "MAX_CELLS", 100)
+    spec = formula_one_b()
+    want = [w for w in all_words("ab", 5) if tarski_eval(spec.formula, word_model(w, "ab", "succ"))]
+    assert fotensor.enumerate_language(spec, 5) == want
+    assert len(calls) > 10 and len(set(map(id, calls))) == 1
+    assert [(id(e), mode) for e, mode in made] == [(id(calls[0]), "batch")]
+
+
+def test_a_check_case_lowers_once_per_path(monkeypatch):
+    # The plain plan for eval_tensor, the planned one for eval_tensor and
+    # for eval_batch.
+    made = _lowerings(monkeypatch)
+    assert run_differential_check(1, 7).failures == ()
+    assert [mode for _, mode in made] == ["one", "one", "batch"]
+    assert made[0][0] is not made[1][0] and made[1][0] is made[2][0]
+
+
+def test_one_program_serves_every_word_and_assignment(monkeypatch):
+    # Lowered once per plan, each program binds N, the word and the
+    # assignment at run time: x reads a row, y = x compares an index with
+    # the range, succ(z, y) is a transpose.
+    made = _lowerings(monkeypatch)
+    formula = parse_formula("exists y. (succ(x, y) & !(y = x) & (forall z. (succ(z, y) -> (z = x | b(z)))))")
+    plans = [compile_formula(formula), optimize(compile_formula(formula))]
+    checks = 0
+    for word in all_words("ab", 4)[1:]:
+        em = embed_word(word, Alphabet("ab"), "succ")
+        for x in range(1, len(word) + 1):
+            want = int(tarski_eval(formula, word_model(word, "ab", "succ"), {"x": x}))
+            assert [eval_tensor(p, em, {"x": x}) for p in plans] == [want] * 2, (word, x)
+            checks += want
+    assert checks and [(id(e), mode) for e, mode in made] == [(id(p), "one") for p in plans]
+
+
+def test_an_evaluated_plan_pickles_without_its_programs():
+    # A program holds closures, which do not pickle; the copy lowers its own.
+    plan = optimize(compile_formula(ONE_B))
+    em = embed_word("aba", Alphabet("ab"), "succ")
+    assert eval_tensor(plan, em) == 1
+    assert eval_batch(plan, embed_words(Alphabet("ab"), 2, "succ")).tolist() == [0, 0, 1, 0, 1, 1, 0]
+    copy = pickle.loads(pickle.dumps(plan))
+    assert copy == plan and "_programs" not in copy.__dict__ and eval_tensor(copy, em) == 1
 
 
 def test_contract_refuses_a_repeated_bound_variable():
@@ -699,7 +786,7 @@ def test_trace_under_a_contraction_with_an_unused_bound_variable():
         plan = Contract(bound, (And(body),))
         trace: list[TraceEvent] = []
         assert eval_tensor(plan, em, trace=trace) == 1
-        assert len(trace) == _trace_events(plan, 3) == 3
+        assert len(trace) == _trace_size(plan, 3) == 3
         assert [dict(t.bindings)["x"] for t in trace] == [1, 2, 3]
 
 
@@ -758,14 +845,19 @@ def test_every_node_value_is_bool(monkeypatch):
     # Plain, planned and batched evaluation of the traversal corpus: each
     # node's value, the clamps' included, is a bool array or scalar.
     dtypes = set()
-    scalar = _Evaluator.scalar
+    lower = _Program.lower
 
-    def recording(self, e, scope, path):
-        value = scalar(self, e, scope, path)
-        dtypes.add(value.dtype)
-        return value
+    def recording(self, e, *args):
+        step = lower(self, e, *args)
 
-    monkeypatch.setattr(_Evaluator, "scalar", recording)
+        def recorded(run):
+            value = step(run)
+            dtypes.add(value.dtype)
+            return value
+
+        return recorded
+
+    monkeypatch.setattr(_Program, "lower", recording)
     batches = {}
     for i, formula in enumerate(traversal_corpus()):
         symbols, kind = ("ab", "abc")[i % 2], ("succ", "prec")[i // 2 % 2]
