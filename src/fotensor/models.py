@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import SemanticError, StructureFormatError, UnknownSymbolError
+from .errors import AssignmentError, SemanticError, StructureFormatError, UnknownSymbolError
 
 SUCC = "succ"
 PREC = "prec"
@@ -46,13 +46,13 @@ def check_domain_size(n: int) -> None:
 
 
 def normalize_assignment(a) -> dict[str, int]:
-    """Accepts mappings keyed by name or by Variable; returns a plain dict."""
-    if a is None:
-        return {}
-    out = {}
-    for key, value in a.items():
-        out[getattr(key, "name", key)] = int(value)
-    return out
+    """Accepts mappings keyed by name or by Variable, bound to integers (numpy's
+    too), and returns a plain dict; a float, string or bool raises AssignmentError."""
+    out = {getattr(key, "name", key): value for key, value in (a or {}).items()}
+    for name, value in out.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise AssignmentError(f"assignment binds {name} to {value!r}, which is not an integer")
+    return {name: int(value) for name, value in out.items()}
 
 
 class Alphabet:

@@ -6,10 +6,10 @@ of the body's factors, and a run of Forall the complement of the
 contraction of the factors of !body, with negations pushed inward by De
 Morgan's laws (exact on 0/1 values). Dropping the clamps inside a run is
 exact too: on nonnegative integers min1(sum_i min1(x_i)) = min1(sum_i x_i).
-Contract.order plans the summation, lazily, per node. Only the quantifier
-prefix is walked: a compiled plan is prenex, so the matrix below it is kept
-as it is, and so is any node other than a quantifier (with a hand-built
-quantifier under it).
+Lowering orders each contraction once per plan (Contract.plan). Only the
+quantifier prefix is walked: a compiled plan is prenex, so the matrix
+below it is kept as it is, and so is any node other than a quantifier
+(with a hand-built quantifier under it).
 
 Miniscoping keeps in the contraction only the parts of the body in which a
 variable of the run is free. The conjuncts of an Exists run's body (the

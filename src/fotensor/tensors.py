@@ -39,18 +39,18 @@ the index range 0..N-1 placed on the axis of x and on the axis of y, so
 and disjunction a clamped sum. A quantifier sums its body over the
 variable's axis, and a body without that axis counts N times, which makes
 existentials 0 and universals 1 on an empty domain. A contraction runs
-its order (Contract.order): it eliminates the bound variables one at a
+its order (Contract.plan): it eliminates the bound variables one at a
 time, summing an axis that one factor uses and contracting two or more
 factors by _matmul on float64 counts (exact below 2^53); a bound variable
 that no factor uses gets no axis. Counts exist only inside a sum: int64
 for a quantifier or a disjunction, float64 for a contraction; the clamp
 turns them back into bool.
 
-A plan is lowered once per mode (one structure, a traced one, a batch),
-on its first evaluation, by one walk into a program kept on its root
-node: a step per node, with every index decision above, the contraction
-steps and the trace's loop positions fixed, so that a run only binds the
-model, N and the assignment. The same walk finds the planned peak: before
+A plan is lowered once (a traced one once more), on its first
+evaluation, by one walk into a program kept on its root node: a step per
+node, with every index decision above, the contraction steps and the
+trace's loop positions fixed, so that a run only binds the model, N and
+the assignment. The same walk finds the planned peak: before
 allocating anything, evaluation refuses a plan whose largest array, N^k
 cells, is past MAX_CELLS, where k counts the quantifiers around a node of
 a plain plan, or the axes of a contraction's largest factor, step or
@@ -63,10 +63,11 @@ view, which on a word's first L positions is the order of that word. Its
 digits are rows of a cached table of base-|alphabet| numerals: a slice
 for the words of one length up to the table's width, a lookup per group
 of that many digits past it.
-eval_batch evaluates a closed plan on all of them at once: the batch is
-one more axis in front of the quantified variables', carried by every
-relation (size 1 when shared), so arrays grow to B * N^k cells. Each sum
-over a variable multiplies in the mask on its axis, so that each word sees
+eval_batch runs a closed plan's one program on all of them at once: the
+batch is one more axis in front of the quantified variables', carried by
+every relation (size 1 when shared) and passed over by every step, which
+indexes from the last axis; arrays grow to B * N^k cells. Each sum over
+a variable multiplies in the mask on its axis, so that each word sees
 only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
@@ -132,8 +133,8 @@ class EmbeddedModel:
     entry per structure, or of size 1, shared by all of them. For word
     models, `digits` holds each word's letters as alphabet positions.
     Raises ClosureError unless every tensor is 0/1, and ValueError for a
-    mask or a relation without those shapes: a relation's own axes, those
-    after any batch axis, each have basis_size elements."""
+    negative basis_size, or a mask or a relation without those shapes: a
+    relation's own axes, after any batch axis, have basis_size elements."""
 
     def __init__(
         self,
@@ -142,6 +143,8 @@ class EmbeddedModel:
         digits: np.ndarray | None = None,
         domain: np.ndarray | None = None,
     ):
+        if basis_size < 0:
+            raise ValueError("domain size must be nonnegative")
         if domain is not None:
             if not is_zero_one(domain):
                 raise ClosureError("the domain mask is not a 0/1 tensor")
@@ -194,6 +197,8 @@ def embed_words(
     them, N letters: embed_digits of their (B, N) digits, which hold
     len(alphabet) past a word's own letters. Built from each word's code,
     its base-|alphabet| numeral, without a per-word model."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     base = len(alphabet)
     firsts = [0, *itertools.accumulate(base**k for k in range(max_len + 1))]
     stop = firsts[-1] if stop is None else stop
@@ -301,12 +306,6 @@ class Contract(Formula):
     def free_names(self):
         return frozenset().union(*[f.free_names for f in self.factors]) - {v.name for v in self.bound}
 
-    @cached
-    def order(self) -> tuple:
-        """plan(frozenset()): the contraction's order, for every N, when no
-        name a factor uses is bound by an assignment."""
-        return self.plan(frozenset())
-
     def plan(self, rows: frozenset) -> tuple:
         """(axes, steps, rest, peak) from the factors' free_names less rows,
         names an assignment binds, which read a row and have no axis. Each
@@ -391,7 +390,7 @@ def eval_tensor(
     for name, i in env.items():
         if not 1 <= i <= n:
             raise AssignmentError(f"assignment binds {name} to {i}, outside domain of size {n}")
-    program = _program(e, "one" if trace is None else "trace")
+    program = _program(e, trace is not None)
     program.cells(n)
     run = _Run(m, env, None if trace is None else [])
     value = int(program.step(run))
@@ -403,16 +402,13 @@ def eval_tensor(
 def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
     """Evaluate a closed plan on each structure of a batch (see
     EmbeddedModel), each over its domain mask, at once: an array of B
-    values, each exactly 0 or 1. A model without a mask is a batch of one,
-    evaluated by eval_tensor.
+    values, each exactly 0 or 1. A model without a mask is a batch of one.
 
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
-    if m.domain is None:
-        return np.array([eval_tensor(e, m)], np.int64)
     b, n = m.batch_size, m.basis_size
-    program = _program(e, "batch")
-    if b > batch_limit(e, n):
+    program = _program(e, False)
+    if b > MAX_CELLS // max(program.cells(n, m.domain is not None), 1):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
             f"{b} * {n}^{program.peak} cells, over the limit of {MAX_CELLS}"
@@ -432,25 +428,23 @@ def batch_limit(e: Formula, n: int) -> int:
     """Most structures of domain size n that one eval_batch call may take
     for plan e: MAX_CELLS // N^k, N^k the planned peak of e per structure
     (the domain mask adds no variable). Raises SemanticError when one
-    structure is past MAX_CELLS or MAX_AXES."""
-    return MAX_CELLS // max(_program(e, "batch").cells(n), 1)
+    structure is past MAX_CELLS, or past MAX_AXES with the batch axis."""
+    return MAX_CELLS // max(_program(e, False).cells(n, 1), 1)
 
 
 def plan_extent(e: Formula) -> tuple[int, int]:
-    """(most axes, k of the most cells N^k) of the arrays evaluating plan e
-    on one structure: its eval_batch program's, the batch axis aside."""
-    program = _program(e, "batch")
-    return program.axes - 1, program.peak
+    """(most axes, k of the most cells N^k) of the arrays evaluating plan e on one structure."""
+    program = _program(e, False)
+    return program.axes, program.peak
 
 
-def _program(e: Formula, mode: str) -> _Program:
-    """The program of plan e for mode "one", "trace" or "batch", lowered on
-    first use and kept in the root's __dict__, as a cached_property keeps
-    its value. An object that is no plan node raises TypeError."""
+def _program(e: Formula, traced: bool) -> _Program:
+    """The program of plan e, traced or not, lowered on first use and kept
+    in the root's __dict__. An object that is no plan node raises TypeError."""
     if not isinstance(e, Formula):
         raise TypeError(f"not a plan node: {e!r}")
-    programs = e.__dict__.setdefault("_programs", {})
-    return programs.get(mode) or programs.setdefault(mode, _Program(e, mode))
+    key = "_traced_program" if traced else "_program"
+    return e.__dict__.get(key) or e.__dict__.setdefault(key, _Program(e, traced))
 
 
 class _Run:
@@ -472,25 +466,25 @@ class _Run:
 
 
 class _Program:
-    """A plan lowered for one mode by one walk: step(run) computes its value.
-    Its arrays have at most `axes` axes, a batch's included, and N^peak
-    cells per structure; a trace records sum(N^k for k in events) events.
+    """A plan lowered by one walk: step(run) computes its value. Its arrays
+    have at most `axes` axes after a batch's and N^peak cells per structure;
+    a traced program records sum(N^k for k in events) events.
 
     lower(e, where, width, depth, path) returns e's step. e's value has
-    `width` axes: a batch's, then one per quantified variable in scope
-    (where: name -> innermost axis). depth is the planned k at e; path, None
-    unless tracing, has a loop (None) per quantified variable around e and
-    the position of the child taken at each other node."""
+    `width` axes after any batch axis, one per quantified variable in scope
+    (where: name -> its axis), indexed from the last. depth is the planned k
+    at e; path, None unless traced, has a loop (None) per quantified
+    variable around e and the position of the child taken at each other node."""
 
-    def __init__(self, e: Formula, mode: str):
-        self.batch, self.axes, self.peak, self.events = mode == "batch", 0, 0, []
-        self.step = self.lower(e, {}, int(self.batch), 0, () if mode == "trace" else None)
+    def __init__(self, e: Formula, traced: bool):
+        self.axes, self.peak, self.events = 0, 0, []
+        self.step = self.lower(e, {}, 0, 0, () if traced else None)
 
-    def cells(self, n: int) -> int:
-        """N^peak, checked with the axes and events on domain size n."""
-        cells, events = n**self.peak, sum([n**k for k in self.events])
-        if self.axes > MAX_AXES:
-            raise SemanticError(f"evaluation needs arrays of {self.axes} axes, over numpy's limit of {MAX_AXES}")
+    def cells(self, n: int, lead: int = 0) -> int:
+        """N^peak, checked with the axes (`lead` more in front) and events on domain size n."""
+        axes, cells, events = self.axes + lead, n**self.peak, sum([n**k for k in self.events])
+        if axes > MAX_AXES:
+            raise SemanticError(f"evaluation needs arrays of {axes} axes, over numpy's limit of {MAX_AXES}")
         if cells > MAX_CELLS:
             raise SemanticError(
                 f"evaluation needs arrays of N^k = {n}^{self.peak} cells "
@@ -507,9 +501,9 @@ class _Program:
         if t is Atom or t is Equal:
             self.axes, self.peak = max(self.axes, width), max(self.peak, depth)
             if t is Atom:
-                return self.place(e.predicate.name, e.terms, where, width, self.batch)
+                return self.place(e.predicate.name, e.terms, where, width)
             # The index range 0..N-1 placed on each side: [i = j] from the indices alone.
-            left, right = [self.place(None, (v,), where, width, False) for v in (e.left, e.right)]
+            left, right = [self.place(None, (v,), where, width) for v in (e.left, e.right)]
             return lambda run: left(run) == right(run)
         if t is Not:
             body = self.lower(e.body, where, width, depth, None if path is None else path + (0,))
@@ -527,13 +521,14 @@ class _Program:
             return self.contract(e, where, width, path)
         raise TypeError(f"not a plan node: {e!r}")
 
-    def place(self, name: str | None, terms, where: dict[str, int], width: int, batched: bool):
+    def place(self, name: str | None, terms, where: dict[str, int], width: int):
         """The step of relation `name` over terms, or of the index range if
-        None, after a batch's axis if batched, its k-th axis on terms[k]'s:
-        a row for a variable the assignment binds."""
+        None, its k-th axis on terms[k]'s, after any batch axis: a row for a
+        variable the assignment binds."""
         axes = tuple([where.get(v.name) for v in terms])
         rows = tuple([v.name if p is None else None for v, p in zip(terms, axes)]) if None in axes else ()
-        spread, diagonal, swap = _placement(width, axes, batched)
+        spread, diagonal, swap = _placement(width, axes)
+        spread = (..., *spread)
 
         def view(run):
             t = run.m.tensor(name, len(terms)) if name else np.arange(run.n)
@@ -551,15 +546,15 @@ class _Program:
         return view
 
     def quantifier(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None):
-        exists, var, batch = type(e) is Exists, e.var.name, self.batch
+        exists, var = type(e) is Exists, e.var.name
         body = self.lower(e.body, {**where, var: width}, width + 1, depth + 1, None if path is None else path + (None,))
-        mask = _placement(width + 1, (width,), True)[0]  # a batch's domain mask, on the variable's axis
+        mask = (slice(None), *_placement(width + 1, (width,))[0])  # a batch's domain mask, on the variable's axis
         if path is not None:
             self.events.append(width)
 
         def quantifier(run):
             value = body(run) if exists else ~body(run)
-            if batch:
+            if run.domain is not None:
                 value = value & run.domain[mask]
             total = value.sum(-1)
             if value.shape[-1] != run.n:
@@ -572,7 +567,7 @@ class _Program:
 
     def contract(self, e: Contract, where: dict[str, int], outer: int, path: tuple | None):
         rows = e.free_names.difference(where)  # bound by the assignment
-        (axes, order, rest, peak), batch = e.plan(rows) if rows else e.order, self.batch
+        axes, order, rest, peak = e.plan(rows)
         width = outer + len(axes)
         inner = {**where, **dict(zip(axes, range(outer, width)))}
         # The factors sit inside one loop per bound variable they use.
@@ -580,44 +575,49 @@ class _Program:
         factors = [self.lower(g, inner, width, len(g.free_names - rows), None if path is None else path + (k,))
                    for k, g in enumerate(e.factors)]
         self.axes, self.peak = max(self.axes, width), max(self.peak, peak)
-        steps = [(outer + axis, slots, _placement(width, (outer + axis,), True)[0]) for axis, slots in order]
-        unused, nonempty = len(axes) < len(e.bound), _placement(outer, (), batch)[0]
+        # Each step's axis counted from the last, and a batch's mask on it.
+        steps = [(axis - len(axes), slots, (slice(None), *_placement(width, (outer + axis,))[0]))
+                 for axis, slots in order]
+        unused, nonempty = len(axes) < len(e.bound), (..., *[None] * outer)
 
         def contract(run):
             counts = [f(run) for f in factors]
             for v, slots, mask in steps:
                 *head, last = (counts[k] for k in slots)
-                if batch:
+                if run.domain is not None:
                     head.insert(0, run.domain[mask])
                 counts.append(
                     _matmul(functools.reduce(np.multiply, head), last, v)
                     if head else last.sum(axis=v, keepdims=True, dtype=np.float64)
                 )
             total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
-            total = total.reshape(total.shape[:outer])
+            total = total.reshape(total.shape[:total.ndim - len(axes)])
             if unused:
                 # N^k for the unused bound variables: min1 sees only whether N > 0.
-                total = total * (run.domain.any(-1) if batch else np.array(run.n > 0))[nonempty]
+                total = total * np.asarray(run.n > 0 if run.domain is None else run.domain.any(-1))[nonempty]
             return _clamp(total)
 
         return contract
 
 
 @functools.cache
-def _placement(width: int, axes: tuple, batched: bool) -> tuple[tuple, bool, bool]:
+def _placement(width: int, axes: tuple) -> tuple[tuple, bool, bool]:
     """(index, diagonal, swap) that puts the axes of an array, one per entry
-    of axes (None for a row read before), after a batch's axis if batched,
-    on those axes of `width`: its diagonal for (x, x), swapped for (y, x)."""
+    of axes (None for a row read before), on those axes of `width`: its
+    diagonal for (x, x), swapped for (y, x)."""
     axes = [p for p in axes if p is not None]
     diagonal, swap = len(axes) == 2 and axes[0] == axes[1], len(axes) == 2 and axes[0] > axes[1]
-    axes = {0, *axes} if batched else set(axes)
     return tuple([slice(None) if k in axes else None for k in range(width)]), diagonal, swap
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
-    """The sum over axis v of a * b, kept as an axis of size 1, by np.matmul on
-    float64 (numpy has no BLAS path for integers): the axes both carry (size
-    not 1) stack the matrices, a's alone are their rows, b's their columns."""
+    """The sum over axis v < 0 of a * b, kept as an axis of size 1, by
+    np.matmul on float64 (numpy has no BLAS path for integers): the axes
+    both carry (size not 1) stack the matrices, a's alone are their rows,
+    b's their columns. A value without a batch's axis gets one of size 1."""
+    if a.ndim != b.ndim:
+        a, b = (x.reshape((1,) * (max(a.ndim, b.ndim) - x.ndim) + x.shape) for x in (a, b))
+    v += a.ndim
     stack, rows, cols, ones = [], [], [], []
     for k, (p, q) in enumerate(zip(a.shape, b.shape)):
         if k != v:

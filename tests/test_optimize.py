@@ -261,14 +261,23 @@ def _contracts(e):
         ),
     ],
 )
-def test_contraction_order_sets_the_planned_peak(text, depth, peak):
+def test_contraction_order_sets_the_planned_peak(text, depth, peak, monkeypatch):
+    ordered, plan_order = [], Contract.plan
+    monkeypatch.setattr(Contract, "plan", lambda c, rows: ordered.append(c) or plan_order(c, rows))
     plan = compile_formula(parse_formula(text))
     optimized = optimize(plan)
-    # Planning does not order the contractions; evaluation does, once each.
-    assert not any("order" in vars(c) for c in _contracts(optimized))
+    # Planning lowers nothing and orders no contraction; the first read of
+    # the guard lowers each plan once, ordering each contraction once, and
+    # evaluation reuses that program.
+    assert ordered == [] and not any("_program" in vars(c) for c in [optimized, *_contracts(optimized)])
     assert batch_limit(optimized, 10) == MAX_CELLS // 10**peak
     assert batch_limit(plan, 10) == MAX_CELLS // 10**depth
-    assert all("order" in vars(c) for c in _contracts(optimized))
+    assert "_program" in vars(optimized) and "_program" in vars(plan)
+    assert sorted(map(id, ordered)) == sorted(map(id, _contracts(optimized))) != []
+    symbols, kind = ("lra", "prec") if "prec" in text else ("ab", "succ")
+    for p in (plan, optimized):
+        eval_batch(p, embed_length(symbols, 3, kind))
+    assert len(ordered) == len(_contracts(optimized))
 
 
 def test_contraction_counts_stay_exact_past_int64():

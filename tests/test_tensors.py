@@ -1,6 +1,7 @@
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -361,6 +362,39 @@ def test_out_of_range_bindings_are_refused_on_both_paths(text, word, env):
             eval_tensor(plan, _embedded(word, "ab", "succ"), env)
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, np.float64(1.0), "1", True, np.bool_(True), None])
+def test_non_integer_bindings_are_refused_on_both_paths(value):
+    # Read or not, a binding that is no integer is refused, not truncated.
+    message = f"assignment binds x to {value!r}, which is not an integer"
+    model = word_model("ab", "ab", "succ")
+    for env in ({"x": value}, {"y": 1, Variable("x"): value}):
+        with pytest.raises(AssignmentError, match=re.escape(message)):
+            tarski_eval(parse_formula("a(y)" if "y" in env else "a(x)"), model, env)
+        for plan in (compile_formula(parse_formula("a(y)")), optimize(compile_formula(ONE_B))):
+            with pytest.raises(AssignmentError, match=re.escape(message)):
+                eval_tensor(plan, embed_model(model), env)
+
+
+def test_numpy_integer_bindings_are_accepted():
+    formula = parse_formula("exists y. (succ(x, y) & b(y))")
+    model = word_model("abb", "ab", "succ")
+    for x, want in ((1, 1), (2, 1), (3, 0)):
+        for value in (x, np.int64(x), np.int32(x), np.uint8(x)):
+            assert tarski_eval(formula, model, {"x": value}) == want
+            assert eval_tensor(optimize(compile_formula(formula)), embed_model(model), {"x": value}) == want
+
+
+def test_negative_sizes_are_refused_with_the_package_messages():
+    with pytest.raises(ValueError, match="domain size must be nonnegative"):
+        StructureModel(-1)
+    with pytest.raises(ValueError, match="domain size must be nonnegative"):
+        EmbeddedModel(-1, {})
+    for kind in ("succ", "prec"):
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            embed_words(Alphabet("ab"), -1, kind)
+    assert EmbeddedModel(0, {}).basis_size == embed_words(Alphabet("ab"), 0, "succ").basis_size == 0
+
+
 def test_plan_too_large_is_refused_before_allocating():
     plan = compile_formula(
         parse_formula("exists x. exists y. exists z. exists w. (a(x) & a(y) & a(z) & a(w))")
@@ -544,6 +578,31 @@ def _same_length(symbols, n):
     return [w for w in all_words(symbols, n) if len(w) == n]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exists x. exists y. (a(x) & !(x = y) & a(y))",
+        "exists x. exists y. exists z. (a(x) & x = y & succ(y, z) & b(z))",
+        "forall x. exists y. (x = y & a(y))",
+        "exists x. exists y. (succ(x, y) & !(y = x))",
+    ],
+)
+def test_an_equality_in_a_contraction_step_of_a_padded_batch(text, monkeypatch):
+    # An equality's value has no batch axis: a step multiplying it with
+    # batched factors meets operands of different rank. Each row of a batch
+    # of words padded to 4 letters agrees with eval_tensor and the oracle.
+    ranks, matmul = set(), fotensor.tensors._matmul
+    monkeypatch.setattr(fotensor.tensors, "_matmul", lambda a, b, v: ranks.add((a.ndim, b.ndim)) or matmul(a, b, v))
+    formula = parse_formula(text)
+    plan = optimize(compile_formula(formula))
+    got = eval_batch(plan, embed_words(Alphabet("ab"), 4, "succ")).tolist()
+    assert any(p != q for p, q in ranks), ranks
+    for word, value in zip(all_words("ab", 4), got):
+        want = int(tarski_eval(formula, word_model(word, "ab", "succ")))
+        assert value == eval_tensor(plan, embed_word(word, Alphabet("ab"), "succ")) == want, word
+    assert 0 < sum(got) < len(got)
+
+
 def test_embed_words_stacks_per_word_labels():
     for kind in ("succ", "prec"):
         for n in range(4):
@@ -676,7 +735,7 @@ def test_corrupted_clamp_breaks_the_batched_path(monkeypatch):
 
 def _trace_size(plan, n):
     """The events a trace of plan records on domain size n, as its lowering counts them."""
-    return sum(n**k for k in _program(plan, "trace").events)
+    return sum(n**k for k in _program(plan, True).events)
 
 
 def test_trace_size_is_counted_before_evaluating():
@@ -708,12 +767,12 @@ def test_planned_peak_counts_no_variable_the_assignment_binds():
 
 
 def _lowerings(monkeypatch) -> list:
-    """(plan, mode) of every lowering from here on."""
+    """(plan, traced) of every lowering from here on."""
     made, init = [], _Program.__init__
 
-    def counting(self, e, mode):
-        made.append((e, mode))
-        init(self, e, mode)
+    def counting(self, e, traced):
+        made.append((e, traced))
+        init(self, e, traced)
 
     monkeypatch.setattr(_Program, "__init__", counting)
     return made
@@ -730,16 +789,32 @@ def test_an_enumeration_lowers_its_plan_once(monkeypatch):
     want = [w for w in all_words("ab", 5) if tarski_eval(spec.formula, word_model(w, "ab", "succ"))]
     assert fotensor.enumerate_language(spec, 5) == want
     assert len(calls) > 10 and len(set(map(id, calls))) == 1
-    assert [(id(e), mode) for e, mode in made] == [(id(calls[0]), "batch")]
+    assert [(id(e), traced) for e, traced in made] == [(id(calls[0]), False)]
 
 
-def test_a_check_case_lowers_once_per_path(monkeypatch):
-    # The plain plan for eval_tensor, the planned one for eval_tensor and
-    # for eval_batch.
-    made = _lowerings(monkeypatch)
+def test_a_check_case_lowers_once_per_plan(monkeypatch):
+    # The plain plan for eval_tensor; the planned one, lowered once, for
+    # eval_tensor and for eval_batch.
+    made, batched = _lowerings(monkeypatch), []
+    eval_batch_ = fotensor.diffcheck.eval_batch
+    monkeypatch.setattr(fotensor.diffcheck, "eval_batch", lambda e, m: batched.append(e) or eval_batch_(e, m))
     assert run_differential_check(1, 7).failures == ()
-    assert [mode for _, mode in made] == ["one", "one", "batch"]
-    assert made[0][0] is not made[1][0] and made[1][0] is made[2][0]
+    assert [traced for _, traced in made] == [False, False]
+    assert made[0][0] is not made[1][0] and batched == [made[1][0]]
+
+
+def test_one_program_serves_every_entry_point(monkeypatch):
+    # eval_tensor, eval_batch with and without a mask, batch_limit and
+    # plan_extent share one untraced program; a trace lowers its own.
+    made = _lowerings(monkeypatch)
+    plan = optimize(compile_formula(ONE_B))
+    em = embed_word("aba", Alphabet("ab"), "succ")
+    assert eval_tensor(plan, em) == 1 and eval_batch(plan, em).tolist() == [1]
+    assert eval_batch(plan, embed_words(Alphabet("ab"), 2, "succ")).tolist() == [0, 0, 1, 0, 1, 1, 0]
+    assert batch_limit(plan, 4) == MAX_CELLS // 4**2 and plan_extent(plan) == (2, 2)
+    assert [(id(e), traced) for e, traced in made] == [(id(plan), False)]
+    assert eval_tensor(plan, em, trace=[]) == eval_tensor(plan, em, trace=[]) == 1
+    assert [(id(e), traced) for e, traced in made] == [(id(plan), False), (id(plan), True)]
 
 
 def test_one_program_serves_every_word_and_assignment(monkeypatch):
@@ -756,17 +831,19 @@ def test_one_program_serves_every_word_and_assignment(monkeypatch):
             want = int(tarski_eval(formula, word_model(word, "ab", "succ"), {"x": x}))
             assert [eval_tensor(p, em, {"x": x}) for p in plans] == [want] * 2, (word, x)
             checks += want
-    assert checks and [(id(e), mode) for e, mode in made] == [(id(p), "one") for p in plans]
+    assert checks and [(id(e), traced) for e, traced in made] == [(id(p), False) for p in plans]
 
 
 def test_an_evaluated_plan_pickles_without_its_programs():
     # A program holds closures, which do not pickle; the copy lowers its own.
     plan = optimize(compile_formula(ONE_B))
     em = embed_word("aba", Alphabet("ab"), "succ")
-    assert eval_tensor(plan, em) == 1
+    assert eval_tensor(plan, em) == eval_tensor(plan, em, trace=[]) == 1
     assert eval_batch(plan, embed_words(Alphabet("ab"), 2, "succ")).tolist() == [0, 0, 1, 0, 1, 1, 0]
+    programs = {"_program", "_traced_program"}
+    assert programs <= plan.__dict__.keys()
     copy = pickle.loads(pickle.dumps(plan))
-    assert copy == plan and "_programs" not in copy.__dict__ and eval_tensor(copy, em) == 1
+    assert copy == plan and not programs & copy.__dict__.keys() and eval_tensor(copy, em) == 1
 
 
 def test_contract_refuses_a_repeated_bound_variable():

@@ -186,11 +186,11 @@ def _peaks(plan):
     # each contraction's order, the plain plan's and the optimized one's.
     for p in (plan, optimize(plan)):
         yield repr(plan_extent(p))
-        yield from (repr(c.order) for c in _contractions(p))
+        yield from (repr(c.plan(frozenset())) for c in _contractions(p))
 
 
 def test_planned_peaks_are_pinned():
-    # What the memory guard predicts of each plan; a change to _extent or
-    # Contract.order that moves any peak or step has to update the digest.
+    # What the memory guard predicts of each plan; a change to the lowering
+    # or Contract.plan that moves any peak or step has to update the digest.
     digest = _front_end_digest(lambda f, plan: tuple(_peaks(plan)))
     assert digest == "262e17e632ed6ffdc61f4a8f826d9c084e2d388947417c17b620c5b1fbf41c86"
