@@ -124,14 +124,15 @@ def _cmd_eval(args) -> int:
     # Trace events are defined on the plain plan's quantifiers.
     plan = compile_formula(formula) if args.trace else optimize(compile_formula(formula))
     value = eval_tensor(plan, embedded, trace=trace)
-    if args.format == "json":
-        doc = {"command": "eval", "value": value}
-        if trace is not None:
-            doc["trace"] = [
-                {"node": t.tag, "variable": t.variable, "bindings": dict(t.bindings), "sum": t.partial_sum}
-                for t in trace
-            ]
-        print(json.dumps(doc, indent=2))
+    if args.format == "json" and trace is None:
+        # The bytes of json.dumps(doc, indent=2) without its pure-Python encoder.
+        print(f'{{\n  "command": "eval",\n  "value": {value}\n}}')
+    elif args.format == "json":
+        trace_doc = [
+            {"node": t.tag, "variable": t.variable, "bindings": dict(t.bindings), "sum": t.partial_sum}
+            for t in trace
+        ]
+        print(json.dumps({"command": "eval", "value": value, "trace": trace_doc}, indent=2))
     else:
         print(value)
         if trace is not None:

@@ -8,7 +8,7 @@ formula, read node by node as a tensor operation by exact arithmetic:
 
     Atom      rel          the relation tensor R, placed
     Equal     eq           [i = j]
-    Not       compl        1 - x (over a literal: 1...1 - R, placed)
+    Not       compl        1 - x, folded into the operation under it
     And       prod         product of the conjuncts
     Or        min1sum      min1(sum of the disjuncts)
     Exists    exists-sum   min1(sum over the basis substitutions)
@@ -32,25 +32,28 @@ all assignments to the quantified variables in its scope at once, as a
 bool array with one axis per such variable, of size 1 where the node does
 not depend on the variable. A literal is its relation tensor placed on
 its variables' axes: transposed for R(y, x), the diagonal for R(x, x), a
-row or column for a variable the assignment binds; a negative literal, a
-Not over it, is the placed tensor inverted. An equality x = y compares
-the index range 0..N-1 placed on the axis of x and on the axis of y, so
-[i = j] comes from the indices alone. Conjunction is a broadcast product
-and disjunction a clamped sum. A quantifier sums its body over the
-variable's axis, and a body without that axis counts N times, which makes
-existentials 0 and universals 1 on an empty domain. A contraction runs
-its order (Contract.plan): it eliminates the bound variables one at a
-time, summing an axis that one factor uses and contracting two or more
-factors by _matmul on float64 counts (exact below 2^53); a bound variable
-that no factor uses gets no axis. Counts exist only inside a sum: int64
-for a quantifier or a disjunction, float64 for a contraction; the clamp
+row or column for a variable the assignment binds. An equality x = y
+compares the index range 0..N-1 placed on the axis of x and on the axis
+of y, so [i = j] comes from the indices alone. Conjunction is a broadcast
+product and disjunction a clamped sum. A quantifier sums its body over
+the variable's axis, and a body without that axis counts N times, which
+makes existentials 0 and universals 1 on an empty domain. A negation
+has no operation of its own: a literal's view is inverted, an equality
+compares by !=, a universal sums its body negated, a clamp returns its
+complement and a product is inverted. A contraction runs its order
+(Contract.plan): it eliminates the bound variables one at a time, summing
+an axis that one factor uses and contracting two or more factors by
+_matmul on float64 counts (exact below 2^53); a bound variable that no
+factor uses gets no axis. Counts exist only inside a sum: int64 for a
+quantifier or a disjunction, float64 for a contraction; the clamp
 turns them back into bool.
 
 A plan is lowered once (a traced one once more), on its first
 evaluation, by one walk into a program kept on its root node: a step per
-node, with every index decision above, the contraction steps and the
-trace's loop positions fixed, so that a run only binds the model, N and
-the assignment. The same walk finds the planned peak: before
+node but Not, with every index decision above, the contraction steps and
+the trace's loop positions fixed, so that a run only binds the model, N
+and the assignment; plans of one shape share literal steps and contraction
+orders from bounded caches. The same walk finds the planned peak: before
 allocating anything, evaluation refuses a plan whose largest array, N^k
 cells, is past MAX_CELLS, where k counts the quantifiers around a node of
 a plain plan, or the axes of a contraction's largest factor, step or
@@ -73,9 +76,9 @@ only its own positions.
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, or are 0/1 by
 construction, and every clamp runs min1, which rejects negative input,
-then checks its output before the cast to bool: each entry is 0 or 1, so
-as many entries equal 1 as cast to True. Both raise ClosureError
-explicitly, so the checks also run under python -O.
+then checks its output: each entry is 0 or 1, so as many entries are
+nonzero as equal 1, and its bool value compares with 1, not a cast. Both
+raise ClosureError explicitly, so the checks also run under python -O.
 """
 
 from __future__ import annotations
@@ -323,28 +326,36 @@ class Contract(Formula):
                 s |= bits.setdefault(name, 1 << len(bits))
             sets.append(s)
         used = [v.name for v in self.bound if v.name in bits]
-        live, steps, todo = list(range(len(sets))), [], list(used)
-        peak = max([s.bit_count() for s in sets], default=0)
-        while todo:
-            best = None
-            for v in todo:
-                bit, slots, left = bits[v], [], 0
-                for k in live:
-                    if sets[k] & bit:
-                        slots.append(k)
-                        left |= sets[k]
-                if best is None or left.bit_count() < best[2].bit_count():
-                    best = v, slots, left
-            v, slots, left = best
-            todo.remove(v)
-            if len(slots) > 1:
-                slots.sort(key=lambda k: sets[k].bit_count())
-                peak = max(peak, functools.reduce(int.__or__, [sets[k] for k in slots[:-1]]).bit_count())
-            live = [k for k in live if k not in slots] + [len(sets)]
-            sets.append(left & ~bits[v])
-            peak = max(peak, sets[-1].bit_count())
-            steps.append((used.index(v), tuple(slots)))
-        return tuple(used), tuple(steps), tuple(live), max(peak, len(bits) - len(used))
+        steps, rest, peak = _elimination(tuple(sets), tuple([bits[v] for v in used]))
+        return tuple(used), steps, rest, max(peak, len(bits) - len(used))
+
+
+@functools.lru_cache(maxsize=1024)
+def _elimination(sets: tuple[int, ...], bound: tuple[int, ...]) -> tuple:
+    """(steps, rest, peak) of Contract.plan from all it reads, the factors'
+    variable sets and the bound variables' bits: plans of one shape share it."""
+    live, steps, todo, sets = list(range(len(sets))), [], list(range(len(bound))), list(sets)
+    peak = max([s.bit_count() for s in sets], default=0)
+    while todo:
+        best = None
+        for i in todo:
+            bit, slots, left = bound[i], [], 0
+            for k in live:
+                if sets[k] & bit:
+                    slots.append(k)
+                    left |= sets[k]
+            if best is None or left.bit_count() < best[2].bit_count():
+                best = i, slots, left
+        i, slots, left = best
+        todo.remove(i)
+        if len(slots) > 1:
+            slots.sort(key=lambda k: sets[k].bit_count())
+            peak = max(peak, functools.reduce(int.__or__, [sets[k] for k in slots[:-1]]).bit_count())
+        live = [k for k in live if k not in slots] + [len(sets)]
+        sets.append(left & ~bound[i])
+        peak = max(peak, sets[-1].bit_count())
+        steps.append((i, tuple(slots)))
+    return tuple(steps), tuple(live), peak
 
 
 # --- compilation --------------------------------------------------------
@@ -470,15 +481,17 @@ class _Program:
     have at most `axes` axes after a batch's and N^peak cells per structure;
     a traced program records sum(N^k for k in events) events.
 
-    lower(e, where, width, depth, path) returns e's step. e's value has
-    `width` axes after any batch axis, one per quantified variable in scope
-    (where: name -> its axis), indexed from the last. depth is the planned k
-    at e; path, None unless traced, has a loop (None) per quantified
-    variable around e and the position of the child taken at each other node."""
+    lower(e, where, width, depth, path, negate) returns the step of e, or
+    of !e when negate. e's value has `width` axes after any batch axis, one
+    per quantified variable in scope (where: name -> its axis), indexed from
+    the last. depth is the planned k at e; path, None unless traced, has a
+    loop (None) per quantified variable around e and the position of the
+    child taken at each other node. A Not has no step: its body is lowered
+    negated."""
 
     def __init__(self, e: Formula, traced: bool):
         self.axes, self.peak, self.events = 0, 0, []
-        self.step = self.lower(e, {}, 0, 0, () if traced else None)
+        self.step = self.lower(e, {}, 0, 0, () if traced else None, False)
 
     def cells(self, n: int, lead: int = 0) -> int:
         """N^peak, checked with the axes (`lead` more in front) and events on domain size n."""
@@ -496,83 +509,60 @@ class _Program:
             )
         return cells
 
-    def lower(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None):
+    def lower(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None, negate: bool):
         t = type(e)
+        if t is Not:
+            return self.lower(e.body, where, width, depth, None if path is None else path + (0,), not negate)
         if t is Atom or t is Equal:
             self.axes, self.peak = max(self.axes, width), max(self.peak, depth)
-            if t is Atom:
-                return self.place(e.predicate.name, e.terms, where, width)
-            # The index range 0..N-1 placed on each side: [i = j] from the indices alone.
-            left, right = [self.place(None, (v,), where, width) for v in (e.left, e.right)]
-            return lambda run: left(run) == right(run)
-        if t is Not:
-            body = self.lower(e.body, where, width, depth, None if path is None else path + (0,))
-            return lambda run: ~body(run)
+            terms = e.terms if t is Atom else (e.left, e.right)
+            axes = tuple([where.get(v.name) for v in terms])
+            rows = tuple([v.name if p is None else None for v, p in zip(terms, axes)]) if None in axes else ()
+            return _literal(e.predicate.name if t is Atom else None, axes, rows, width, negate)
         if t is And or t is Or:
-            steps = [self.lower(g, where, width, depth, None if path is None else path + (k,))
+            steps = [self.lower(g, where, width, depth, None if path is None else path + (k,), False)
                      for k, g in enumerate(e.items)]
             if t is And:
+                if negate:
+                    return lambda run: ~functools.reduce(np.logical_and, [s(run) for s in steps])
                 return lambda run: functools.reduce(np.logical_and, [s(run) for s in steps])
             # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
-            return lambda run: _clamp(functools.reduce(np.add, [s(run) for s in steps], np.int64(0)))
+            return lambda run: _clamp(functools.reduce(np.add, [s(run) for s in steps], np.int64(0)), negate)
         if t is Exists or t is Forall:
-            return self.quantifier(e, where, width, depth, path)
+            return self.quantifier(e, where, width, depth, path, negate)
         if t is Contract:
-            return self.contract(e, where, width, path)
+            return self.contract(e, where, width, path, negate)
         raise TypeError(f"not a plan node: {e!r}")
 
-    def place(self, name: str | None, terms, where: dict[str, int], width: int):
-        """The step of relation `name` over terms, or of the index range if
-        None, its k-th axis on terms[k]'s, after any batch axis: a row for a
-        variable the assignment binds."""
-        axes = tuple([where.get(v.name) for v in terms])
-        rows = tuple([v.name if p is None else None for v, p in zip(terms, axes)]) if None in axes else ()
-        spread, diagonal, swap = _placement(width, axes)
-        spread = (..., *spread)
-
-        def view(run):
-            t = run.m.tensor(name, len(terms)) if name else np.arange(run.n)
-            if rows:
-                try:
-                    t = t[(..., *[slice(None) if v is None else run.env[v] - 1 for v in rows])]
-                except KeyError as unbound:
-                    raise UnboundVariableError(f"variable {unbound.args[0]!r} is not bound") from None
-            if swap:
-                t = t.swapaxes(-1, -2)
-            elif diagonal:
-                t = np.einsum("...ii->...i", t)
-            return t[spread]
-
-        return view
-
-    def quantifier(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None):
+    def quantifier(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None, negate: bool):
         exists, var = type(e) is Exists, e.var.name
-        body = self.lower(e.body, {**where, var: width}, width + 1, depth + 1, None if path is None else path + (None,))
+        body = self.lower(e.body, {**where, var: width}, width + 1, depth + 1,
+                          None if path is None else path + (None,), not exists)
         mask = (slice(None), *_placement(width + 1, (width,))[0])  # a batch's domain mask, on the variable's axis
         if path is not None:
             self.events.append(width)
 
         def quantifier(run):
-            value = body(run) if exists else ~body(run)
+            value = body(run)
             if run.domain is not None:
                 value = value & run.domain[mask]
-            total = value.sum(-1)
+            total = np.add.reduce(value, -1)
             if value.shape[-1] != run.n:
                 total = total * run.n  # a body without the variable's axis counts N times
             if path is not None:
                 run.record("exists-sum" if exists else "forall-dual", var, total, where, path)
-            return _clamp(total) if exists else ~_clamp(total)
+            return _clamp(total, exists == negate)  # forall x. b is !(exists x. !b)
 
         return quantifier
 
-    def contract(self, e: Contract, where: dict[str, int], outer: int, path: tuple | None):
+    def contract(self, e: Contract, where: dict[str, int], outer: int, path: tuple | None, negate: bool):
         rows = e.free_names.difference(where)  # bound by the assignment
         axes, order, rest, peak = e.plan(rows)
         width = outer + len(axes)
         inner = {**where, **dict(zip(axes, range(outer, width)))}
         # The factors sit inside one loop per bound variable they use.
         path = None if path is None else path + (None,) * len(axes)
-        factors = [self.lower(g, inner, width, len(g.free_names - rows), None if path is None else path + (k,))
+        factors = [self.lower(g, inner, width, len(g.free_names - rows), None if path is None else path + (k,), False)
                    for k, g in enumerate(e.factors)]
         self.axes, self.peak = max(self.axes, width), max(self.peak, peak)
         # Each step's axis counted from the last, and a batch's mask on it.
@@ -588,16 +578,53 @@ class _Program:
                     head.insert(0, run.domain[mask])
                 counts.append(
                     _matmul(functools.reduce(np.multiply, head), last, v)
-                    if head else last.sum(axis=v, keepdims=True, dtype=np.float64)
+                    if head else np.add.reduce(last, v, np.float64, keepdims=True)
                 )
             total = functools.reduce(np.multiply, [counts[k] for k in rest] or [np.int64(1)])
             total = total.reshape(total.shape[:total.ndim - len(axes)])
             if unused:
                 # N^k for the unused bound variables: min1 sees only whether N > 0.
                 total = total * np.asarray(run.n > 0 if run.domain is None else run.domain.any(-1))[nonempty]
-            return _clamp(total)
+            return _clamp(total, negate)
 
         return contract
+
+
+@functools.lru_cache(maxsize=1024)
+def _literal(name: str | None, axes: tuple, rows: tuple, width: int, negate: bool):
+    """The step of relation `name`, inverted when negate, its k-th axis on
+    axes[k] of `width` after any batch axis, or the row of rows[k] where
+    axes[k] is None (a variable the assignment binds). The name "" reads
+    the index range 0..N-1, and None the equality of the two variables:
+    that range placed on each side, compared by ==, or by != when negated.
+    The key is all a step reads, so plans share steps."""
+    if name is None:
+        left, right = [_literal("", (p,), (v,) if p is None else (), width, False)
+                       for p, v in zip(axes, rows or (None, None))]
+        return (lambda run: left(run) != right(run)) if negate else (lambda run: left(run) == right(run))
+    spread, diagonal, swap = _placement(width, axes)
+    spread = (..., *spread)
+
+    def view(run):
+        t = run.m.tensor(name, len(axes)) if name else _indices(run.n)
+        if rows:
+            try:
+                t = t[(..., *[slice(None) if v is None else run.env[v] - 1 for v in rows])]
+            except KeyError as unbound:
+                raise UnboundVariableError(f"variable {unbound.args[0]!r} is not bound") from None
+        if swap:
+            t = t.swapaxes(-1, -2)
+        elif diagonal:
+            t = np.einsum("...ii->...i", t)
+        return ~t[spread] if negate else t[spread]
+
+    return view
+
+
+@functools.lru_cache(maxsize=128)
+def _indices(n: int) -> np.ndarray:
+    """The index range 0..N-1 that every equality step reads, as a read-only view."""
+    return np.broadcast_to(np.arange(n), (n,))
 
 
 @functools.cache
@@ -648,13 +675,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, v: int) -> np.ndarray:
     return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
-def _clamp(total: np.ndarray) -> np.ndarray:
-    """min1(total) as bool, once every entry is checked to be 0 or 1: the
-    cast alone would read any nonzero count as 1."""
+def _clamp(total: np.ndarray, negate: bool) -> np.ndarray:
+    """min1(total) == 1 as bool, or != 1 when negate, once every entry is
+    checked to be 0 or 1: as many entries are nonzero as equal 1 (a count
+    reads a fraction as nonzero, where a cast to bool would read it as 1)."""
     v = min1(total)
-    out = v.astype(bool)
-    # An entry neither 0 nor 1, a fraction past min1, casts to True but is not 1.
-    if np.count_nonzero(out) != np.count_nonzero(v == 1):
+    out = v != 1 if negate else v == 1
+    if np.count_nonzero(v) != (v.size - np.count_nonzero(out) if negate else np.count_nonzero(out)):
         raise ClosureError("plan node value outside {0, 1}")
     return out
 

@@ -80,20 +80,20 @@ def validate_gorn_domain(addresses: Iterable) -> DomainValidation:
 
     Every violating address is reported, with the missing address it
     requires."""
-    domain = {_as_address(a) for a in addresses}
-    violations = []
-    for addr in sorted(domain, key=lambda a: (len(a.digits), a.digits)):
-        if addr.is_root:
-            continue
-        parent = addr.parent()
-        if parent not in domain:
-            violations.append((addr, f"missing prefix {parent}"))
-        last = addr.digits[-1]
-        if last != 0:
-            sibling = parent.child(last - 1)
-            if sibling not in domain:
-                violations.append((addr, f"missing left sibling {sibling}"))
-    return DomainValidation(not violations, tuple(violations))
+    found = _violations({_as_address(a).digits for a in addresses})
+    return DomainValidation(not found, tuple((GornAddress(a), why) for a, why in found))
+
+
+def _violations(domain: set[tuple[int, ...]]) -> list[tuple[tuple[int, ...], str]]:
+    """(digits, why) for each address of the domain, given by its digits,
+    that misses its prefix or its left sibling, in (depth, digits) order."""
+    found = []
+    for a in sorted(domain, key=lambda a: (len(a), a)):
+        if a and a[:-1] not in domain:
+            found.append((a, f"missing prefix {GornAddress(a[:-1])}"))
+        if a and a[-1] and (sibling := a[:-1] + (a[-1] - 1,)) not in domain:
+            found.append((a, f"missing left sibling {GornAddress(sibling)}"))
+    return found
 
 
 def build_tree_model(
@@ -105,19 +105,19 @@ def build_tree_model(
     Domain indices are assigned 1-based in lexicographic-by-(depth, digits)
     address order, so serialized structures are deterministic. Refused past
     MAX_CELLS (check_domain_size)."""
-    labeled = [(_as_address(a), label) for a, label in nodes]
+    # Addresses are their digit tuples past this line; GornAddress is for messages.
+    labeled = [(_as_address(a).digits, label) for a, label in nodes]
     addresses = [a for a, _ in labeled]
     if len(set(addresses)) != len(addresses):
         seen, dups = set(), set()
         for a in addresses:
             (dups if a in seen else seen).add(a)
-        raise DuplicateAddressError(f"duplicate addresses: {sorted(map(str, dups))}")
-    validation = validate_gorn_domain(addresses)
-    if not validation.ok:
-        details = "; ".join(f"{a}: {why}" for a, why in validation.violations)
+        raise DuplicateAddressError(f"duplicate addresses: {sorted(str(GornAddress(a)) for a in dups)}")
+    if violations := _violations(set(addresses)):
+        details = "; ".join(f"{GornAddress(a)}: {why}" for a, why in violations)
         raise GornDomainError(f"not a Gorn tree domain: {details}")
 
-    order = sorted(addresses, key=lambda a: (len(a.digits), a.digits))
+    order = sorted(addresses, key=lambda a: (len(a), a))
     index = {a: i + 1 for i, a in enumerate(order)}
     n = len(order)
     check_domain_size(n)
@@ -125,16 +125,13 @@ def build_tree_model(
     unary: dict[str, list[int]] = {sym: [] for sym in alphabet}
     for addr, label in labeled:
         if label not in alphabet:
-            raise UnknownSymbolError(f"label {label!r} for node {addr} not in alphabet")
+            raise UnknownSymbolError(f"label {label!r} for node {GornAddress(addr)} not in alphabet")
         unary[label].append(index[addr])
 
     dom, leftof = [], []
-    for addr in order:
-        if not addr.is_root:
-            parent = addr.parent()
-            dom.append((index[parent], index[addr]))
-            nxt = parent.child(addr.digits[-1] + 1)
-            if nxt in index:
-                leftof.append((index[addr], index[nxt]))
+    for addr in order[1:]:  # the root, first, has no parent
+        dom.append((index[addr[:-1]], index[addr]))
+        if nxt := index.get(addr[:-1] + (addr[-1] + 1,)):
+            leftof.append((index[addr], nxt))
     # The indices are 1..n by construction: nothing to check again.
     return StructureModel._from_checked_sets(n, unary, {DOM: dom, LEFTOF: leftof})

@@ -52,6 +52,13 @@ def test_eval_json_document(capsys):
     assert doc == {"command": "eval", "value": 1}
 
 
+def test_eval_json_bytes_are_json_dumps(capsys):
+    # Written without the encoder that indent=2 selects, byte for byte the same.
+    for word, value in (("ab", 1), ("bb", 0)):
+        assert run(["eval", "--expr", ONE_B, "--word", word, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps({"command": "eval", "value": value}, indent=2) + "\n"
+
+
 def test_eval_trace(capsys):
     code = run(["eval", "--expr", "exists x. b(x)", "--word", "abba", "--trace"])
     assert code == 0

@@ -2,7 +2,10 @@
 closed plan, against eval_batch over a padded batch of words: a literal at
 an assigned variable, a transposed or diagonal binary literal, a
 quantifier whose body ignores its variable, an equality inside a
-contraction, and a contraction step that is a stack of dot products."""
+contraction, a contraction step that is a stack of dot products, and a
+negation, which has no step of its own."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from fotensor import (
     parse_formula,
     tarski_eval,
 )
-from fotensor.formulas import Equal
+from fotensor.formulas import Equal, Not, Variable, atom
 from fotensor.models import word_digits
 from fotensor.tensors import Contract, embed_digits
 
@@ -165,3 +168,63 @@ def test_a_stacked_dot_step_counts_past_255(text, n, monkeypatch):
     want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
     assert eval_batch(optimize(compile_formula(formula)), batch).tolist() == want
     assert calls and all(calls)
+
+
+# Each way a negation folds into the step under it: a literal's inverted
+# view, != for an equality, a negated body under a universal, the
+# complement from a clamp (of a disjunction, a quantifier or a
+# contraction) and an inverted product; the parsed formula keeps every !
+# as written, a Not over a Not included.
+_NEGATIONS = [
+    "exists x. !!b(x)",
+    "exists x. !!!(a(x) | b(x))",
+    "exists x. !(a(x) | succ(x, x))",
+    "forall x. !(b(x) | a(x))",
+    "exists x. exists y. (!(a(x) & b(y)) & succ(x, y))",
+    "exists x. exists y. (!(x = y) & a(x) & a(y))",
+    "forall x. !b(x)",
+    "forall x. !!(a(x) | b(x))",
+    "!(exists x. exists y. (a(x) & succ(x, y) & b(y)))",
+    "!!(exists x. b(x))",
+    "!(forall x. a(x))",
+    "forall x. forall y. forall z. ((succ(x, y) & succ(y, z)) -> !(a(x) & a(z)))",
+    "forall x. forall y. !(succ(x, y) & !(exists z. (b(z) & succ(y, z))))",
+]
+_X, _Y = Variable("x"), Variable("y")
+# ! over a contraction, hand-built, with the formula it computes: twice,
+# and over one that binds a variable no factor uses.
+_NEGATED_CONTRACTIONS = [
+    (Not(Not(Contract((_X,), (atom("b", "x"),)))), "!!(exists x. b(x))"),
+    (Not(Contract((_X, _Y), (atom("a", "x"), Not(atom("succ", "x", "x"))))),
+     "!(exists x. exists y. (a(x) & !succ(x, x)))"),
+]
+
+
+def test_a_negation_folds_into_the_step_under_it():
+    # Plain, planned, batched and traced paths against tarski_eval, on every
+    # word over ab to length 4; the traces' digest is the one recorded
+    # before negations were folded.
+    words, digest = all_words("ab", 4), hashlib.sha256()
+    batch = embed_words(Alphabet("ab"), 4, "succ")
+    cases = [(parse_formula(t), [parse_formula(t), *_plans(parse_formula(t))]) for t in _NEGATIONS]
+    cases += [(parse_formula(t), [plan]) for plan, t in _NEGATED_CONTRACTIONS]
+    for formula, plans in cases:
+        want = [int(tarski_eval(formula, word_model(w, "ab", "succ"))) for w in words]
+        for plan in plans:
+            assert eval_batch(plan, batch).tolist() == want, dump_expr(plan)
+            for w, value in zip(words, want):
+                em, trace = embed_word(w, Alphabet("ab"), "succ"), []
+                assert eval_tensor(plan, em) == eval_tensor(plan, em, trace=trace) == value, (dump_expr(plan), w)
+                digest.update(repr(trace).encode())
+    # An assigned variable, c, under a negation: its row, inverted.
+    for text in ("forall x. !(x = c)", "exists x. (!succ(c, x) & !!b(x))", "!b(c)"):
+        formula = parse_formula(text)
+        for w in words[1:]:
+            em = embed_word(w, Alphabet("ab"), "succ")
+            for c in range(1, len(w) + 1):
+                want = int(tarski_eval(formula, word_model(w, "ab", "succ"), {"c": c}))
+                for plan in (formula, *_plans(formula)):
+                    trace = []
+                    assert eval_tensor(plan, em, {"c": c}) == eval_tensor(plan, em, {"c": c}, trace) == want
+                    digest.update(repr(trace).encode())
+    assert digest.hexdigest() == "35b8b4fe579c6ca478c9cc0837da06053d69dba4d106324b200902133658de8e"

@@ -190,6 +190,31 @@ def test_corrupted_contraction_clamp_is_caught_under_python_O():
     assert done.stdout.split() == ["raised"] * 3
 
 
+def test_corrupted_negated_clamp_is_caught_under_python_O():
+    # A negation folds into the clamp under it, which returns the
+    # complement. Without min1, b(x) | b(x) still sums to 2 on "b": in the
+    # plans of forall x. !(b(x) | b(x)) under the clamp whose complement the
+    # universal's, or the contraction's, clamp takes, and in both plans of
+    # exists x. !(b(x) | b(x)) under a negated clamp.
+    code = (
+        "import fotensor.tensors as tensors\n"
+        "from fotensor import Alphabet, ClosureError, compile_formula, optimize, parse_formula\n"
+        "tensors.min1 = lambda x: x\n"
+        "em = tensors.embed_word('b', Alphabet('ab'), 'succ')\n"
+        "batch = tensors.embed_words(Alphabet('ab'), 1, 'succ')\n"
+        "for text in ('forall x. !(b(x) | b(x))', 'exists x. !(b(x) | b(x))'):\n"
+        "  plain = compile_formula(parse_formula(text))\n"
+        "  for plan in (plain, optimize(plain)):\n"
+    ) + "".join("    " + line + "\n" for line in _EACH_MODE.splitlines())
+    src = str(Path(fotensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"] * 12
+
+
 def test_compile_one_b_plan_structure():
     plan = compile_formula(ONE_B)
     assert isinstance(plan, Exists)
