@@ -212,6 +212,8 @@ def to_text(f: Formula, level: int = 0) -> str:
     if t is Exists or t is Forall:
         text = f"{'exists' if t is Exists else 'forall'} {f.var.name}. {to_text(f.body, 0)}"
         return f"({text})" if level > 0 else text
+    if isinstance(f, Formula) and hasattr(f, "formula"):  # a plan node, as the formula it computes
+        return to_text(f.formula, level)
     raise TypeError(f"not a formula: {f!r}")
 
 

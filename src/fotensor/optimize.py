@@ -34,11 +34,11 @@ def _plan(e: Formula, nonempty: bool) -> Formula:
     """The planned form of e, evaluated only on nonempty domains if nonempty."""
     if not isinstance(e, (Exists, Forall)):
         return e
-    kind, bound = type(e), []
+    kind, bound = type(e), {}
     while isinstance(e, kind):
-        bound.append(e.var)
+        bound[e.var.name] = e.var  # one binder per name: the inner one shadows the outer
         e = e.body
-    return _block(tuple(bound), _plan(e, True), nonempty, kind is Exists)
+    return _block(tuple(bound.values()), _plan(e, True), nonempty, kind is Exists)
 
 
 def _block(bound: tuple, body: Formula, nonempty: bool, exists: bool) -> Formula:

@@ -18,14 +18,14 @@ formula, read node by node as a tensor operation by exact arithmetic:
 where min1(x) = min(x, 1) componentwise, and the middle column is each
 node's tag in dump_expr. Every formula is a plan: each formula node class
 has its operation above, and the parser reads p -> q as !p | q. The plain
-plan, compile_formula's, is the prenex formula. Contract,
-the one plan node that is not a formula node, is one block of existentials
-over a conjunction, a multilinear map; optimize (optimize.py) plans the
-plain plan into contractions. An embedded model holds only its
-relation tensors: evaluation never builds the basis vectors or the
-identity. A word is embedded from its digits, its letters' alphabet
-positions, by embed_digits (embed_word alone, embed_words in a batch),
-which builds each label, and the order, on the plan's first read of it.
+plan, compile_formula's, is the prenex formula. Contract, the one plan
+node that is not a formula node, is one block of existentials over a
+conjunction, a multilinear map, and prints as that formula; optimize
+(optimize.py) plans the plain plan into contractions. An embedded model
+holds only its relation tensors: evaluation never builds the basis
+vectors or the identity. A word is embedded from its digits, its letters'
+alphabet positions, by embed_digits (embed_word alone, embed_words in a
+batch), which builds each label, and the order, on its first read.
 
 Evaluation works on whole arrays. Each plan node computes its value for
 all assignments to the quantified variables in its scope at once, as a
@@ -48,12 +48,15 @@ factor uses gets no axis. Counts exist only inside a sum: int64 for a
 quantifier or a disjunction, float64 for a contraction; the clamp
 turns them back into bool.
 
-A plan is lowered once (a traced one once more), on its first
-evaluation, by one walk into a program kept on its root node: a step per
-node but Not, with every index decision above, the contraction steps and
-the trace's loop positions fixed, so that a run only binds the model, N
-and the assignment; plans of one shape share literal steps and contraction
-orders from bounded caches. The same walk finds the planned peak: before
+A plan is lowered once, traced or not, on its first evaluation, by one
+walk into a program kept on its root node: a step per node but Not, with
+every index decision above and the contraction steps fixed, so that a run
+only binds the model, N, the assignment and any trace; plans of one shape
+share literal steps and contraction orders from bounded caches. The walk
+numbers each loop (a quantifier, or a bound variable a contraction uses)
+as it meets it, and keys a trace event by its loops' numbers, each one
+followed by its index, then its quantifier's own: the keys sort into the
+order of a nested-loop walk. The same walk finds the planned peak: before
 allocating anything, evaluation refuses a plan whose largest array, N^k
 cells, is past MAX_CELLS, where k counts the quantifiers around a node of
 a plain plan, or the axes of a contraction's largest factor, step or
@@ -62,10 +65,7 @@ output (a variable the assignment binds has none).
 A batch is a model with a (B, N) domain mask. embed_words builds one for
 B words, each padded to the longest, N letters: (B, N) labels and the mask
 of each word's own positions, next to the order tensor as a (1, N, N)
-view, which on a word's first L positions is the order of that word. Its
-digits are rows of a cached table of base-|alphabet| numerals: a slice
-for the words of one length up to the table's width, a lookup per group
-of that many digits past it.
+view, which on a word's first L positions is the order of that word.
 eval_batch runs a closed plan's one program on all of them at once: the
 batch is one more axis in front of the quantified variables', carried by
 every relation (size 1 when shared) and passed over by every step, which
@@ -75,10 +75,8 @@ only its own positions.
 
 Every node value of a well-formed plan is exactly 0 or 1: the relation
 tensors are checked when the model is embedded, or are 0/1 by
-construction, and every clamp runs min1, which rejects negative input,
-then checks its output: each entry is 0 or 1, so as many entries are
-nonzero as equal 1, and its bool value compares with 1, not a cast. Both
-raise ClosureError explicitly, so the checks also run under python -O.
+construction, and every clamp checks min1's input and output (_clamp).
+Both raise ClosureError explicitly, so the checks also run under python -O.
 """
 
 from __future__ import annotations
@@ -102,7 +100,7 @@ from .errors import (
     UnboundVariableError,
     UnknownPredicateError,
 )
-from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, cached
+from .formulas import And, Atom, Equal, Exists, Forall, Formula, Not, Or, Variable, and_, cached
 from .models import (
     MAX_CELLS,
     Alphabet,
@@ -309,6 +307,14 @@ class Contract(Formula):
     def free_names(self):
         return frozenset().union(*[f.free_names for f in self.factors]) - {v.name for v in self.bound}
 
+    @property
+    def formula(self) -> Formula:
+        """The formula computed, for str(): the bound variables' existentials
+        over the factors' conjunction, or over x = x when there is no factor."""
+        x = self.bound[0] if self.bound else Variable("x")
+        body = and_(self.factors) if self.factors else Equal(x, x) if self.bound else Forall(x, Equal(x, x))
+        return functools.reduce(lambda f, v: Exists(v, f), reversed(self.bound), body)
+
     def plan(self, rows: frozenset) -> tuple:
         """(axes, steps, rest, peak) from the factors' free_names less rows,
         names an assignment binds, which read a row and have no axis. Each
@@ -401,8 +407,12 @@ def eval_tensor(
     for name, i in env.items():
         if not 1 <= i <= n:
             raise AssignmentError(f"assignment binds {name} to {i}, outside domain of size {n}")
-    program = _program(e, trace is not None)
+    program = _program(e)
     program.cells(n)
+    if trace is not None and (events := sum([n**k for k in program.events])) > MAX_TRACE_EVENTS:
+        raise SemanticError(
+            f"a trace of this plan on domain size {n} holds {events} events, over the limit of {MAX_TRACE_EVENTS}"
+        )
     run = _Run(m, env, None if trace is None else [])
     value = int(program.step(run))
     if trace is not None:
@@ -418,7 +428,7 @@ def eval_batch(e: Formula, m: EmbeddedModel) -> np.ndarray:
     Raises SemanticError, before allocating anything, when B * N^k (see
     batch_limit) exceeds MAX_CELLS cells."""
     b, n = m.batch_size, m.basis_size
-    program = _program(e, False)
+    program = _program(e)
     if b > MAX_CELLS // max(program.cells(n, m.domain is not None), 1):
         raise SemanticError(
             f"evaluation of {b} structures needs arrays of B * N^k = "
@@ -440,22 +450,21 @@ def batch_limit(e: Formula, n: int) -> int:
     for plan e: MAX_CELLS // N^k, N^k the planned peak of e per structure
     (the domain mask adds no variable). Raises SemanticError when one
     structure is past MAX_CELLS, or past MAX_AXES with the batch axis."""
-    return MAX_CELLS // max(_program(e, False).cells(n, 1), 1)
+    return MAX_CELLS // max(_program(e).cells(n, 1), 1)
 
 
 def plan_extent(e: Formula) -> tuple[int, int]:
     """(most axes, k of the most cells N^k) of the arrays evaluating plan e on one structure."""
-    program = _program(e, False)
+    program = _program(e)
     return program.axes, program.peak
 
 
-def _program(e: Formula, traced: bool) -> _Program:
-    """The program of plan e, traced or not, lowered on first use and kept
-    in the root's __dict__. An object that is no plan node raises TypeError."""
+def _program(e: Formula) -> _Program:
+    """The program of plan e, lowered on first use and kept in the root's
+    __dict__. An object that is no plan node raises TypeError."""
     if not isinstance(e, Formula):
         raise TypeError(f"not a plan node: {e!r}")
-    key = "_traced_program" if traced else "_program"
-    return e.__dict__.get(key) or e.__dict__.setdefault(key, _Program(e, traced))
+    return e.__dict__.get("_program") or e.__dict__.setdefault("_program", _Program(e))
 
 
 class _Run:
@@ -465,13 +474,12 @@ class _Run:
     def __init__(self, m: EmbeddedModel, env: dict[str, int], events: list | None):
         self.m, self.n, self.domain, self.env, self.events = m, m.basis_size, m.domain, env, events
 
-    def record(self, tag: str, variable: str, total, where: dict[str, int], path: tuple):
+    def record(self, tag: str, variable: str, total, where: dict[str, int], loops: tuple, own: int):
         """An event per entry of a quantifier's sums, on the axes of `where`,
-        keyed by path with each loop (None) its index, then math.inf."""
+        keyed by loops, each followed by its index, then own and math.inf."""
         totals = np.broadcast_to(total, (self.n,) * np.ndim(total))
         for idx in np.ndindex(totals.shape):
-            loops = iter(idx)
-            key = tuple(next(loops) if p is None else p for p in path) + (math.inf,)
+            key = (*itertools.chain.from_iterable(zip(loops, idx)), own, math.inf)
             bindings = {**self.env, **{name: idx[axis] + 1 for name, axis in where.items()}}
             self.events.append((key, TraceEvent(tag, variable, tuple(sorted(bindings.items())), int(totals[idx]))))
 
@@ -479,23 +487,20 @@ class _Run:
 class _Program:
     """A plan lowered by one walk: step(run) computes its value. Its arrays
     have at most `axes` axes after a batch's and N^peak cells per structure;
-    a traced program records sum(N^k for k in events) events.
+    a trace records sum(N^k for k in events) events.
 
-    lower(e, where, width, depth, path, negate) returns the step of e, or
-    of !e when negate. e's value has `width` axes after any batch axis, one
-    per quantified variable in scope (where: name -> its axis), indexed from
-    the last. depth is the planned k at e; path, None unless traced, has a
-    loop (None) per quantified variable around e and the position of the
-    child taken at each other node. A Not has no step: its body is lowered
-    negated."""
+    lower(e, where, loops, depth, negate) returns the step of e, or of !e
+    when negate. loops holds the numbers of the loops around e, one per axis
+    of e's value after any batch axis (where: name -> axis), indexed from
+    the last; depth is the planned k at e. A Not's body is lowered negated."""
 
-    def __init__(self, e: Formula, traced: bool):
-        self.axes, self.peak, self.events = 0, 0, []
-        self.step = self.lower(e, {}, 0, 0, () if traced else None, False)
+    def __init__(self, e: Formula):
+        self.axes, self.peak, self.events, self.numbers = 0, 0, [], itertools.count()
+        self.step = self.lower(e, {}, (), 0, False)
 
     def cells(self, n: int, lead: int = 0) -> int:
-        """N^peak, checked with the axes (`lead` more in front) and events on domain size n."""
-        axes, cells, events = self.axes + lead, n**self.peak, sum([n**k for k in self.events])
+        """N^peak, checked with the axes (`lead` more in front) on domain size n."""
+        axes, cells = self.axes + lead, n**self.peak
         if axes > MAX_AXES:
             raise SemanticError(f"evaluation needs arrays of {axes} axes, over numpy's limit of {MAX_AXES}")
         if cells > MAX_CELLS:
@@ -503,25 +508,20 @@ class _Program:
                 f"evaluation needs arrays of N^k = {n}^{self.peak} cells "
                 f"(domain size {n}, k = {self.peak} variables), over the limit of {MAX_CELLS}"
             )
-        if events > MAX_TRACE_EVENTS:
-            raise SemanticError(
-                f"a trace of this plan on domain size {n} holds {events} events, over the limit of {MAX_TRACE_EVENTS}"
-            )
         return cells
 
-    def lower(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None, negate: bool):
+    def lower(self, e, where: dict[str, int], loops: tuple, depth: int, negate: bool):
         t = type(e)
         if t is Not:
-            return self.lower(e.body, where, width, depth, None if path is None else path + (0,), not negate)
+            return self.lower(e.body, where, loops, depth, not negate)
         if t is Atom or t is Equal:
-            self.axes, self.peak = max(self.axes, width), max(self.peak, depth)
+            self.axes, self.peak = max(self.axes, len(loops)), max(self.peak, depth)
             terms = e.terms if t is Atom else (e.left, e.right)
             axes = tuple([where.get(v.name) for v in terms])
             rows = tuple([v.name if p is None else None for v, p in zip(terms, axes)]) if None in axes else ()
-            return _literal(e.predicate.name if t is Atom else None, axes, rows, width, negate)
+            return _literal(e.predicate.name if t is Atom else None, axes, rows, len(loops), negate)
         if t is And or t is Or:
-            steps = [self.lower(g, where, width, depth, None if path is None else path + (k,), False)
-                     for k, g in enumerate(e.items)]
+            steps = [self.lower(g, where, loops, depth, False) for g in e.items]
             if t is And:
                 if negate:
                     return lambda run: ~functools.reduce(np.logical_and, [s(run) for s in steps])
@@ -529,18 +529,16 @@ class _Program:
             # Summed as int64: a bool sum would clamp on its own and hide a broken min1.
             return lambda run: _clamp(functools.reduce(np.add, [s(run) for s in steps], np.int64(0)), negate)
         if t is Exists or t is Forall:
-            return self.quantifier(e, where, width, depth, path, negate)
+            return self.quantifier(e, where, loops, depth, negate)
         if t is Contract:
-            return self.contract(e, where, width, path, negate)
+            return self.contract(e, where, loops, negate)
         raise TypeError(f"not a plan node: {e!r}")
 
-    def quantifier(self, e, where: dict[str, int], width: int, depth: int, path: tuple | None, negate: bool):
-        exists, var = type(e) is Exists, e.var.name
-        body = self.lower(e.body, {**where, var: width}, width + 1, depth + 1,
-                          None if path is None else path + (None,), not exists)
+    def quantifier(self, e, where: dict[str, int], loops: tuple, depth: int, negate: bool):
+        exists, var, width, own = type(e) is Exists, e.var.name, len(loops), next(self.numbers)
+        body = self.lower(e.body, {**where, var: width}, (*loops, own), depth + 1, not exists)
         mask = (slice(None), *_placement(width + 1, (width,))[0])  # a batch's domain mask, on the variable's axis
-        if path is not None:
-            self.events.append(width)
+        self.events.append(width)
 
         def quantifier(run):
             value = body(run)
@@ -549,21 +547,20 @@ class _Program:
             total = np.add.reduce(value, -1)
             if value.shape[-1] != run.n:
                 total = total * run.n  # a body without the variable's axis counts N times
-            if path is not None:
-                run.record("exists-sum" if exists else "forall-dual", var, total, where, path)
+            if run.events is not None:
+                run.record("exists-sum" if exists else "forall-dual", var, total, where, loops, own)
             return _clamp(total, exists == negate)  # forall x. b is !(exists x. !b)
 
         return quantifier
 
-    def contract(self, e: Contract, where: dict[str, int], outer: int, path: tuple | None, negate: bool):
+    def contract(self, e: Contract, where: dict[str, int], loops: tuple, negate: bool):
         rows = e.free_names.difference(where)  # bound by the assignment
         axes, order, rest, peak = e.plan(rows)
-        width = outer + len(axes)
+        outer, width = len(loops), len(loops) + len(axes)
         inner = {**where, **dict(zip(axes, range(outer, width)))}
         # The factors sit inside one loop per bound variable they use.
-        path = None if path is None else path + (None,) * len(axes)
-        factors = [self.lower(g, inner, width, len(g.free_names - rows), None if path is None else path + (k,), False)
-                   for k, g in enumerate(e.factors)]
+        loops = (*loops, *itertools.islice(self.numbers, len(axes)))
+        factors = [self.lower(g, inner, loops, len(g.free_names - rows), False) for g in e.factors]
         self.axes, self.peak = max(self.axes, width), max(self.peak, peak)
         # Each step's axis counted from the last, and a batch's mask on it.
         steps = [(axis - len(axes), slots, (slice(None), *_placement(width, (outer + axis,))[0]))
@@ -627,7 +624,7 @@ def _indices(n: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n), (n,))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def _placement(width: int, axes: tuple) -> tuple[tuple, bool, bool]:
     """(index, diagonal, swap) that puts the axes of an array, one per entry
     of axes (None for a row read before), on those axes of `width`: its

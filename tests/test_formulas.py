@@ -34,16 +34,18 @@ def test_symbols_are_checked():
 
 
 def test_an_optimized_plan_with_a_contraction_is_no_formula():
-    # A Contract is a plan node only: the formula walks refuse it.
+    # A Contract is a plan node only: the formula walks refuse it, and str()
+    # prints the formula it computes.
     import pytest
 
     from fotensor import StructureModel, compile_formula, optimize, tarski_eval
 
     plan = optimize(compile_formula(parse_formula("exists x. a(x)")))
     model = StructureModel(1, {"a": [1]})
-    for walk in (str, lambda f: tarski_eval(f, model), to_prenex):
+    for walk in (lambda f: tarski_eval(f, model), to_prenex):
         with pytest.raises(TypeError, match="not a formula"):
             walk(plan)
+    assert str(plan) == "exists x. a(x)"
 
 
 def test_desugar_matches_truth_table():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_words, embed_length, word_model
+from conftest import all_words, embed_length, traversal_corpus, word_model
 from fotensor import (
     compile_formula,
     embed_model,
@@ -306,6 +306,36 @@ def test_random_plans_preserve_evaluation():
             assert eval_tensor(optimized, em) == eval_tensor(plan, em), (str(formula), word)
         checked += 1
     assert checked == 100
+
+
+def _corpus_words():
+    """Each traversal-corpus formula with its alphabet, its kind and three
+    short words, the empty one included, as models."""
+    for i, f in enumerate(traversal_corpus()):
+        symbols, kind = ("ab", "abc")[i % 2], ("succ", "prec")[i // 2 % 2]
+        yield f, [word_model(w, symbols, kind) for w in ("", symbols[-1], symbols[::-1] + symbols[0])]
+
+
+def test_optimize_takes_every_parsed_formula():
+    # As parsed, a run of like quantifiers may bind a name twice; the inner
+    # binder shadows the outer one, which optimize drops.
+    assert optimize(parse_formula("forall y. forall y. c(y)")) == Not(Contract((Y,), (_rel("c", Y, negated=True),)))
+    for f, models in _corpus_words():
+        optimized = optimize(f)
+        for m in models:
+            assert eval_tensor(optimized, embed_model(m)) == int(tarski_eval(f, m)), (str(f), m.domain_size)
+
+
+def test_an_optimized_plan_prints_as_the_formula_it_computes():
+    # A contraction prints as its block of existentials, x = x standing for
+    # no factor; the text parses back to a formula of the same value.
+    assert str(Not(Contract((X, Y), ()))) == "!(exists x. exists y. x = x)"
+    assert str(Contract((X,), (_rel("a", X), _rel("b", X, negated=True)))) == "exists x. a(x) & !b(x)"
+    assert str(Contract((), ())) == "forall x. x = x"
+    for f, models in _corpus_words():
+        text = str(optimize(compile_formula(f)))
+        for m in models:
+            assert tarski_eval(parse_formula(text), m) == tarski_eval(f, m), (str(f), text, m.domain_size)
 
 
 def test_optimized_plan_dump_renders():

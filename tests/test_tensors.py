@@ -138,8 +138,8 @@ def test_min1_check_survives_python_O():
     assert done.stdout.strip() == "raised"
 
 
-# Each mode's program has its own clamps, so each is run: a single
-# structure, a batch holding the same word, and a traced evaluation.
+# One program serves every path, and each path is run: a single structure,
+# a batch holding the same word, and a traced evaluation.
 _EACH_MODE = (
     "for run in (lambda: tensors.eval_tensor(plan, em), lambda: tensors.eval_batch(plan, batch),\n"
     "            lambda: tensors.eval_tensor(plan, em, trace=[])):\n"
@@ -760,7 +760,7 @@ def test_corrupted_clamp_breaks_the_batched_path(monkeypatch):
 
 def _trace_size(plan, n):
     """The events a trace of plan records on domain size n, as its lowering counts them."""
-    return sum(n**k for k in _program(plan, True).events)
+    return sum(n**k for k in _program(plan).events)
 
 
 def test_trace_size_is_counted_before_evaluating():
@@ -792,12 +792,12 @@ def test_planned_peak_counts_no_variable_the_assignment_binds():
 
 
 def _lowerings(monkeypatch) -> list:
-    """(plan, traced) of every lowering from here on."""
+    """The plan of every lowering from here on."""
     made, init = [], _Program.__init__
 
-    def counting(self, e, traced):
-        made.append((e, traced))
-        init(self, e, traced)
+    def counting(self, e):
+        made.append(e)
+        init(self, e)
 
     monkeypatch.setattr(_Program, "__init__", counting)
     return made
@@ -814,7 +814,7 @@ def test_an_enumeration_lowers_its_plan_once(monkeypatch):
     want = [w for w in all_words("ab", 5) if tarski_eval(spec.formula, word_model(w, "ab", "succ"))]
     assert fotensor.enumerate_language(spec, 5) == want
     assert len(calls) > 10 and len(set(map(id, calls))) == 1
-    assert [(id(e), traced) for e, traced in made] == [(id(calls[0]), False)]
+    assert [id(e) for e in made] == [id(calls[0])]
 
 
 def test_a_check_case_lowers_once_per_plan(monkeypatch):
@@ -824,22 +824,24 @@ def test_a_check_case_lowers_once_per_plan(monkeypatch):
     eval_batch_ = fotensor.diffcheck.eval_batch
     monkeypatch.setattr(fotensor.diffcheck, "eval_batch", lambda e, m: batched.append(e) or eval_batch_(e, m))
     assert run_differential_check(1, 7).failures == ()
-    assert [traced for _, traced in made] == [False, False]
-    assert made[0][0] is not made[1][0] and batched == [made[1][0]]
+    assert len(made) == 2 and made[0] is not made[1] and batched == [made[1]]
 
 
 def test_one_program_serves_every_entry_point(monkeypatch):
-    # eval_tensor, eval_batch with and without a mask, batch_limit and
-    # plan_extent share one untraced program; a trace lowers its own.
+    # eval_tensor with and without a trace, eval_batch with and without a
+    # mask, batch_limit and plan_extent share one program.
     made = _lowerings(monkeypatch)
-    plan = optimize(compile_formula(ONE_B))
+    plan, plain = optimize(compile_formula(ONE_B)), compile_formula(ONE_B)
     em = embed_word("aba", Alphabet("ab"), "succ")
     assert eval_tensor(plan, em) == 1 and eval_batch(plan, em).tolist() == [1]
     assert eval_batch(plan, embed_words(Alphabet("ab"), 2, "succ")).tolist() == [0, 0, 1, 0, 1, 1, 0]
     assert batch_limit(plan, 4) == MAX_CELLS // 4**2 and plan_extent(plan) == (2, 2)
-    assert [(id(e), traced) for e, traced in made] == [(id(plan), False)]
     assert eval_tensor(plan, em, trace=[]) == eval_tensor(plan, em, trace=[]) == 1
-    assert [(id(e), traced) for e, traced in made] == [(id(plan), False), (id(plan), True)]
+    # The plain plan's quantifiers record their sums only on a traced run.
+    trace: list[TraceEvent] = []
+    assert eval_tensor(plain, em) == eval_tensor(plain, em, trace=trace) == 1 and len(trace) == 3 + 1
+    assert [id(e) for e in made] == [id(plan), id(plain)]
+    assert [k for k in vars(plan) if "program" in k] == [k for k in vars(plain) if "program" in k] == ["_program"]
 
 
 def test_one_program_serves_every_word_and_assignment(monkeypatch):
@@ -856,7 +858,7 @@ def test_one_program_serves_every_word_and_assignment(monkeypatch):
             want = int(tarski_eval(formula, word_model(word, "ab", "succ"), {"x": x}))
             assert [eval_tensor(p, em, {"x": x}) for p in plans] == [want] * 2, (word, x)
             checks += want
-    assert checks and [(id(e), traced) for e, traced in made] == [(id(p), False) for p in plans]
+    assert checks and [id(e) for e in made] == [id(p) for p in plans]
 
 
 def test_an_evaluated_plan_pickles_without_its_programs():
@@ -865,14 +867,14 @@ def test_an_evaluated_plan_pickles_without_its_programs():
     em = embed_word("aba", Alphabet("ab"), "succ")
     assert eval_tensor(plan, em) == eval_tensor(plan, em, trace=[]) == 1
     assert eval_batch(plan, embed_words(Alphabet("ab"), 2, "succ")).tolist() == [0, 0, 1, 0, 1, 1, 0]
-    programs = {"_program", "_traced_program"}
-    assert programs <= plan.__dict__.keys()
+    assert "_program" in plan.__dict__
     copy = pickle.loads(pickle.dumps(plan))
-    assert copy == plan and not programs & copy.__dict__.keys() and eval_tensor(copy, em) == 1
+    assert copy == plan and "_program" not in copy.__dict__ and eval_tensor(copy, em) == 1
 
 
 def test_contract_refuses_a_repeated_bound_variable():
-    # As a prenex prefix never holds one; optimize renames apart.
+    # A prenex prefix never holds one, as to_prenex renames bound variables
+    # apart, and optimize keeps one binder per name in a run.
     x = Variable("x")
     with pytest.raises(ValueError, match="bound variables not distinct"):
         Contract((x, x), (atom("a", "x"),))

@@ -194,3 +194,23 @@ def test_planned_peaks_are_pinned():
     # or Contract.plan that moves any peak or step has to update the digest.
     digest = _front_end_digest(lambda f, plan: tuple(_peaks(plan)))
     assert digest == "262e17e632ed6ffdc61f4a8f826d9c084e2d388947417c17b620c5b1fbf41c86"
+
+
+TRACE_WORDS = {"ab": ("b", "ba", "abb"), "abc": ("c", "ca", "abc")}
+
+
+def test_traces_are_pinned():
+    # The value and the trace of the first 1,000 formulas, as parsed, as
+    # compiled and as optimized, on three short words each; a change to what
+    # a trace records, or to the order of its events, has to update the digest.
+    digest = hashlib.sha256()
+    for i, f in enumerate(traversal_corpus(1000)):
+        symbols, kind = ("ab", "abc")[i % 2], ("succ", "prec")[i // 2 % 2]
+        plans = (f, compile_formula(f), optimize(compile_formula(f)))
+        for word in TRACE_WORDS[symbols]:
+            em = embed_model(build_word_model(word, Alphabet(symbols), kind))
+            for p in plans:
+                trace = []
+                value = eval_tensor(p, em, trace=trace)
+                digest.update(repr((value, trace)).encode() + b"\0")
+    assert digest.hexdigest() == "b1a1ee4352d023972730e011945fdd6547e15409c0a90f509e48c69ace64e878"
